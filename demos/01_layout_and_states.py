@@ -8,7 +8,8 @@ import numpy as np
 
 from fr3sim import (assign_states, build_hex_layout, drop_ues,
                     link_geometry, load_parameter_tables)
-from fr3sim.geometry import effective_ue_position, drop_rng
+from fr3sim.geometry import effective_ue_position
+from fr3sim.rng import STAGE_DROP, substream
 
 reg = load_parameter_tables()
 sma = reg.scenario("SMa")
@@ -32,7 +33,7 @@ print(f"\nUE at {far_ue[:2]} wraps to {np.round(eff[:2], 1)} "
 
 # drop UEs: 80 percent indoor, 90/10 residential/commercial building mix,
 # heights uniform across the floors of the building type
-rng = drop_rng(master_seed=1, drop_index=0)
+rng = substream(1, 0, STAGE_DROP)  # master seed 1, drop 0
 ues = drop_ues(layout, 2000, sma, rng)
 indoor = [u for u in ues if u.indoor]
 print(f"\ndropped {len(ues)} UEs, indoor fraction "

@@ -7,9 +7,9 @@ Run:  python3 demos/03_channel_generation.py
 import numpy as np
 
 from fr3sim import (ElementPattern, PanelArray, UEDevice, build_cluster_set,
-                    build_correlated_field, draw_lsps, draw_phases,
-                    link_geometry, load_parameter_tables, mount_bs_array,
-                    mount_ue_device, synthesize, write_cir)
+                    correlated_standard_normals, draw_phases, link_geometry,
+                    load_parameter_tables, lsps_from_standardized,
+                    mount_bs_array, mount_ue_device, synthesize, write_cir)
 from fr3sim.geometry import Orientation, vec3
 from fr3sim.largescale import C_LIGHT
 from fr3sim.scenario import PropagationState
@@ -27,9 +27,9 @@ print(f"link: d2D = {g.d2d:.1f} m, d3D = {g.d3d:.1f} m, "
       f"AOD = {g.aod_az:.1f} deg, ZOD = {g.zod:.1f} deg")
 
 # correlated large-scale parameters at the UE position
-field = build_correlated_field(np.array([ue_pos[:2]]), sma, "los",
-                               np.random.default_rng(3))
-lsp = draw_lsps(field, g, ue_pos[:2], sma, state, fc)
+std, names = correlated_standard_normals(ue_pos[:2], sma, "los",
+                                         np.random.default_rng(3))
+lsp = lsps_from_standardized(std[0], names, g, sma, state, fc)
 print(f"LSPs: DS = {lsp.ds * 1e9:.1f} ns, ASA = {lsp.asa:.1f} deg, "
       f"ASD = {lsp.asd:.1f} deg, K = {lsp.k_db:.1f} dB, SF = {lsp.sf_db:.1f} dB")
 

@@ -12,9 +12,9 @@ from .antenna import (ElementPattern, PanelArray, UEDevice, MountedArray,
 from .scenario import (ScenarioParams, Registry, PropagationState,
                        ParameterError, load_parameter_tables,
                        save_parameter_tables, los_probability, assign_states)
-from .largescale import (C_LIGHT, LargeScaleResult, LspSet, CorrelatedField,
-                         path_loss, material_loss, o2i_penetration,
-                         build_correlated_field, draw_lsps,
+from .largescale import (C_LIGHT, LargeScaleResult, LspSet, path_loss,
+                         material_loss, o2i_penetration,
+                         correlated_standard_normals, lsps_from_standardized,
                          breakpoint_distance)
 from .smallscale import (ClusterSet, draw_cluster_count, generate_delays,
                          generate_powers, generate_angles, couple_angles,

@@ -53,19 +53,14 @@ def draw_phases(n, m, rng):
     return rng.uniform(-np.pi, np.pi, size=(n, m, 4))
 
 
-def draw_absolute_excess(sc, rng, l_bound=None, clamp=True):
-    """Log-normal NLOS excess delay; optionally bounded by 2 L / c.
-
-    With ``clamp`` the bound truncates the sample (monotone in the
-    underlying normal); otherwise samples are redrawn.
-    """
+def draw_absolute_excess(sc, rng, l_bound=None):
+    """Log-normal NLOS excess delay; optionally clamped to 2 L / c (the
+    clamp is monotone in the underlying normal)."""
     mu, sigma, _ = sc.abs_delay_params()
-    bound = None if l_bound is None else 2.0 * l_bound / C_LIGHT
-    for _ in range(1000):
-        dt = 10.0 ** rng.normal(mu, sigma)
-        if bound is None or dt <= bound or clamp:
-            return float(min(dt, bound) if bound is not None else dt)
-    return float(bound)
+    dt = 10.0 ** rng.normal(mu, sigma)
+    if l_bound is not None:
+        dt = min(dt, 2.0 * l_bound / C_LIGHT)
+    return float(dt)
 
 
 @dataclass

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import substream, STAGE_DROP
 
 
 def vec3(x, y, z):
@@ -344,7 +343,3 @@ def link_geometry(bs_position, ue_position):
     return LinkGeometry(d2d=d2d, d3d=d3d, h_bs=float(bs[2]), h_ue=float(ue[2]),
                         aod_az=float(wrap_azimuth(aod)), aoa_az=float(wrap_azimuth(aoa)),
                         zod=float(zod), zoa=float(zoa))
-
-
-def drop_rng(master_seed, drop_index):
-    return substream(master_seed, drop_index, STAGE_DROP)

@@ -26,9 +26,9 @@ from .largescale import (C_LIGHT, LargeScaleResult,
                          o2i_penetration, path_loss)
 from .nearfield import source_distances
 from .scenario import (LOS, NLOS, O2I, assign_states, load_parameter_tables)
-from .smallscale import build_cluster_set
-from .sns import (Blocker, SnsConfig, blocker_attenuation, draw_usage,
-                  stochastic_attenuation, ue_sns_mask)
+from .smallscale import SUBCLUSTER_DELAY_FACTORS, build_cluster_set
+from .sns import (USAGES, Blocker, SnsConfig, blocker_attenuation,
+                  draw_usage, stochastic_attenuation, ue_sns_mask)
 
 _STATE_ORD = {LOS: 0, NLOS: 1, O2I: 2}
 
@@ -78,7 +78,6 @@ class RunConfig:
     # time sampling
     t_count: int = 1
     t_step_s: float = 1e-3
-    field_cell_m: float = 1.0    # LSP map grid cell; coarsen for huge layouts
     # outputs
     emit_cir: bool = False
     # SNS numeric parameters (placeholders; see SnsConfig)
@@ -173,6 +172,23 @@ def _validate(cfg):
         raise ConfigError("force_state must be LOS, NLOS, or empty")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.deploy_radius < 0:
+        raise ConfigError("deploy_radius must be >= 0")
+    if cfg.bs_pol not in (1, 2):
+        raise ConfigError("bs_pol must be 1 or 2")
+    if cfg.bs_pattern not in ("directional", "isotropic"):
+        raise ConfigError(f"unknown bs_pattern {cfg.bs_pattern!r}")
+    if cfg.ue_device not in ("handheld", "CPE"):
+        raise ConfigError(f"unknown ue_device {cfg.ue_device!r}")
+    if cfg.ue_usage not in ("",) + USAGES:
+        raise ConfigError(f"unknown ue_usage {cfg.ue_usage!r}")
+    if cfg.ue_sns and cfg.ue_device == "CPE":
+        raise ConfigError("ue_sns masks cover the 8 handheld candidates, "
+                          "not the 9 CPE ones")
+    if cfg.t_count < 1:
+        raise ConfigError("t_count must be >= 1")
+    if cfg.m_min > cfg.m_max:
+        raise ConfigError("m_min must not exceed m_max")
 
 
 def preset_path(name):
@@ -447,7 +463,6 @@ def _tap_powers(cs, base_delay):
             for gi, grp in enumerate(cs.subclusters):
                 if grp.size == 0:
                     continue
-                from .smallscale import SUBCLUSTER_DELAY_FACTORS
                 delays.append(base_delay + cs.tap_delays[ci]
                               + SUBCLUSTER_DELAY_FACTORS[gi] * cs.c_ds)
                 powers.append(cs.p[ci] * grp.size / cs.m)
@@ -548,19 +563,18 @@ def run(cfg, registry=None):
                            force_los=cfg.force_state or None,
                            force_location=cfg.force_location or None)
 
-    # correlated LSP draws per (site, state, floor) group; only one LSP
-    # grid is resident at a time
+    # correlated LSP draws per (site, state, floor) group, on the effective
+    # (wrap-around) positions the links are served at
     groups = {}
     for i, (st, ue) in enumerate(zip(states, ues)):
         key = (serving[i][0], st.state_key, ues[i].floor)
         groups.setdefault(key, []).append(i)
     std_vectors = {}
     for (si, skey, floor), idxs in sorted(groups.items()):
-        pos = np.array([ues[i].position[:2] for i in idxs])
+        pos = np.array([serving[i][2][:2] for i in idxs])
         f_rng = substream(cfg.seed, 0, si, _STATE_ORD[skey], floor,
                           rngmod.STAGE_LSP_FIELD)
-        vals, names = correlated_standard_normals(pos, sc, skey, f_rng,
-                                                  cell=cfg.field_cell_m)
+        vals, names = correlated_standard_normals(pos, sc, skey, f_rng)
         for row, i in enumerate(idxs):
             std_vectors[i] = (vals[row], names)
 

@@ -4,7 +4,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+# perfbench/tracing.py counts LSP field cells through this name; unused here
+from scipy.signal import fftconvolve  # noqa: F401
 
 from .scenario import LOS, NLOS, O2I, LSP_ORDER_LOS, LSP_ORDER_NLOS
 
@@ -180,40 +181,6 @@ class LspSet:
     k_db: float = None  # LOS only
 
 
-@dataclass
-class CorrelatedField:
-    origin: np.ndarray          # (2,) grid origin in meters
-    cell: float                 # grid cell size (1 m)
-    grids: dict                 # lsp name -> 2D unit-variance grid
-    sqrt_c: np.ndarray
-    lsp_names: tuple
-
-    def standardized(self, position):
-        """Cross-correlated standard-normal LSP vector at a position."""
-        ix = int(round((position[0] - self.origin[0]) / self.cell))
-        iy = int(round((position[1] - self.origin[1]) / self.cell))
-        g0 = self.grids[self.lsp_names[0]]
-        if not (0 <= iy < g0.shape[0] and 0 <= ix < g0.shape[1]):
-            raise ValueError("position outside the correlated field grid")
-        raw = np.array([self.grids[m][iy, ix] for m in self.lsp_names])
-        return self.sqrt_c @ raw
-
-
-def _exp_fir_kernel(d_cor, cell):
-    """One-sided separable exponential kernel, truncated at 4 d_cor.
-
-    A causal exponential filter applied along each grid axis produces an
-    exactly exponential autocorrelation exp(-lag/d_cor) along the axes
-    (a symmetric radial kernel would not).  Coefficients are renormalized
-    to unit output variance.
-    """
-    n = max(1, int(np.ceil(4.0 * d_cor / cell)))
-    t = np.arange(n + 1) * cell
-    k1 = np.exp(-t / d_cor)
-    k = np.outer(k1, k1)
-    return k / np.sqrt(np.sum(k ** 2))
-
-
 def matrix_sqrt_psd(c):
     """Symmetric square root with negative eigenvalues clamped to zero."""
     w, v = np.linalg.eigh(0.5 * (c + c.T))
@@ -228,64 +195,43 @@ def matrix_sqrt_psd(c):
     return root / d[:, None]
 
 
-def _field_grids(positions, sc, state_key, rng, cell):
-    """Yield (lsp name, filtered grid) plus the grid origin.
+def _ar1_rows(z, coords, d_cor):
+    """Turn i.i.d. N(0,1) rows at sorted, distinct coordinates into
+    exponentially correlated rows, in place: the step-dependent AR(1)
+    recursion with rho_k = exp(-(c_k - c_{k-1}) / d_cor) gives unit variance
+    and correlation exp(-|c_j - c_k| / d_cor) between any two rows, exactly."""
+    rho = np.exp(-np.diff(coords) / d_cor)
+    innov = np.sqrt(1.0 - rho ** 2)
+    for k in range(1, z.shape[0]):
+        z[k] *= innov[k - 1]
+        z[k] += rho[k - 1] * z[k - 1]
+    return z
 
-    One i.i.d. N(0,1) grid per LSP is filtered with the exponential kernel
-    for that LSP's correlation distance.  The "valid" convolution over a
-    padded white grid keeps every stored node at full kernel support,
-    i.e. exactly unit variance.
+
+def correlated_standard_normals(positions, sc, state_key, rng):
+    """Cross-correlated standard-normal LSP vectors at the given positions.
+
+    Each LSP is an exact sample of a field with the separable exponential
+    autocorrelation exp(-|dx|/d_cor) exp(-|dy|/d_cor), drawn only on the
+    product grid of the positions' distinct x and y coordinates (AR(1)
+    along y, then along x); sqrt(C) then imposes the cross-correlation.
+    Identical positions read the same node.  Returns (values
+    (n_pos, n_lsp), lsp_names).
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim == 1:
         positions = positions[None, :]
     if positions.shape[0] < 1:
         raise ValueError("at least one position required")
+    xs, ix = np.unique(positions[:, 0], return_inverse=True)
+    ys, iy = np.unique(positions[:, 1], return_inverse=True)
     dcor = sc.correlation_distances(state_key)
     names = LSP_ORDER_LOS if state_key == LOS else LSP_ORDER_NLOS
-    margin = 8.0 * max(dcor.values())
-    x0 = positions[:, 0].min() - margin
-    x1 = positions[:, 0].max() + margin
-    y0 = positions[:, 1].min() - margin
-    y1 = positions[:, 1].max() + margin
-    nx = int(np.ceil((x1 - x0) / cell)) + 1
-    ny = int(np.ceil((y1 - y0) / cell)) + 1
-
-    def gen():
-        for m in names:
-            k = _exp_fir_kernel(dcor[m], cell)
-            pad = k.shape[0] - 1
-            white = rng.standard_normal((ny + pad, nx + pad))
-            yield m, fftconvolve(white, k, mode="valid")
-
-    return np.array([x0, y0]), names, gen()
-
-
-def build_correlated_field(positions, sc, state_key, rng, cell=1.0):
-    """Spatially correlated standard-normal grids for all LSPs of a state;
-    cross-correlation is imposed at lookup time by sqrt(C)."""
-    origin, names, gen = _field_grids(positions, sc, state_key, rng, cell)
-    grids = dict(gen)
-    c, _ = sc.cross_correlation(state_key)
-    return CorrelatedField(origin, cell, grids, matrix_sqrt_psd(c), names)
-
-
-def correlated_standard_normals(positions, sc, state_key, rng, cell=1.0):
-    """Cross-correlated standard-normal LSP vectors at the given positions.
-
-    Numerically identical to build_correlated_field followed by per-position
-    lookups, but only one LSP grid is resident at a time (memory-bounded
-    for large layouts).  Returns (values (n_pos, n_lsp), lsp_names).
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim == 1:
-        positions = positions[None, :]
-    origin, names, gen = _field_grids(positions, sc, state_key, rng, cell)
     raw = np.empty((len(names), positions.shape[0]))
-    for i, (_name, grid) in enumerate(gen):
-        ix = np.round((positions[:, 0] - origin[0]) / cell).astype(int)
-        iy = np.round((positions[:, 1] - origin[1]) / cell).astype(int)
-        raw[i] = grid[iy, ix]
+    for i, m in enumerate(names):
+        grid = _ar1_rows(rng.standard_normal((ys.size, xs.size)), ys, dcor[m])
+        grid = _ar1_rows(np.ascontiguousarray(grid.T), xs, dcor[m])
+        raw[i] = grid[ix, iy]
     c, _ = sc.cross_correlation(state_key)
     return (matrix_sqrt_psd(c) @ raw).T, names
 
@@ -311,8 +257,3 @@ def lsps_from_standardized(s, lsp_names, g, sc, state, fc_ghz):
     return LspSet(ds=float(ds), asa=float(asa), asd=float(asd), zsa=float(zsa),
                   zsd=float(zsd), sf_db=float(sigma_sf * by_name["sf"]), k_db=k_db)
 
-
-def draw_lsps(field, g, ue_position, sc, state, fc_ghz):
-    """LspSet at a UE position from a prebuilt CorrelatedField."""
-    return lsps_from_standardized(field.standardized(ue_position),
-                                  field.lsp_names, g, sc, state, fc_ghz)

@@ -216,5 +216,8 @@ def ue_sns_mask(masks, usage, fc_ghz, candidate_index):
         warnings.warn(f"fc={fc_ghz} GHz outside mask bands; using {band}")
     table_db = masks[(usage, band)]
     idx = np.asarray(candidate_index)
-    att_db = np.where(idx >= 0, table_db[np.clip(idx, 0, table_db.size - 1)], 0.0)
+    if np.any(idx >= table_db.size):
+        raise ValueError(f"candidate index {idx.max()} outside the "
+                         f"{table_db.size}-value {usage!r} mask")
+    att_db = np.where(idx >= 0, table_db[np.maximum(idx, 0)], 0.0)
     return 10.0 ** (-att_db / 10.0)

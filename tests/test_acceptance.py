@@ -157,13 +157,20 @@ class TestMonteCarlo:
                 f"{med:.4e} s vs {target:.4e} s")
 
     def test_field_autocorrelation(self):
+        # one realization of each raw LSP field on 1 m rows 1 km long; the
+        # rows are 10 km apart, i.e. independent
+        from test_largescale import Uncorrelated
         rng = np.random.default_rng(5)
-        pos = np.array([[0.0, 0.0], [500.0, 500.0]])
-        f = fr3sim.build_correlated_field(pos, SMA, "los", rng)
+        xs = np.arange(1000.0)
+        ys = np.arange(300) * 1e4
+        gx, gy = np.meshgrid(xs, ys)
+        pos = np.column_stack([gx.ravel(), gy.ravel()])
+        vals, names = fr3sim.correlated_standard_normals(
+            pos, Uncorrelated(SMA), "los", rng)
         dcor = SMA.correlation_distances("los")
         worst = 0.0
-        for name in f.lsp_names:
-            g = f.grids[name]
+        for j, name in enumerate(names):
+            g = vals[:, j].reshape(ys.size, xs.size)
             lag = int(round(dcor[name]))
             ac = np.mean(g[:, :-lag] * g[:, lag:]) / g.var()
             worst = max(worst, abs(ac - np.exp(-1)))
@@ -171,24 +178,19 @@ class TestMonteCarlo:
                 f"max dev = {worst:.3f}")
 
     def test_imposed_cross_correlation(self):
+        # 1e5 nodes 10 km apart on a lattice: independent cross-correlated
+        # vectors
         rng = np.random.default_rng(6)
-        pos = np.array([[0.0, 0.0], [40.0, 40.0]])
-        c_target, names = SMA.cross_correlation("los")
-        # sample the transformed vectors on >= 1e5 grid nodes (fields are
-        # spatially correlated, so take widely spaced realizations instead)
-        samples = []
-        for _ in range(350):
-            f = fr3sim.build_correlated_field(pos, REG.scenario("InH"),
-                                              "los", rng)
-            sub = np.stack([f.grids[m][::12, ::12].reshape(-1)
-                            for m in f.lsp_names])
-            samples.append(f.sqrt_c @ sub)
-        c_target, names = REG.scenario("InH").cross_correlation("los")
-        data = np.concatenate(samples, axis=1)
-        c_hat = np.corrcoef(data)
+        inh = REG.scenario("InH")
+        side = np.arange(317) * 1e4
+        gx, gy = np.meshgrid(side, side)
+        pos = np.column_stack([gx.ravel(), gy.ravel()])
+        data, names = fr3sim.correlated_standard_normals(pos, inh, "los", rng)
+        c_target, _ = inh.cross_correlation("los")
+        c_hat = np.corrcoef(data.T)
         err = np.max(np.abs(c_hat - c_target))
         _report("imposed cross-correlation ±0.05", err < 0.05,
-                f"{data.shape[1]} nodes, max entry dev = {err:.3f}")
+                f"{data.shape[0]} nodes, max entry dev = {err:.3f}")
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pathlib
 import pytest
 
+from fr3sim import harness
 from fr3sim.cli import main as cli_main
 from fr3sim.coefficients import ChannelRealization
 from fr3sim.harness import (ConfigError, RunConfig, capacity, coupling_loss,
@@ -180,8 +181,59 @@ class TestRun:
         h = read_cir(cirs[0])
         assert h.n_taps >= 1
 
+    def test_lsps_keyed_on_wrapped_position(self, tmp_path, monkeypatch):
+        # moving a UE's drop position by a wrap-lattice vector leaves its
+        # serving image, and so every standardized LSP vector, unchanged
+        real_drop = harness.drop_ues
+        real_field = harness.correlated_standard_normals
+
+        def sampled(name, shift):
+            vectors = []
+
+            def drop(layout, count, sc, rng):
+                ues = real_drop(layout, count, sc, rng)
+                ues[0].position = ues[0].position + shift(layout.wrap_vectors)
+                return ues
+
+            def field(*args):
+                vals, names = real_field(*args)
+                vectors.append(vals)
+                return vals, names
+
+            monkeypatch.setattr(harness, "drop_ues", drop)
+            monkeypatch.setattr(harness, "correlated_standard_normals", field)
+            run(RunConfig(n_ues=5, seed=4, bs_rows=2, bs_cols=2,
+                          out_dir=str(tmp_path / name)))
+            return vectors
+
+        base = sampled("base", lambda w: 0.0)
+        moved = sampled("moved", lambda w: w[0] - 2.0 * w[3])
+        assert len(base) == len(moved)
+        for a, b in zip(base, moved):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+
+
+BAD_VALUES = {
+    "bs_pol": "[run]\nbs_pol = 3\n",
+    "t_count": "[run]\nt_count = 0\n",
+    "m_min": "[run]\nm_min = 41\nm_max = 40\n",
+    "deploy_radius": "[run]\nlayout = disc\ndeploy_radius = -1\n",
+    "bs_pattern": "[run]\nbs_pattern = directonal\n",
+    "ue_device": "[run]\nue_device = tablet\n",
+    "ue_usage": "[run]\nue_usage = pocket\n",
+    "ue_sns": "[run]\nue_device = CPE\nue_sns = true\n",
+    "field_cell_m": "[run]\nfield_cell_m = 1.0\n",
+}
+
 
 class TestConfigAndCli:
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_cli_rejects_bad_value(self, tmp_path, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BAD_VALUES[key] + f"out_dir = {tmp_path / 'x'}\n")
+        assert cli_main(["run", "--config", str(bad)]) == 2
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides={"not_a_key": 1})

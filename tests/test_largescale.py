@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fr3sim.geometry import LinkGeometry
-from fr3sim.largescale import (C_LIGHT, CorrelatedField, LargeScaleResult,
-                               _exp_fir_kernel, _pl1_rma,
-                               breakpoint_distance, build_correlated_field,
-                               draw_lsps, material_loss, matrix_sqrt_psd,
-                               o2i_penetration, path_loss)
+from fr3sim.largescale import (C_LIGHT, LargeScaleResult, _pl1_rma,
+                               breakpoint_distance,
+                               correlated_standard_normals,
+                               lsps_from_standardized, material_loss,
+                               matrix_sqrt_psd, o2i_penetration, path_loss)
 from fr3sim.scenario import PropagationState, load_parameter_tables
 
 REG = load_parameter_tables()
@@ -144,46 +144,95 @@ class TestO2I:
                             np.random.default_rng(0))
 
 
+class Uncorrelated:
+    """A scenario's correlation distances with the LSP cross-correlation
+    switched off, so the sampler returns the raw per-LSP fields."""
+
+    def __init__(self, sc):
+        self.sc = sc
+
+    def correlation_distances(self, state):
+        return self.sc.correlation_distances(state)
+
+    def cross_correlation(self, state):
+        _c, names = self.sc.cross_correlation(state)
+        return np.eye(len(names)), names
+
+
+def isolated_clusters(offsets, n, spacing=1e5):
+    """n copies of the (k, 2) offset pattern on a square lattice `spacing`
+    apart, so each copy is an independent realization of the field at the
+    pattern (a lattice keeps the sampler's product grid small)."""
+    offsets = np.asarray(offsets, dtype=float)
+    side = int(np.ceil(np.sqrt(n)))
+    cell = np.arange(n)
+    shift = spacing * np.column_stack([cell % side, cell // side])
+    return (shift[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+
+
+def pair_correlation(vals, k, a, b):
+    """Ensemble correlation between pattern points a and b (k points per
+    copy), per LSP column."""
+    v = vals.reshape(-1, k, vals.shape[1])
+    return np.array([np.corrcoef(v[:, a, j], v[:, b, j])[0, 1]
+                     for j in range(vals.shape[1])])
+
+
 class TestCorrelatedField:
     def test_identical_positions_identical_vectors(self):
         rng = np.random.default_rng(3)
         pos = np.array([[10.0, 20.0], [10.0, 20.0], [50.0, 60.0]])
-        f = build_correlated_field(pos, SMA, "nlos", rng)
-        assert np.allclose(f.standardized(pos[0]), f.standardized(pos[1]))
+        vals, _ = correlated_standard_normals(pos, SMA, "nlos", rng)
+        assert np.array_equal(vals[0], vals[1])
+        assert not np.allclose(vals[0], vals[2])
 
     def test_per_node_variance_over_ensembles(self):
-        # fixed node, many field realizations: variance within [0.95, 1.05]
+        # fixed node, many independent realizations: variance within
+        # [0.95, 1.05] after the cross-correlation transform
         rng = np.random.default_rng(4)
-        pos = np.array([[0.0, 0.0], [5.0, 5.0]])
-        samples = []
-        for _ in range(1500):
-            f = build_correlated_field(pos, REG.scenario("InH"), "nlos", rng)
-            samples.append([f.grids[m][3, 3] for m in f.lsp_names])
-        v = np.var(np.array(samples), axis=0)
+        pos = isolated_clusters([[0.0, 0.0], [5.0, 5.0]], 20000)
+        vals, _ = correlated_standard_normals(pos, REG.scenario("InH"),
+                                              "nlos", rng)
+        v = np.var(vals.reshape(-1, 2, vals.shape[1]), axis=0)
         assert np.all((v > 0.95) & (v < 1.05))
 
     def test_autocorrelation_at_dcor(self):
-        # sample autocorrelation of the generated field at lag d_cor
+        # correlation exp(-1) between points d_cor apart, along x and along
+        # y, for every LSP of the state
         rng = np.random.default_rng(5)
-        pos = np.array([[0.0, 0.0], [500.0, 500.0]])
-        f = build_correlated_field(pos, SMA, "los", rng)
         dcor = SMA.correlation_distances("los")
-        for name in ("ds", "sf"):
-            g = f.grids[name]
-            lag = int(round(dcor[name]))
-            prod = g[:, :-lag] * g[:, lag:]
-            ac = np.mean(prod) / g.var()
-            assert ac == pytest.approx(np.exp(-1), abs=0.05)
+        for j, name in enumerate(dcor):
+            d = dcor[name]
+            pos = isolated_clusters([[0.0, 0.0], [d, 0.0], [0.0, d]], 20000)
+            vals, names = correlated_standard_normals(pos, Uncorrelated(SMA),
+                                                      "los", rng)
+            assert names[j] == name
+            for b in (1, 2):
+                ac = pair_correlation(vals, 3, 0, b)[j]
+                assert ac == pytest.approx(np.exp(-1), abs=0.05), (name, b)
+
+    def test_diagonal_offset_is_separable(self):
+        # exp(-(|dx| + |dy|) / d_cor) off the axes, not exp(-r / d_cor)
+        rng = np.random.default_rng(8)
+        inh = REG.scenario("InH")
+        dcor = inh.correlation_distances("nlos")
+        dx, dy = 4.0, 7.0
+        pos = isolated_clusters([[0.0, 0.0], [dx, dy], [-dx, dy]], 40000)
+        vals, names = correlated_standard_normals(pos, Uncorrelated(inh),
+                                                  "nlos", rng)
+        d = np.array([dcor[m] for m in names])
+        expect = np.exp(-(dx + dy) / d)
+        radial = np.exp(-np.hypot(dx, dy) / d)
+        for b in (1, 2):
+            ac = pair_correlation(vals, 3, 0, b)
+            assert np.all(np.abs(ac - expect) < 0.05), (ac, expect)
+            assert np.all(np.abs(ac - radial) > np.abs(ac - expect))
 
     def test_identity_cross_correlation(self):
         rng = np.random.default_rng(6)
-        sqrt_c = np.eye(6)
-        grids = {m: rng.standard_normal((50, 50)) for m in
-                 ("sf", "ds", "asd", "asa", "zsd", "zsa")}
-        f = CorrelatedField(np.array([0.0, 0.0]), 1.0, grids, sqrt_c,
-                            ("sf", "ds", "asd", "asa", "zsd", "zsa"))
-        samples = np.array([f.standardized((x, y))
-                            for x in range(50) for y in range(50)])
+        pos = isolated_clusters([[0.0, 0.0]], 2500)
+        samples, _ = correlated_standard_normals(pos, Uncorrelated(SMA),
+                                                 "nlos", rng)
         c = np.corrcoef(samples.T)
         off = c[~np.eye(6, dtype=bool)]
         assert np.max(np.abs(off)) < 0.08
@@ -197,55 +246,43 @@ class TestCorrelatedField:
         assert any("PSD" in str(w.message) for w in rec)
         assert np.allclose(np.sum(r ** 2, axis=1), 1.0)
 
-    def test_kernel_unit_power(self):
-        k = _exp_fir_kernel(13.0, 1.0)
-        assert np.sum(k ** 2) == pytest.approx(1.0, rel=1e-12)
+
+LOS_NAMES = ("sf", "k", "ds", "asd", "asa", "zsd", "zsa")
+NLOS_NAMES = ("sf", "ds", "asd", "asa", "zsd", "zsa")
 
 
 class TestDrawLsps:
-    def _zero_field(self, state):
-        names = ("sf", "k", "ds", "asd", "asa", "zsd", "zsa") if state == "los" \
-            else ("sf", "ds", "asd", "asa", "zsd", "zsa")
-        grids = {m: np.zeros((10, 10)) for m in names}
-        return CorrelatedField(np.array([0.0, 0.0]), 1.0, grids,
-                               np.eye(len(names)), names)
-
     def test_median_at_zero(self):
-        f = self._zero_field("los")
         st = PropagationState("LOS", "outdoor")
-        lsp = draw_lsps(f, geom(100.0), (5.0, 5.0), SMA, st, 7.0)
+        lsp = lsps_from_standardized(np.zeros(7), LOS_NAMES, geom(100.0),
+                                     SMA, st, 7.0)
         assert lsp.ds == pytest.approx(10 ** SMA.value("mu_lg_ds", "los", 7.0), rel=1e-12)
         assert lsp.k_db == pytest.approx(SMA.value("mu_k", "los"), rel=1e-12)
         assert lsp.sf_db == 0.0
 
     def test_angular_caps(self):
-        names = ("sf", "ds", "asd", "asa", "zsd", "zsa")
-        grids = {m: np.full((10, 10), 8.0) for m in names}
-        f = CorrelatedField(np.array([0.0, 0.0]), 1.0, grids,
-                            np.eye(6), names)
         st = PropagationState("NLOS", "outdoor")
-        lsp = draw_lsps(f, geom(100.0), (5.0, 5.0), SMA, st, 7.0)
+        lsp = lsps_from_standardized(np.full(6, 8.0), NLOS_NAMES,
+                                     geom(100.0), SMA, st, 7.0)
         assert lsp.asa <= 104.0 and lsp.asd <= 104.0
         assert lsp.zsa <= 52.0 and lsp.zsd <= 52.0
 
     def test_lgds_ensemble_mean(self):
         rng = np.random.default_rng(7)
         pos = rng.uniform(0, 300, size=(400, 2))
-        f = build_correlated_field(pos, SMA, "nlos", rng)
+        vals, names = correlated_standard_normals(pos, SMA, "nlos", rng)
         st = PropagationState("NLOS", "outdoor")
         mu = SMA.value("mu_lg_ds", "nlos", 7.0)
-        vals = [np.log10(draw_lsps(f, geom(200.0), p, SMA, st, 7.0).ds)
-                for p in pos]
+        lg = [np.log10(lsps_from_standardized(v, names, geom(200.0), SMA, st,
+                                              7.0).ds) for v in vals]
         # spatially correlated samples, so allow a generous ensemble margin
-        assert np.mean(vals) == pytest.approx(mu, abs=0.15)
+        assert np.mean(lg) == pytest.approx(mu, abs=0.15)
 
     def test_sf_sigma_dual_slope(self):
-        names = ("sf", "k", "ds", "asd", "asa", "zsd", "zsa")
-        grids = {m: np.ones((10, 10)) for m in names}
-        f = CorrelatedField(np.array([0.0, 0.0]), 1.0, grids,
-                            np.eye(7), names)
         st = PropagationState("LOS", "outdoor")
-        near = draw_lsps(f, geom(100.0), (5.0, 5.0), SMA, st, 7.0)
-        far = draw_lsps(f, geom(8000.0), (5.0, 5.0), SMA, st, 7.0)
+        near = lsps_from_standardized(np.ones(7), LOS_NAMES, geom(100.0),
+                                      SMA, st, 7.0)
+        far = lsps_from_standardized(np.ones(7), LOS_NAMES, geom(8000.0),
+                                     SMA, st, 7.0)
         assert near.sf_db == pytest.approx(4.0)
         assert far.sf_db == pytest.approx(6.0)

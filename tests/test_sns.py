@@ -159,6 +159,11 @@ class TestUeMasks:
             beta = ue_sns_mask(REG.ue_masks, "one-hand", 11.0, np.arange(8))
         assert np.all(beta <= 1.0)
 
+    def test_cpe_center_candidate_rejected(self):
+        # the 9th CPE candidate (index 8) has no entry in the 8-value masks
+        with pytest.raises(ValueError, match="candidate index 8"):
+            ue_sns_mask(REG.ue_masks, "one-hand", 7.0, np.arange(9))
+
     def test_dual_pol_elements_share_candidate(self):
         idx = np.array([0, 1, 2, 0, 1, 2])
         beta = ue_sns_mask(REG.ue_masks, "two-hand", 7.0, idx)
