@@ -1,6 +1,7 @@
 """Element patterns, planar arrays, and UE device antenna placement."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,15 +109,11 @@ def element_positions(a, wavelength):
         raise ValueError("wavelength must be positive")
     d_gv = a.d_gv if a.d_gv > 0 else a.m * a.d_v
     d_gh = a.d_gh if a.d_gh > 0 else a.n * a.d_h
-    ys, zs = [], []
-    for gv in range(a.mg):
-        for gh in range(a.ng):
-            for r in range(a.m):
-                for c in range(a.n):
-                    ys.append(gh * d_gh + c * a.d_h)
-                    zs.append(gv * d_gv + r * a.d_v)
-    ys = np.array(ys) * wavelength
-    zs = np.array(zs) * wavelength
+    gv, gh, r, c = (g.ravel() for g in np.meshgrid(
+        np.arange(a.mg), np.arange(a.ng), np.arange(a.m), np.arange(a.n),
+        indexing="ij"))
+    ys = (gh * d_gh + c * a.d_h) * wavelength
+    zs = (gv * d_gv + r * a.d_v) * wavelength
     ys -= ys.mean()
     zs -= zs.mean()
     single = np.stack([np.zeros_like(ys), ys, zs], axis=1)
@@ -206,10 +203,17 @@ class MountedArray:
         span = self.offsets.max(axis=0) - self.offsets.min(axis=0)
         return float(np.linalg.norm(span))
 
-    def pattern_for(self, k):
-        base = self.pattern
-        return ElementPattern(base.phi_3db, base.theta_3db, base.a_max,
-                              base.sla_v, base.max_gain_dbi, float(self.slants[k]))
+    @cached_property
+    def field_groups(self):
+        """(slanted pattern, orientation, element indices) for each distinct
+        (orientation, slant) pair, in order of first appearance."""
+        groups = {}
+        for k, key in enumerate(zip(self.orientations, self.slants.tolist())):
+            groups.setdefault(key, []).append(k)
+        slanted = {s: replace(self.pattern, slant_deg=s)
+                   for s in set(self.slants.tolist())}
+        return [(slanted[s], ori, np.array(idx))
+                for (ori, s), idx in groups.items()]
 
 
 def mount_bs_array(array, site_position, sector_orientation, wavelength):

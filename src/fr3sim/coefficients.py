@@ -11,7 +11,6 @@ from .antenna import field_pattern
 from .geometry import sph_unit, unit_to_angles
 from .largescale import C_LIGHT
 from .nearfield import nlos_element_phase, unit_phase
-from .smallscale import SUBCLUSTER_DELAY_FACTORS
 
 
 @dataclass
@@ -93,45 +92,33 @@ def _pol_halves(offsets):
     return k % 2 == 0 and half > 0 and np.array_equal(offsets[:half], offsets[half:])
 
 
-def _array_phase_pw(r_hat, offsets, lam0):
-    """Plane-wave array phases exp(j 2 pi r_hat . d_bar / lam), (K, R)."""
+def _array_phase(r_hat, offsets, lam0, d=None):
+    """Array phases (K, R): plane-wave exp(j 2 pi r_hat . d_bar / lam), or
+    spherical-wave toward per-ray sources at distances ``d``.  Co-located
+    dual-polarized positions are evaluated once."""
     if _pol_halves(offsets):
-        half = _array_phase_pw(r_hat, offsets[: offsets.shape[0] // 2], lam0)
+        half = _array_phase(r_hat, offsets[: offsets.shape[0] // 2], lam0, d)
         return np.concatenate([half, half], axis=0)
-    return unit_phase(2.0 * np.pi * (offsets @ r_hat.T) / lam0)
-
-
-def _array_phase_nf(d, r_hat, offsets, lam0):
-    """Spherical-wave array phases, deduplicating dual-pol positions."""
-    if _pol_halves(offsets):
-        half = nlos_element_phase(d, r_hat, offsets[: offsets.shape[0] // 2], lam0)
-        return np.concatenate([half, half], axis=0)
+    if d is None:
+        return unit_phase(2.0 * np.pi * (offsets @ r_hat.T) / lam0)
     return nlos_element_phase(d, r_hat, offsets, lam0)
 
 
-def _rx_fields(array, zen, az):
-    """Per-element receive field patterns; returns (U, R) complex pairs."""
-    u = array.size
-    r = zen.shape[0]
-    f_t = np.empty((u, r))
-    f_p = np.empty((u, r))
-    for k in range(u):
-        f_t[k], f_p[k] = field_pattern(array.pattern_for(k),
-                                       array.orientations[k], zen, az)
+def array_fields(mounted, zen, az):
+    """GCS field patterns (F_theta, F_phi), each (K, R), of a mounted array.
+
+    ``zen`` / ``az`` are (R,) angles in degrees shared by all elements, or
+    (K, R) angles with one row per element.  ``field_pattern`` is evaluated
+    once per distinct (orientation, slant) of the array.
+    """
+    zen = np.asarray(zen, dtype=float)
+    az = np.asarray(az, dtype=float)
+    f_t = np.empty((mounted.size, zen.shape[-1]))
+    f_p = np.empty_like(f_t)
+    for pat, ori, idx in mounted.field_groups:
+        z, a = (zen, az) if zen.ndim == 1 else (zen[idx], az[idx])
+        f_t[idx], f_p[idx] = field_pattern(pat, ori, z, a)
     return f_t, f_p
-
-
-def _tx_fields_by_slant(array, zen, az):
-    """Field patterns per distinct slant for a co-oriented array."""
-    slants = np.unique(array.slants)
-    f_t = np.empty((slants.size, zen.shape[0]))
-    f_p = np.empty((slants.size, zen.shape[0]))
-    for i, s in enumerate(slants):
-        k = int(np.flatnonzero(array.slants == s)[0])
-        f_t[i], f_p[i] = field_pattern(array.pattern_for(k),
-                                       array.orientations[k], zen, az)
-    slant_index = np.searchsorted(slants, array.slants)
-    return f_t, f_p, slant_index
 
 
 def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
@@ -160,38 +147,17 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     r_rx = sph_unit(zoa, aoa)              # (NM, 3)
     r_tx = sph_unit(zod, aod)
 
-    # receive side: per-element fields and array phases
-    frx_t, frx_p = _rx_fields(ue, zoa, aoa)
+    d1 = d2 = None
     if near_field is not None:
-        a_rx = _array_phase_nf(near_field.d2.reshape(-1), r_rx, ue.offsets, lam0)
-    else:
-        a_rx = _array_phase_pw(r_rx, ue.offsets, lam0)
-
-    # transmit side
-    if near_field is not None:
-        a_tx = _array_phase_nf(near_field.d1.reshape(-1), r_tx, bs.offsets, lam0)
-    else:
-        a_tx = _array_phase_pw(r_tx, bs.offsets, lam0)
-    if nf_angles and near_field is not None:
+        d1, d2 = near_field.d1.reshape(-1), near_field.d2.reshape(-1)
+    frx_t, frx_p = array_fields(ue, zoa, aoa)
+    a_rx = _array_phase(r_rx, ue.offsets, lam0, d2)
+    a_tx = _array_phase(r_tx, bs.offsets, lam0, d1)
+    if nf_angles and d1 is not None:
         # per-element departure angles toward each ray's spherical source
-        src = bs.reference[None, :] + near_field.d1.reshape(-1)[:, None] * r_tx
-        dirs = src[None, :, :] - bs.positions()[:, None, :]
-        zod_e, aod_e = unit_to_angles(dirs)
-        slants = np.unique(bs.slants)
-        ftx_t = np.empty((s_cnt, zod_e.shape[1]))
-        ftx_p = np.empty((s_cnt, zod_e.shape[1]))
-        for s_val in slants:
-            idx = np.flatnonzero(bs.slants == s_val)
-            k = int(idx[0])
-            pat = bs.pattern_for(k)
-            for e in idx:
-                ftx_t[e], ftx_p[e] = field_pattern(pat, bs.orientations[e],
-                                                   zod_e[e], aod_e[e])
-        ftx_full_t, ftx_full_p = ftx_t, ftx_p
-    else:
-        ft, fp, slant_index = _tx_fields_by_slant(bs, zod, aod)
-        ftx_full_t = ft[slant_index]
-        ftx_full_p = fp[slant_index]
+        src = bs.reference[None, :] + d1[:, None] * r_tx
+        zod, aod = unit_to_angles(src[None, :, :] - bs.positions()[:, None, :])
+    ftx_t, ftx_p = array_fields(bs, zod, aod)
 
     # polarization matrix entries per ray
     ph = phases.reshape(-1, 4)
@@ -207,8 +173,8 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     ga[:, 0, :] = (frx_t * p11[None, :] + frx_p * p21[None, :]) * a_rx
     ga[:, 1, :] = (frx_t * p12[None, :] + frx_p * p22[None, :]) * a_rx
     fa = np.empty((s_cnt, 2, n * m), dtype=complex)
-    fa[:, 0, :] = ftx_full_t * a_tx
-    fa[:, 1, :] = ftx_full_p * a_tx
+    fa[:, 0, :] = ftx_t * a_tx
+    fa[:, 1, :] = ftx_p * a_tx
 
     # per-ray power weights and SNS attenuation
     amp = np.sqrt(np.repeat(cs.p, m) / m)
@@ -227,25 +193,12 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     dop_freq = (r_rx @ v) / lam0          # (NM,)
     dop = np.exp(2j * np.pi * dop_freq[:, None] * t[None, :])  # (NM, T)
 
-    # tap list: (delay, flat ray indices, cluster index)
-    taps = []
-    for ci in range(n):
-        base = base_delay + cs.tap_delays[ci]
-        rays = np.arange(ci * m, (ci + 1) * m)
-        if ci in cs.strongest:
-            for gi, grp in enumerate(cs.subclusters):
-                if grp.size == 0:
-                    continue
-                off = SUBCLUSTER_DELAY_FACTORS[gi] * cs.c_ds
-                taps.append((base + off, rays[grp], ci))
-        else:
-            taps.append((base, rays, ci))
-    order = sorted(range(len(taps)), key=lambda i: taps[i][0])
-    taps = [taps[i] for i in order]
+    # taps (delay, flat ray indices, power) in non-decreasing delay order
+    taps = sorted(cs.taps(base_delay), key=lambda tap: tap[0])
 
     gains = []
     ray_gains = [] if keep_rays else None
-    for delay, rays, ci in taps:
+    for _delay, rays, _power in taps:
         h = np.zeros((u_cnt, s_cnt, n_t), dtype=complex)
         rg = np.zeros((u_cnt, s_cnt, rays.size, n_t), dtype=complex) if keep_rays else None
         ga_r = ga[:, :, rays] * amp[rays][None, None, :]
@@ -286,31 +239,16 @@ def _los_component(geom, bs, ue, lam0, near_field, nf_angles, v, t,
     """Deterministic specular term with weight sqrt(K_R / (K_R + 1)) folded
     into p_los.  Near-field mode uses exact element-pair distances; the
     plane-wave mode uses first-order array phases."""
-    u_cnt, s_cnt = ue.size, bs.size
     zoa, aoa = geom.zoa, geom.aoa_az
     zod, aod = geom.zod, geom.aod_az
-    frx_t = np.empty(u_cnt)
-    frx_p = np.empty(u_cnt)
-    for k in range(u_cnt):
-        ft, fp = field_pattern(ue.pattern_for(k), ue.orientations[k],
-                               np.array([zoa]), np.array([aoa]))
-        frx_t[k], frx_p[k] = ft[0], fp[0]
-    ftx_t = np.empty(s_cnt)
-    ftx_p = np.empty(s_cnt)
+    frx_t, frx_p = array_fields(ue, [zoa], [aoa])
     if nf_angles and near_field:
-        dirs = ue.reference[None, :] - bs.positions()
-        zod_e, aod_e = unit_to_angles(dirs)
+        zod_e, aod_e = unit_to_angles(ue.reference[None, :] - bs.positions())
+        ftx_t, ftx_p = array_fields(bs, zod_e[:, None], aod_e[:, None])
     else:
-        zod_e = np.full(s_cnt, zod)
-        aod_e = np.full(s_cnt, aod)
-    for s_val in np.unique(bs.slants):
-        idx = np.flatnonzero(bs.slants == s_val)
-        pat = bs.pattern_for(int(idx[0]))
-        ft, fp = field_pattern(pat, bs.orientations[int(idx[0])],
-                               zod_e[idx], aod_e[idx])
-        ftx_t[idx], ftx_p[idx] = ft, fp
+        ftx_t, ftx_p = array_fields(bs, [zod], [aod])
     # polarization matrix [[1, 0], [0, -1]]
-    coup = frx_t[:, None] * ftx_t[None, :] - frx_p[:, None] * ftx_p[None, :]
+    coup = frx_t * ftx_t.T - frx_p * ftx_p.T
     if near_field:
         pair = np.linalg.norm(ue.positions()[:, None, :]
                               - bs.positions()[None, :, :], axis=-1)

@@ -7,7 +7,7 @@ import io
 import os
 import pathlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -20,13 +20,13 @@ from .coefficients import (RayCountConfig, apply_large_scale,
                            synthesize, write_cir)
 from .geometry import (Orientation, build_disc_layout, build_hex_layout,
                        build_indoor_layout, drop_ues, effective_ue_position,
-                       link_geometry, wrap_azimuth)
+                       link_geometry, sph_unit, wrap_azimuth)
 from .largescale import (C_LIGHT, LargeScaleResult,
                          correlated_standard_normals, lsps_from_standardized,
                          o2i_penetration, path_loss)
 from .nearfield import source_distances
 from .scenario import (LOS, NLOS, O2I, assign_states, load_parameter_tables)
-from .smallscale import SUBCLUSTER_DELAY_FACTORS, build_cluster_set
+from .smallscale import build_cluster_set
 from .sns import (USAGES, Blocker, SnsConfig, blocker_attenuation,
                   draw_usage, stochastic_attenuation, ue_sns_mask)
 
@@ -99,13 +99,8 @@ class RunConfig:
         return C_LIGHT / (self.fc_ghz * 1e9)
 
 
-_BOOL_FIELDS = {"near_field", "nf_angles", "ue_sns", "cluster_variability",
-                "pol_variability", "absolute_delay", "ray_count_scaling",
-                "nlos_floor", "ue_dual_pol", "emit_cir"}
-_INT_FIELDS = {"seed", "n_ues", "workers", "n_spec", "m_min", "m_max",
-               "bs_rows", "bs_cols", "bs_pol", "t_count"}
-_STR_FIELDS = {"scenario", "layout", "out_dir", "sns", "force_state",
-               "force_location", "bs_pattern", "ue_device", "ue_usage"}
+# the config schema: every RunConfig field is a key of its field's type
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 class ConfigError(Exception):
@@ -127,11 +122,14 @@ def load_config(path=None, preset=None, overrides=None):
             text = src.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {src}: {exc}") from None
-        parser.read_string(text)
         flat = {}
-        for section in parser.sections():
-            for key, val in parser.items(section):
-                flat[key] = val
+        try:
+            parser.read_string(text)
+            for section in parser.sections():
+                for key, val in parser.items(section):
+                    flat[key] = val
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config {src}: {exc}") from None
         cfg = _apply(cfg, flat)
     if overrides:
         cfg = _apply(cfg, overrides)
@@ -144,18 +142,16 @@ def _apply(cfg, mapping):
     for key, val in mapping.items():
         if val is None:
             continue
-        if not hasattr(cfg, key):
+        typ = _FIELD_TYPES.get(key)
+        if typ is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _BOOL_FIELDS:
-            if isinstance(val, str):
-                val = val.strip().lower() in ("1", "true", "yes", "on")
-            values[key] = bool(val)
-        elif key in _INT_FIELDS:
-            values[key] = int(val)
-        elif key in _STR_FIELDS:
-            values[key] = str(val)
-        else:
-            values[key] = float(val)
+        if typ is bool and isinstance(val, str):
+            val = val.strip().lower() in ("1", "true", "yes", "on")
+        try:
+            values[key] = typ(val)
+        except ValueError:
+            raise ConfigError(f"{key} = {val!r} is not "
+                              f"a valid {typ.__name__}") from None
     return replace(cfg, **values)
 
 
@@ -342,6 +338,7 @@ class WorkerContext:
     scaling: dict
     masks: dict
     cir_dir: str = ""
+    bs_arrays: dict = field(default_factory=dict)  # (site, sector) -> mounted
 
 
 def _build_bs_array(cfg):
@@ -408,7 +405,11 @@ def process_link(ctx, task):
                               cfg.nf_alpha, cfg.nf_beta,
                               _link_rng(cfg, lid, rngmod.STAGE_NEARFIELD))
 
-    bs = mount_bs_array(_build_bs_array(cfg), task.site_pos, task.sector, lam0)
+    bs_key = (task.site_index, task.sector_index)
+    bs = ctx.bs_arrays.get(bs_key)
+    if bs is None:
+        bs = ctx.bs_arrays[bs_key] = mount_bs_array(
+            _build_bs_array(cfg), task.site_pos, task.sector, lam0)
     ue = mount_ue_device(UEDevice(cfg.ue_device), task.ue_pos,
                          dual_polarized=cfg.ue_dual_pol)
 
@@ -419,7 +420,7 @@ def process_link(ctx, task):
         alpha = stochastic_attenuation(10.0 * np.log10(cs.p), cfg.sns_config(),
                                        yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
     elif cfg.sns == "blocker":
-        alpha = _blocker_alpha(ctx, task, cs, nf, bs, lam0)
+        alpha = _blocker_alpha(task, cs, nf, bs, lam0)
     beta = None
     if cfg.ue_sns:
         beta = ue_sns_mask(ctx.masks, task.usage, cfg.fc_ghz, ue.candidate_index)
@@ -457,41 +458,28 @@ def process_link(ctx, task):
 
 
 def _tap_powers(cs, base_delay):
-    delays, powers = [], []
-    for ci in range(cs.n):
-        if ci in cs.strongest:
-            for gi, grp in enumerate(cs.subclusters):
-                if grp.size == 0:
-                    continue
-                delays.append(base_delay + cs.tap_delays[ci]
-                              + SUBCLUSTER_DELAY_FACTORS[gi] * cs.c_ds)
-                powers.append(cs.p[ci] * grp.size / cs.m)
-        else:
-            delays.append(base_delay + cs.tap_delays[ci])
-            powers.append(cs.p[ci])
+    """Delays and powers of every tap, the LOS tap last."""
+    taps = cs.taps(base_delay)
+    delays = [delay for delay, _rays, _power in taps]
+    powers = [power for _delay, _rays, power in taps]
     if cs.p_los > 0:
         delays.append(base_delay)
         powers.append(cs.p_los)
     return np.array(delays), np.array(powers)
 
 
-def _blocker_alpha(ctx, task, cs, nf, bs, lam0):
+def _blocker_alpha(task, cs, nf, bs, lam0):
     """Per-element, per-ray knife-edge attenuation (linear power)."""
-    cfg = ctx.cfg
-    blockers = [Blocker(np.asarray(b[:3]), b[3], b[4])
-                for b in getattr(cfg, "blocker_list", [])] or \
-        [Blocker(task.site_pos + np.array([10.0, 0.0, 0.0]), 2.0, 2.0)]
-    from .geometry import sph_unit
+    blk = Blocker(task.site_pos + np.array([10.0, 0.0, 0.0]), 2.0, 2.0)
     r_tx = sph_unit(cs.zod.reshape(-1), cs.aod.reshape(-1))
     dist = nf.d1.reshape(-1) if nf is not None else np.full(r_tx.shape[0], 100.0)
     sources = task.site_pos[None, :] + dist[:, None] * r_tx
     pos = bs.positions()
-    alpha = np.ones((bs.size, r_tx.shape[0]))
+    alpha = np.empty((bs.size, r_tx.shape[0]))
     for ri in range(r_tx.shape[0]):
-        for blk in blockers:
-            l_db = np.array([blocker_attenuation(blk, pos[s], sources[ri], lam0)
-                             for s in range(bs.size)])
-            alpha[:, ri] *= 10.0 ** (-l_db / 10.0)
+        l_db = np.array([blocker_attenuation(blk, pos[s], sources[ri], lam0)
+                         for s in range(bs.size)])
+        alpha[:, ri] = 10.0 ** (-l_db / 10.0)
     return alpha.reshape(bs.size, cs.n, cs.m)
 
 

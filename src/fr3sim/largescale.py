@@ -4,8 +4,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# perfbench/tracing.py counts LSP field cells through this name; unused here
-from scipy.signal import fftconvolve  # noqa: F401
 
 from .scenario import LOS, NLOS, O2I, LSP_ORDER_LOS, LSP_ORDER_NLOS
 
@@ -17,6 +15,17 @@ AS_CAP_ZENITH = 52.0    # deg
 
 class ValidityWarning(UserWarning):
     pass
+
+
+def __getattr__(name):
+    """Resolve ``fftconvolve`` on first access only.  It is unused here, but
+    perfbench/tracing.py counts LSP field cells through this name, and an
+    eager ``scipy.signal`` import would pull ``scipy.stats`` into every
+    ``import fr3sim``."""
+    if name == "fftconvolve":
+        from scipy.signal import fftconvolve
+        return fftconvolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def breakpoint_distance(family, h_bs, h_ue, fc_ghz, env_height=1.0):

@@ -11,7 +11,6 @@ import numpy as np
 
 from .geometry import unit_to_angles
 from .largescale import C_LIGHT
-from .smallscale import SUBCLUSTER_DELAY_FACTORS
 
 
 @dataclass
@@ -43,12 +42,9 @@ def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
     s_bs = np.ones(n)
     if n > n_spec:
         s_bs[n_spec:] = rng.beta(alpha, beta, size=n - n_spec)
-    tau_ray = np.repeat(cs.tap_delays[:, None], m, axis=1)
-    for ci in cs.strongest:
-        for gi, grp in enumerate(cs.subclusters):
-            if grp.size:
-                tau_ray[ci, grp] = cs.tap_delays[ci] \
-                    + SUBCLUSTER_DELAY_FACTORS[gi] * cs.c_ds
+    tau_ray = np.empty((n, m))
+    for delay, rays, _power in cs.taps():
+        tau_ray.flat[rays] = delay
     total = d3d + tau_ray * C_LIGHT + delta_tau * C_LIGHT
     spec = np.arange(n) < n_spec
     d1 = np.where(spec[:, None], total, s_bs[:, None] * total)

@@ -4,7 +4,7 @@ coupling, XPR, and polarization power weights."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .geometry import wrap_azimuth, wrap_zenith
 from .scenario import LOS, ParameterError
@@ -34,7 +34,7 @@ def ray_offset_basis(m):
     """
     if m == 20:
         return RAY_OFFSETS_20.copy()
-    q = norm.ppf((np.arange(1, m + 1) - 0.5) / m)
+    q = ndtri((np.arange(1, m + 1) - 0.5) / m)
     rms = np.sqrt(np.mean(q ** 2))
     return q / rms
 
@@ -84,6 +84,26 @@ class ClusterSet:
     @property
     def tap_delays(self):
         return self.tau_scaled
+
+    def taps(self, base_delay=0.0):
+        """Delay taps in cluster order as (delay, flat ray indices, power).
+
+        The two strongest clusters split into sub-cluster taps delayed by
+        SUBCLUSTER_DELAY_FACTORS times c_ds, each carrying its share of the
+        rays' power; empty sub-clusters are skipped.
+        """
+        out = []
+        for ci in range(self.n):
+            base = base_delay + self.tap_delays[ci]
+            rays = np.arange(ci * self.m, (ci + 1) * self.m)
+            if ci not in self.strongest:
+                out.append((base, rays, self.p[ci]))
+                continue
+            for factor, grp in zip(SUBCLUSTER_DELAY_FACTORS, self.subclusters):
+                if grp.size:
+                    out.append((base + factor * self.c_ds, rays[grp],
+                                self.p[ci] * grp.size / self.m))
+        return out
 
 
 def draw_cluster_count(sc, state_key, rng, enabled=True):

@@ -2,10 +2,10 @@
 blockers, UE-side grip/head masks."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log_ndtr, ndtri_exp
 
 USAGES = ("one-hand", "two-hand", "head-hand", "free")
 MASK_BANDS = (("lt1", 0.0, 1.0), ("1to8p4", 1.0, 8.4), ("14p5to15p5", 14.5, 15.5))
@@ -26,7 +26,6 @@ class SnsConfig:
     vp_sigma: float = 0.05
     rolloff: float = 4.0      # attenuation exponent C outside the VR
     usage_probs: tuple = (0.3, 0.2, 0.2, 0.3)  # order matches USAGES
-    blockers: list = field(default_factory=list)
     l_max_db: float = 40.0    # knife-edge clamp when the log argument <= 0
 
 
@@ -43,6 +42,23 @@ class VisibilityRegion:
         return float(np.hypot(self.width, self.height))
 
 
+def _truncnorm_ppf(q, a, b):
+    """Inverse CDF at ``q`` of the standard normal truncated to [a, b].
+
+    Works in log space and inverts through the lighter of the two tails at
+    the result, so that deep-tail intervals keep full precision.
+    """
+    log_a, log_b = log_ndtr(a), log_ndtr(b)        # log Phi at the ends
+    log_ua, log_ub = log_ndtr(-a), log_ndtr(-b)    # log (1 - Phi) at the ends
+    if a + b < 0:                                  # log(Phi(b) - Phi(a))
+        log_mass = log_b + np.log1p(-np.exp(log_a - log_b))
+    else:
+        log_mass = log_ua + np.log1p(-np.exp(log_ub - log_ua))
+    lower = np.logaddexp(log_a, np.log(q) + log_mass)       # log Phi(x)
+    upper = np.logaddexp(log_ub, np.log1p(-q) + log_mass)   # log(1 - Phi(x))
+    return ndtri_exp(lower) if lower < upper else -ndtri_exp(upper)
+
+
 def draw_sns_status(n, cfg, rng):
     """Per-cluster SNS flags.
 
@@ -52,7 +68,7 @@ def draw_sns_status(n, cfg, rng):
     """
     a = (0.0 - cfg.pr_mu) / cfg.pr_sigma
     b = (1.0 - cfg.pr_mu) / cfg.pr_sigma
-    pr = float(truncnorm.ppf(rng.uniform(), a, b, loc=cfg.pr_mu, scale=cfg.pr_sigma))
+    pr = float(cfg.pr_mu + cfg.pr_sigma * _truncnorm_ppf(rng.uniform(), a, b))
     x = rng.uniform(size=n)
     return x < pr, pr
 

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fr3sim.antenna import ElementPattern, MountedArray
+from fr3sim.antenna import (ElementPattern, MountedArray, PanelArray, UEDevice,
+                            field_pattern, mount_bs_array, mount_ue_device)
 from fr3sim.coefficients import (RayCountConfig, apply_large_scale,
-                                 draw_absolute_excess, draw_phases,
-                                 ray_count, read_cir, synthesize, write_cir)
+                                 array_fields, draw_absolute_excess,
+                                 draw_phases, ray_count, read_cir, synthesize,
+                                 write_cir)
 from fr3sim.geometry import LinkGeometry, Orientation, vec3
 from fr3sim.largescale import C_LIGHT, LargeScaleResult
 from fr3sim.scenario import load_parameter_tables
@@ -185,6 +189,48 @@ class TestSynthesize:
                            iso_element((50, 0, 10)), LAM)
             totals.append(float(h.energy()[0, 0]))
         assert np.mean(totals) == pytest.approx(1.0, abs=0.02)
+
+
+def per_element_fields(arr, zen, az):
+    """Reference: one field_pattern call per element."""
+    rows = [field_pattern(replace(arr.pattern, slant_deg=float(arr.slants[k])),
+                          arr.orientations[k],
+                          zen if zen.ndim == 1 else zen[k],
+                          az if az.ndim == 1 else az[k])
+            for k in range(arr.size)]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+class TestArrayFields:
+    RNG = np.random.default_rng(5)
+    ZEN = RNG.uniform(0.0, 180.0, 37)
+    AZ = RNG.uniform(-180.0, 180.0, 37)
+
+    def check(self, arr, zen, az):
+        got = array_fields(arr, zen, az)
+        want = per_element_fields(arr, zen, az)
+        assert got[0].shape == (arr.size, zen.shape[-1])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_downtilted_dual_pol_bs(self):
+        bs = mount_bs_array(PanelArray(m=8, n=4, p=2), vec3(0, 0, 25),
+                            Orientation(30.0, 12.0, 0.0), LAM)
+        assert len(bs.field_groups) == 2
+        self.check(bs, self.ZEN, self.AZ)
+
+    @pytest.mark.parametrize("kind", ["handheld", "CPE"])
+    def test_ue_devices(self, kind):
+        ue = mount_ue_device(UEDevice(kind), vec3(40, 10, 1.5),
+                             device_orientation=Orientation(20.0, 5.0, -3.0))
+        self.check(ue, self.ZEN, self.AZ)
+
+    def test_per_element_angles(self):
+        bs = mount_bs_array(PanelArray(m=4, n=2, p=2), vec3(0, 0, 10),
+                            Orientation(-60.0, 8.0, 0.0), LAM)
+        zen = self.RNG.uniform(0.0, 180.0, (bs.size, 23))
+        az = self.RNG.uniform(-180.0, 180.0, (bs.size, 23))
+        self.check(bs, zen, az)
 
 
 class TestAbsoluteDelay:

@@ -1,5 +1,8 @@
 import numpy as np
+import os
 import pathlib
+import subprocess
+import sys
 import pytest
 
 from fr3sim import harness
@@ -223,6 +226,9 @@ BAD_VALUES = {
     "ue_usage": "[run]\nue_usage = pocket\n",
     "ue_sns": "[run]\nue_device = CPE\nue_sns = true\n",
     "field_cell_m": "[run]\nfield_cell_m = 1.0\n",
+    "method_name_key": "[run]\nwavelength = 1\n",
+    "non_numeric_int": "[run]\nn_ues = many\n",
+    "no_section_header": "seed = 3\n",
 }
 
 
@@ -272,3 +278,13 @@ class TestConfigAndCli:
         f.write_text("[run]\nseed = 3\nn_ues = 4\n")
         cfg = load_config(f, overrides={"seed": 9})
         assert cfg.seed == 9 and cfg.n_ues == 4
+
+
+def test_import_leaves_scipy_stats_and_signal_unloaded():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, fr3sim; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.signal'))))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

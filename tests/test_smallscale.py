@@ -216,6 +216,21 @@ class TestSubclusters:
                                   np.arange(m))
 
 
+class TestTaps:
+    @pytest.mark.parametrize("m", [20, 7])
+    def test_rays_covered_once_and_power_kept(self, m):
+        cs = build_cluster_set(SMA, PropagationState("NLOS", "outdoor"),
+                               make_lsp(), (10.0, -20.0, 80.0, 100.0), 7.0,
+                               default_rngs(3), REG.angle_scaling, ray_count=m)
+        taps = cs.taps(base_delay=1e-6)
+        rays = np.concatenate([r for _, r, _ in taps])
+        assert np.array_equal(np.sort(rays), np.arange(cs.n * m))
+        assert sum(p for _, _, p in taps) == pytest.approx(cs.p.sum(), rel=1e-12)
+        n_sub = sum(g.size > 0 for g in cs.subclusters)
+        assert len(taps) == cs.n + len(cs.strongest) * (n_sub - 1)
+        assert min(d for d, _, _ in taps) == 1e-6
+
+
 class TestXpr:
     def test_deterministic_at_zero_sigma(self):
         k = generate_xpr(8.0, 0.0, 4, 20, np.random.default_rng(0))
