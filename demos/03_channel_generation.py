@@ -4,6 +4,9 @@ CIR synthesis for a 64x16 dual-polarized array.
 Run:  python3 demos/03_channel_generation.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from fr3sim import (ElementPattern, PanelArray, UEDevice, build_cluster_set,
@@ -61,5 +64,6 @@ energy = h.energy()
 print(f"mean element-pair energy: {np.mean(energy):.3f} "
       f"(unit-normalized cluster powers times element gains)")
 
-write_cir("/tmp/demo_link.cir", h)
-print("wrote binary CIR dump to /tmp/demo_link.cir")
+cir_path = os.path.join(tempfile.mkdtemp(prefix="fr3sim-demo-"), "link.cir")
+write_cir(cir_path, h)
+print(f"wrote binary CIR dump to {cir_path}")

@@ -1,18 +1,20 @@
 """Batch runs: presets, deterministic seeding, and the emitted artifacts.
 The same runs are available from the command line via
 
-    fr3sim run --preset umi-nf-20 --n-ues 50 --seed 3 --out /tmp/demo_run
+    fr3sim run --preset umi-nf-20 --n-ues 50 --seed 3 --out DIR
 
 Run:  python3 demos/07_batch_runs.py
 """
 
 import pathlib
+import tempfile
 
 from fr3sim.harness import load_config, run
 
+out_dir = tempfile.mkdtemp(prefix="fr3sim-demo-")
 cfg = load_config(preset="umi-nf-20",
                   overrides={"n_ues": 50, "seed": 3, "workers": 2,
-                             "out_dir": "/tmp/demo_run"})
+                             "out_dir": out_dir})
 print(f"preset umi-nf-20: scenario {cfg.scenario}, radius "
       f"{cfg.deploy_radius} m, near_field={cfg.near_field}, "
       f"{cfg.bs_rows}x{cfg.bs_cols} dual-pol BS")
@@ -23,7 +25,7 @@ print(f"\n{len(reports)} links -> median capacity {caps[len(caps) // 2]:.2f} "
       f"bps/Hz at {cfg.snr_db:.0f} dB SNR")
 
 out = pathlib.Path(cfg.out_dir)
-print("\nartifacts:")
+print(f"\nartifacts in {out}:")
 for p in sorted(out.iterdir()):
     if p.is_file():
         print(f"  {p.name:24s} {p.stat().st_size:8d} bytes")

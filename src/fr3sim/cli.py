@@ -2,54 +2,46 @@
 
     fr3sim run --config cfg.ini [--preset inh-nf-2] [--seed 7] ...
 
+Every RunConfig field is a ``--kebab-case`` flag (``bool`` fields also have
+``--no-...``); any unique prefix works, so ``--fc`` is ``--fc-ghz``.
 Exit codes: 0 success, 2 configuration error, 3 data/parameter error.
 """
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .harness import ConfigError, load_config, run
+from .harness import ConfigError, RunConfig, load_config, run
 from .scenario import ParameterError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, as for a bad file."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(prog="fr3sim",
-                                description="FR3 channel model batch simulator")
+    p = _Parser(prog="fr3sim", description="FR3 channel model batch simulator")
     sub = p.add_subparsers(dest="command", required=True)
     r = sub.add_parser("run", help="execute a simulation run")
     r.add_argument("--config", help="INI config file")
     r.add_argument("--preset", help="named preset configuration")
-    r.add_argument("--seed", type=int)
-    r.add_argument("--scenario")
-    r.add_argument("--fc", dest="fc_ghz", type=float)
-    r.add_argument("--n-ues", dest="n_ues", type=int)
-    r.add_argument("--out", dest="out_dir")
-    r.add_argument("--workers", type=int)
-    r.add_argument("--near-field", dest="near_field",
-                   action=argparse.BooleanOptionalAction)
-    r.add_argument("--nf-angles", dest="nf_angles",
-                   action=argparse.BooleanOptionalAction)
-    r.add_argument("--sns", choices=("off", "stochastic", "blocker"))
-    r.add_argument("--ue-sns", dest="ue_sns",
-                   action=argparse.BooleanOptionalAction)
-    r.add_argument("--cluster-variability", dest="cluster_variability",
-                   action=argparse.BooleanOptionalAction)
-    r.add_argument("--pol-variability", dest="pol_variability",
-                   action=argparse.BooleanOptionalAction)
-    r.add_argument("--absolute-delay", dest="absolute_delay",
-                   action=argparse.BooleanOptionalAction)
-    r.add_argument("--ray-count", dest="ray_count_scaling",
-                   action=argparse.BooleanOptionalAction)
-    r.add_argument("--emit-cir", dest="emit_cir",
-                   action=argparse.BooleanOptionalAction)
+    for f in fields(RunConfig):
+        choices = f.metadata.get("choices")
+        hint = f"one of {', '.join(map(repr, choices))}; " if choices else ""
+        action = argparse.BooleanOptionalAction if f.type is bool else None
+        r.add_argument("--" + f.name.replace("_", "-"), action=action,
+                       help=f"{hint}default {f.default!r}")
     return p
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "preset") and v is not None}
     try:
+        args = _build_parser().parse_args(argv)
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "config", "preset")}
         cfg = load_config(args.config, args.preset, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

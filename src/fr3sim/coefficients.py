@@ -10,7 +10,7 @@ import numpy as np
 from .antenna import field_pattern
 from .geometry import sph_unit, unit_to_angles
 from .largescale import C_LIGHT
-from .nearfield import nlos_element_phase, unit_phase
+from .nearfield import los_element_phase, nlos_element_phase, unit_phase
 
 
 @dataclass
@@ -252,7 +252,7 @@ def _los_component(geom, bs, ue, lam0, near_field, nf_angles, v, t,
     if near_field:
         pair = np.linalg.norm(ue.positions()[:, None, :]
                               - bs.positions()[None, :, :], axis=-1)
-        phase = np.exp(-2j * np.pi * pair / lam0)
+        phase = los_element_phase(pair, lam0)
     else:
         r_tx = sph_unit(zod, aod)
         r_rx = sph_unit(zoa, aoa)

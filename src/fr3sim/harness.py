@@ -4,6 +4,8 @@ metrics, and output emission."""
 import configparser
 import hashlib
 import io
+import math
+import operator
 import os
 import pathlib
 from concurrent.futures import ProcessPoolExecutor
@@ -33,61 +35,68 @@ from .sns import (USAGES, Blocker, SnsConfig, blocker_attenuation,
 _STATE_ORD = {LOS: 0, NLOS: 1, O2I: 2}
 
 
+def _key(default, **allowed):
+    """A RunConfig field with its allowed values: ``choices`` and/or the
+    bounds ``ge``, ``gt`` and ``le``.  `_validate` checks every field
+    against them, and the CLI makes one flag per field."""
+    return field(default=default, metadata=allowed)
+
+
 @dataclass
 class RunConfig:
     scenario: str = "SMa"
-    fc_ghz: float = 7.0
-    bandwidth_hz: float = 100e6
-    seed: int = 1
-    n_ues: int = 100
-    layout: str = "hex"          # hex | indoor | disc
-    deploy_radius: float = 100.0  # disc layout only
-    isd: float = 0.0              # 0 -> scenario default
+    fc_ghz: float = _key(7.0, ge=0.5, le=100.0)
+    bandwidth_hz: float = _key(100e6, gt=0.0)
+    seed: int = _key(1, ge=0)
+    n_ues: int = _key(100, ge=1)
+    layout: str = _key("hex", choices=("hex", "indoor", "disc"))
+    deploy_radius: float = _key(100.0, gt=0.0)  # disc layout only
+    isd: float = _key(0.0, ge=0.0)              # 0 -> scenario default
     snr_db: float = 10.0
-    workers: int = 1
+    workers: int = _key(1, ge=1)
     out_dir: str = "out"
     # feature flags
     near_field: bool = False
     nf_angles: bool = False
-    sns: str = "off"             # off | stochastic | blocker
+    sns: str = _key("off", choices=("off", "stochastic", "blocker"))
     ue_sns: bool = False
     cluster_variability: bool = False
     pol_variability: bool = False
     absolute_delay: bool = False
     ray_count_scaling: bool = False
     # model knobs
-    force_state: str = ""        # "" | LOS | NLOS
-    force_location: str = ""     # "" | outdoor | indoor
-    prune_db: float = 25.0
+    force_state: str = _key("", choices=("", "LOS", "NLOS"))
+    force_location: str = _key("", choices=("", "outdoor", "indoor"))
+    prune_db: float = _key(25.0, ge=0.0)
     nlos_floor: bool = True
-    n_spec: int = 0
-    nf_alpha: float = 2.0
-    nf_beta: float = 2.0
-    m_min: int = 20
+    n_spec: int = _key(0, ge=0)
+    nf_alpha: float = _key(2.0, gt=0.0)
+    nf_beta: float = _key(2.0, gt=0.0)
+    m_min: int = _key(20, ge=1)
     m_max: int = 40
-    abs_delay_bound_m: float = 0.0   # 0 -> unbounded
+    abs_delay_bound_m: float = _key(0.0, ge=0.0)   # 0 -> unbounded
     # arrays
-    bs_rows: int = 8             # vertical element count
-    bs_cols: int = 8
-    bs_pol: int = 2
-    bs_pattern: str = "directional"
+    bs_rows: int = _key(8, ge=1)  # vertical element count
+    bs_cols: int = _key(8, ge=1)
+    bs_pol: int = _key(2, choices=(1, 2))
+    bs_pattern: str = _key("directional", choices=("directional", "isotropic"))
     bs_downtilt_deg: float = 0.0
-    ue_device: str = "handheld"
+    ue_device: str = _key("handheld", choices=("handheld", "CPE"))
     ue_dual_pol: bool = True
-    ue_usage: str = ""           # "" = random draw; else a fixed usage
+    ue_usage: str = _key("", choices=("",) + USAGES)  # "" = random draw
     # time sampling
-    t_count: int = 1
+    t_count: int = _key(1, ge=1)
     t_step_s: float = 1e-3
     # outputs
     emit_cir: bool = False
     # SNS numeric parameters (placeholders; see SnsConfig)
     sns_pr_mu: float = 0.5
-    sns_pr_sigma: float = 0.2
+    sns_pr_sigma: float = _key(0.2, gt=0.0)
     sns_vp_a: float = 0.7
-    sns_vp_r_db: float = 10.0
+    sns_vp_r_db: float = _key(10.0, gt=0.0)
     sns_vp_b: float = 0.3
-    sns_vp_sigma: float = 0.05
-    sns_rolloff: float = 4.0
+    sns_vp_sigma: float = _key(0.05, ge=0.0)
+    sns_rolloff: float = _key(4.0, ge=0.0)
 
     def sns_config(self):
         return SnsConfig(pr_mu=self.sns_pr_mu, pr_sigma=self.sns_pr_sigma,
@@ -99,7 +108,8 @@ class RunConfig:
         return C_LIGHT / (self.fc_ghz * 1e9)
 
 
-# the config schema: every RunConfig field is a key of its field's type
+# the config schema: every RunConfig field is a key of its field's type,
+# whose allowed values are in the field's metadata (see _key)
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -145,44 +155,36 @@ def _apply(cfg, mapping):
         typ = _FIELD_TYPES.get(key)
         if typ is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if typ is bool and isinstance(val, str):
-            val = val.strip().lower() in ("1", "true", "yes", "on")
         try:
+            if typ is bool and isinstance(val, str):
+                val = configparser.ConfigParser.BOOLEAN_STATES[
+                    val.strip().lower()]
             values[key] = typ(val)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"{key} = {val!r} is not "
                               f"a valid {typ.__name__}") from None
     return replace(cfg, **values)
 
 
+_BOUNDS = (("ge", operator.ge, ">="), ("gt", operator.gt, ">"),
+           ("le", operator.le, "<="))
+
+
 def _validate(cfg):
-    if not (0.5 <= cfg.fc_ghz <= 100.0):
-        raise ConfigError("fc_ghz must lie in [0.5, 100]")
-    if cfg.n_ues < 1:
-        raise ConfigError("n_ues must be >= 1")
-    if cfg.layout not in ("hex", "indoor", "disc"):
-        raise ConfigError(f"unknown layout {cfg.layout!r}")
-    if cfg.sns not in ("off", "stochastic", "blocker"):
-        raise ConfigError(f"unknown sns mode {cfg.sns!r}")
-    if cfg.force_state not in ("", "LOS", "NLOS"):
-        raise ConfigError("force_state must be LOS, NLOS, or empty")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if cfg.deploy_radius < 0:
-        raise ConfigError("deploy_radius must be >= 0")
-    if cfg.bs_pol not in (1, 2):
-        raise ConfigError("bs_pol must be 1 or 2")
-    if cfg.bs_pattern not in ("directional", "isotropic"):
-        raise ConfigError(f"unknown bs_pattern {cfg.bs_pattern!r}")
-    if cfg.ue_device not in ("handheld", "CPE"):
-        raise ConfigError(f"unknown ue_device {cfg.ue_device!r}")
-    if cfg.ue_usage not in ("",) + USAGES:
-        raise ConfigError(f"unknown ue_usage {cfg.ue_usage!r}")
+    for f in fields(RunConfig):
+        val, allowed = getattr(cfg, f.name), f.metadata
+        if f.type is float and not math.isfinite(val):
+            raise ConfigError(f"{f.name} = {val!r} is not finite")
+        if "choices" in allowed and val not in allowed["choices"]:
+            raise ConfigError(f"{f.name} = {val!r} is not one of "
+                              f"{', '.join(map(repr, allowed['choices']))}")
+        for name, op, sym in _BOUNDS:
+            if name in allowed and not op(val, allowed[name]):
+                raise ConfigError(f"{f.name} = {val!r} is not "
+                                  f"{sym} {allowed[name]}")
     if cfg.ue_sns and cfg.ue_device == "CPE":
         raise ConfigError("ue_sns masks cover the 8 handheld candidates, "
                           "not the 9 CPE ones")
-    if cfg.t_count < 1:
-        raise ConfigError("t_count must be >= 1")
     if cfg.m_min > cfg.m_max:
         raise ConfigError("m_min must not exceed m_max")
 

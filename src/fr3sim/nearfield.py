@@ -53,12 +53,11 @@ def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
                              alpha=alpha, beta=beta)
 
 
-def los_element_phase(d3d, pair_distance, lam0):
-    """Direct-path element phase from exact element-pair distances:
-    exp(-j 2 pi d3D / lam) * exp(-j 2 pi (|r| - d3D) / lam)."""
+def los_element_phase(pair_distance, lam0):
+    """Direct-path element phase exp(-j 2 pi |r| / lam) from exact
+    element-pair distances |r|."""
     pair = np.asarray(pair_distance, dtype=float)
-    return np.exp(-2j * np.pi * d3d / lam0) \
-        * np.exp(-2j * np.pi * (pair - d3d) / lam0)
+    return np.exp(-2j * np.pi * pair / lam0)
 
 
 def nlos_element_phase(d, r_hat, d_bar, lam0):

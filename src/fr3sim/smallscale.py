@@ -30,13 +30,14 @@ def ray_offset_basis(m):
 
     M = 20 returns the tabulated basis.  Other counts use standard-normal
     quantile midpoints rescaled to unit RMS, preserving the tabulated
-    basis's symmetry, zero sum, and unit power.
+    basis's symmetry, zero sum, and unit power.  M = 1 is one ray at the
+    cluster centre, offset 0.
     """
     if m == 20:
         return RAY_OFFSETS_20.copy()
     q = ndtri((np.arange(1, m + 1) - 0.5) / m)
     rms = np.sqrt(np.mean(q ** 2))
-    return q / rms
+    return q / rms if rms > 0 else q
 
 
 def subcluster_groups(m):
@@ -44,7 +45,8 @@ def subcluster_groups(m):
 
     The M = 20 mapping is the standardized table; other ray counts regroup
     by the 50/30/20 percent fractions (largest-remainder rounding), and
-    groups that round to zero rays are dropped.
+    groups that round to zero rays are dropped.  Only trailing groups round
+    to zero (M = 1, 2), so group i keeps SUBCLUSTER_DELAY_FACTORS[i].
     """
     if m == 20:
         return [g.copy() for g in SUBCLUSTER_RAYS_20]
@@ -56,7 +58,7 @@ def subcluster_groups(m):
         sizes[i] += 1
         rem[i] = -1
     groups, start = [], 0
-    for s in sizes:
+    for s in sizes[sizes > 0]:
         groups.append(np.arange(start, start + s))
         start += s
     return groups
@@ -90,7 +92,7 @@ class ClusterSet:
 
         The two strongest clusters split into sub-cluster taps delayed by
         SUBCLUSTER_DELAY_FACTORS times c_ds, each carrying its share of the
-        rays' power; empty sub-clusters are skipped.
+        rays' power.
         """
         out = []
         for ci in range(self.n):
@@ -100,9 +102,8 @@ class ClusterSet:
                 out.append((base, rays, self.p[ci]))
                 continue
             for factor, grp in zip(SUBCLUSTER_DELAY_FACTORS, self.subclusters):
-                if grp.size:
-                    out.append((base + factor * self.c_ds, rays[grp],
-                                self.p[ci] * grp.size / self.m))
+                out.append((base + factor * self.c_ds, rays[grp],
+                            self.p[ci] * grp.size / self.m))
         return out
 
 
@@ -249,7 +250,7 @@ def couple_angles(aoa, aod, zoa, zod, strongest, subclusters, rng):
     aod = aod.copy()
     for i in range(n):
         if i in strongest:
-            blocks = [g for g in subclusters if g.size]
+            blocks = subclusters
         else:
             blocks = [np.arange(m)]
         for g in blocks:

@@ -12,8 +12,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_runs(demo, tmp_path):
+    # demos write under tempfile.mkdtemp(), which honours TMPDIR
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     res = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]

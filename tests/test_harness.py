@@ -1,12 +1,16 @@
+import argparse
+import configparser
 import numpy as np
 import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
+
 import pytest
 
-from fr3sim import harness
-from fr3sim.cli import main as cli_main
+from fr3sim import cli, harness
+from fr3sim.cli import _build_parser, main as cli_main
 from fr3sim.coefficients import ChannelRealization
 from fr3sim.harness import (ConfigError, RunConfig, capacity, coupling_loss,
                             emit_cdf, gini, load_config, run)
@@ -229,7 +233,46 @@ BAD_VALUES = {
     "method_name_key": "[run]\nwavelength = 1\n",
     "non_numeric_int": "[run]\nn_ues = many\n",
     "no_section_header": "seed = 3\n",
+    "layout": "[run]\nlayout = ring\n",
+    "sns": "[run]\nsns = nope\n",
+    "force_state": "[run]\nforce_state = maybe\n",
+    "force_location": "[run]\nforce_location = attic\n",
+    "isd": "[run]\nisd = -5\n",
+    "bs_rows": "[run]\nbs_rows = 0\n",
+    "bs_cols": "[run]\nbs_cols = 0\n",
+    "nf_alpha": "[run]\nnear_field = true\nnf_alpha = 0\n",
+    "nf_beta": "[run]\nnear_field = true\nnf_beta = 0\n",
+    "bandwidth_hz": "[run]\nray_count_scaling = true\nbandwidth_hz = 0\n",
+    "prune_db": "[run]\nprune_db = -3\n",
+    "bool_spelling": "[run]\nnear_field = ture\n",
+    "seed": "[run]\nseed = -1\n",
+    "deploy_radius_zero": "[run]\nlayout = disc\ndeploy_radius = 0\n",
+    "n_spec": "[run]\nn_spec = -1\n",
+    "m_min_zero": "[run]\nm_min = 0\n",
+    "abs_delay_bound_m": "[run]\nabs_delay_bound_m = -1\n",
+    "sns_pr_sigma": "[run]\nsns_pr_sigma = 0\n",
+    "sns_vp_r_db": "[run]\nsns_vp_r_db = 0\n",
+    "sns_vp_sigma": "[run]\nsns_vp_sigma = -0.1\n",
+    "sns_rolloff": "[run]\nsns_rolloff = -1\n",
+    "non_finite_float": "[run]\nbs_downtilt_deg = nan\n",
 }
+# a missing section header is a property of a file, not of a value
+CLI_BAD_VALUES = sorted(set(BAD_VALUES) - {"no_section_header"})
+
+
+def cli_args(ini_text):
+    """The command line that sets what ``ini_text`` sets."""
+    parser = configparser.ConfigParser()
+    parser.read_string(ini_text)
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    args = []
+    for key, val in parser.items("run"):
+        flag = "--" + key.replace("_", "-")
+        if harness._FIELD_TYPES.get(key) is bool and val in states:
+            args.append(flag if states[val] else "--no-" + flag[2:])
+        else:
+            args += [flag, val]
+    return args
 
 
 class TestConfigAndCli:
@@ -239,6 +282,35 @@ class TestConfigAndCli:
         bad.write_text(BAD_VALUES[key] + f"out_dir = {tmp_path / 'x'}\n")
         assert cli_main(["run", "--config", str(bad)]) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", CLI_BAD_VALUES)
+    def test_cli_flags_reject_bad_value(self, tmp_path, key):
+        argv = ["run", *cli_args(BAD_VALUES[key]),
+                "--out-dir", str(tmp_path / "x")]
+        assert cli_main(argv) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_one_flag_per_field(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.option_strings
+                 for a in sub.choices["run"]._actions if a.dest != "help"}
+        expected = {"config": ["--config"], "preset": ["--preset"]}
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            expected[f.name] = [flag, "--no-" + flag[2:]] \
+                if f.type is bool else [flag]
+        assert flags == expected
+
+    def test_documented_spellings(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "run", lambda cfg: built.append(cfg) or [])
+        assert cli_main(["run", "--fc", "9", "--out", "D", "--ray-count",
+                         "--no-near-field", "--n-ues", "2", "--seed", "5",
+                         "--sns", "stochastic"]) == 0
+        assert built == [load_config(overrides=dict(
+            fc_ghz=9.0, out_dir="D", ray_count_scaling=True, near_field=False,
+            n_ues=2, seed=5, sns="stochastic"))]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

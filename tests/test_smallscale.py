@@ -121,6 +121,9 @@ class TestRayOffsets:
     def test_m20_is_table(self):
         assert np.array_equal(ray_offset_basis(20), RAY_OFFSETS_20)
 
+    def test_single_ray_at_cluster_centre(self):
+        assert np.array_equal(ray_offset_basis(1), [0.0])
+
 
 class TestAngles:
     def _angles(self, los, seed=0, n=15, m=20):
@@ -212,12 +215,16 @@ class TestSubclusters:
         for m in (3, 10, 26, 40):
             groups = subcluster_groups(m)
             assert sum(g.size for g in groups) == m
-            assert np.array_equal(np.sort(np.concatenate([g for g in groups if g.size])),
+            assert np.array_equal(np.sort(np.concatenate(groups)),
                                   np.arange(m))
+
+    def test_zero_ray_groups_dropped(self):
+        assert [g.tolist() for g in subcluster_groups(1)] == [[0]]
+        assert [g.tolist() for g in subcluster_groups(2)] == [[0], [1]]
 
 
 class TestTaps:
-    @pytest.mark.parametrize("m", [20, 7])
+    @pytest.mark.parametrize("m", [20, 7, 1, 2, 3])
     def test_rays_covered_once_and_power_kept(self, m):
         cs = build_cluster_set(SMA, PropagationState("NLOS", "outdoor"),
                                make_lsp(), (10.0, -20.0, 80.0, 100.0), 7.0,
@@ -226,8 +233,7 @@ class TestTaps:
         rays = np.concatenate([r for _, r, _ in taps])
         assert np.array_equal(np.sort(rays), np.arange(cs.n * m))
         assert sum(p for _, _, p in taps) == pytest.approx(cs.p.sum(), rel=1e-12)
-        n_sub = sum(g.size > 0 for g in cs.subclusters)
-        assert len(taps) == cs.n + len(cs.strongest) * (n_sub - 1)
+        assert len(taps) == cs.n + len(cs.strongest) * (len(cs.subclusters) - 1)
         assert min(d for d, _, _ in taps) == 1e-6
 
 
