@@ -30,11 +30,13 @@ alpha = element_attenuation(vr, cfg, np.stack([np.zeros(9), zs], axis=1))
 print("alpha along the central column:",
       " ".join(f"{a:.2f}" for a in alpha))
 
-# knife-edge blocker between the array and a scatterer
+# knife-edge blocker between the array and a scatterer: one call gives the
+# loss of every element's path (end points broadcast over the leading axes)
 blk = Blocker(center=np.array([8.0, 0.0, 1.5]), width=1.5, height=1.8)
-for y in (0.0, 1.0, 3.0):
-    l_db = blocker_attenuation(blk, np.array([0.0, y, 1.5]),
-                               np.array([25.0, 0.0, 1.5]), lam)
+ys = np.array([0.0, 1.0, 3.0])
+elements = np.stack([np.zeros(3), ys, np.full(3, 1.5)], axis=1)
+losses = blocker_attenuation(blk, elements, np.array([25.0, 0.0, 1.5]), lam)
+for y, l_db in zip(ys, losses):
     print(f"element offset y = {y:3.1f} m: knife-edge loss {l_db:5.1f} dB")
 
 # UE-side masks: per-candidate attenuation by usage and band

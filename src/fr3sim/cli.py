@@ -43,11 +43,10 @@ def main(argv=None):
         overrides = {k: v for k, v in vars(args).items()
                      if k not in ("command", "config", "preset")}
         cfg = load_config(args.config, args.preset, overrides)
+        reports = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        reports = run(cfg)
     except ParameterError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

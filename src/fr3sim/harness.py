@@ -22,15 +22,15 @@ from .coefficients import (RayCountConfig, apply_large_scale,
                            synthesize, write_cir)
 from .geometry import (Orientation, build_disc_layout, build_hex_layout,
                        build_indoor_layout, drop_ues, effective_ue_position,
-                       link_geometry, sph_unit, wrap_azimuth)
+                       link_geometry, wrap_azimuth)
 from .largescale import (C_LIGHT, LargeScaleResult,
                          correlated_standard_normals, lsps_from_standardized,
                          o2i_penetration, path_loss)
 from .nearfield import source_distances
 from .scenario import (LOS, NLOS, O2I, assign_states, load_parameter_tables)
 from .smallscale import build_cluster_set
-from .sns import (USAGES, Blocker, SnsConfig, blocker_attenuation,
-                  draw_usage, stochastic_attenuation, ue_sns_mask)
+from .sns import (USAGES, SnsConfig, draw_usage, stochastic_attenuation,
+                  ue_sns_mask)
 
 _STATE_ORD = {LOS: 0, NLOS: 1, O2I: 2}
 
@@ -58,7 +58,7 @@ class RunConfig:
     # feature flags
     near_field: bool = False
     nf_angles: bool = False
-    sns: str = _key("off", choices=("off", "stochastic", "blocker"))
+    sns: str = _key("off", choices=("off", "stochastic"))
     ue_sns: bool = False
     cluster_variability: bool = False
     pol_variability: bool = False
@@ -159,8 +159,11 @@ def _apply(cfg, mapping):
             if typ is bool and isinstance(val, str):
                 val = configparser.ConfigParser.BOOLEAN_STATES[
                     val.strip().lower()]
+            elif typ is int and not isinstance(val, str) and (
+                    isinstance(val, bool) or int(val) != val):
+                raise ValueError   # a library caller's float or bool
             values[key] = typ(val)
-        except (KeyError, ValueError):
+        except (KeyError, ValueError, OverflowError):
             raise ConfigError(f"{key} = {val!r} is not "
                               f"a valid {typ.__name__}") from None
     return replace(cfg, **values)
@@ -421,8 +424,6 @@ def process_link(ctx, task):
         yz = (bs.offsets @ rot)[:, 1:3]
         alpha = stochastic_attenuation(10.0 * np.log10(cs.p), cfg.sns_config(),
                                        yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
-    elif cfg.sns == "blocker":
-        alpha = _blocker_alpha(task, cs, nf, bs, lam0)
     beta = None
     if cfg.ue_sns:
         beta = ue_sns_mask(ctx.masks, task.usage, cfg.fc_ghz, ue.candidate_index)
@@ -468,21 +469,6 @@ def _tap_powers(cs, base_delay):
         delays.append(base_delay)
         powers.append(cs.p_los)
     return np.array(delays), np.array(powers)
-
-
-def _blocker_alpha(task, cs, nf, bs, lam0):
-    """Per-element, per-ray knife-edge attenuation (linear power)."""
-    blk = Blocker(task.site_pos + np.array([10.0, 0.0, 0.0]), 2.0, 2.0)
-    r_tx = sph_unit(cs.zod.reshape(-1), cs.aod.reshape(-1))
-    dist = nf.d1.reshape(-1) if nf is not None else np.full(r_tx.shape[0], 100.0)
-    sources = task.site_pos[None, :] + dist[:, None] * r_tx
-    pos = bs.positions()
-    alpha = np.empty((bs.size, r_tx.shape[0]))
-    for ri in range(r_tx.shape[0]):
-        l_db = np.array([blocker_attenuation(blk, pos[s], sources[ri], lam0)
-                         for s in range(bs.size)])
-        alpha[:, ri] = 10.0 ** (-l_db / 10.0)
-    return alpha.reshape(bs.size, cs.n, cs.m)
 
 
 def _worker_chunk(ctx, tasks):
@@ -531,15 +517,18 @@ def run(cfg, registry=None):
     """
     reg = registry if registry is not None else load_parameter_tables()
     sc = reg.scenario(cfg.scenario)
+    layout = _build_layout(cfg, sc)
+    try:
+        ues = drop_ues(layout, cfg.n_ues, sc,
+                       substream(cfg.seed, 0, rngmod.STAGE_DROP))
+    except RuntimeError as exc:   # the layout is too small for the scenario
+        raise ConfigError(f"cannot drop {cfg.n_ues} UEs: {exc}") from None
     out = pathlib.Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cir_dir = ""
     if cfg.emit_cir:
         cir_dir = str(out / "cir")
         pathlib.Path(cir_dir).mkdir(exist_ok=True)
-
-    layout = _build_layout(cfg, sc)
-    ues = drop_ues(layout, cfg.n_ues, sc, substream(cfg.seed, 0, rngmod.STAGE_DROP))
 
     links, serving = [], []
     for ue in ues:

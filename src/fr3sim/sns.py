@@ -26,7 +26,6 @@ class SnsConfig:
     vp_sigma: float = 0.05
     rolloff: float = 4.0      # attenuation exponent C outside the VR
     usage_probs: tuple = (0.3, 0.2, 0.2, 0.3)  # order matches USAGES
-    l_max_db: float = 40.0    # knife-edge clamp when the log argument <= 0
 
 
 @dataclass
@@ -136,67 +135,58 @@ class Blocker:
     height: float        # vertical extent [m]
 
 
-def _fresnel_term(d1, d2, r, lam0, blocked):
-    """Knife-edge F term: atan(+/- pi/2 sqrt(pi (D1 + D2 - r) / lam)) / pi."""
-    excess = max(d1 + d2 - r, 0.0)
-    sign = 1.0 if blocked else -1.0
-    return np.arctan(sign * 0.5 * np.pi * np.sqrt(np.pi * excess / lam0)) / np.pi
-
-
 def blocker_attenuation(blocker, p_tx, p_rx, lam0, l_max_db=40.0):
-    """Knife-edge diffraction loss in dB for one path past one blocker.
+    """Knife-edge diffraction loss in dB past one blocker, per path.
 
-    L = -20 log10(1 - (F_h1 + F_h2)(F_w1 + F_w2)) with edge terms from the
-    top/bottom and side screen edges.  Paths whose projection misses the
-    screen plane segment return 0 dB; a non-positive log argument clamps at
-    ``l_max_db``.
+    ``p_tx`` and ``p_rx`` are (..., 3) end points that broadcast against
+    each other, so (S, 1, 3) elements and (1, R, 3) sources give (S, R)
+    losses.  L = -20 log10(1 - (F_h1 + F_h2)(F_w1 + F_w2)) with edge terms
+    from the top/bottom and side screen edges.  A path has 0 dB when its
+    closest approach to the screen center lies outside the segment between
+    its end points, or when it is vertical; a non-positive log argument
+    clamps at ``l_max_db``.
     """
-    tx = np.asarray(p_tx, dtype=float)
-    rx = np.asarray(p_rx, dtype=float)
+    tx, rx = np.broadcast_arrays(np.asarray(p_tx, dtype=float),
+                                 np.asarray(p_rx, dtype=float))
     c = np.asarray(blocker.center, dtype=float)
     link = rx - tx
-    r = np.linalg.norm(link)
-    # parametric point of closest approach of the path to the screen center
-    tpar = np.dot(c - tx, link) / np.dot(link, link)
-    if not (0.0 < tpar < 1.0):
-        return 0.0
-    # screen axes: vertical and the horizontal direction orthogonal to the path
-    up = np.array([0.0, 0.0, 1.0])
-    horiz = np.cross(link / r, up)
-    nh = np.linalg.norm(horiz)
-    if nh < 1e-12:
-        return 0.0
-    horiz = horiz / nh
-
-    def edge_f(edge_point, blocked_side):
-        d1 = np.linalg.norm(edge_point - tx)
-        d2 = np.linalg.norm(rx - edge_point)
-        return _fresnel_term(d1, d2, r, lam0, blocked_side)
-
+    r2 = np.sum(link * link, axis=-1)
+    r = np.sqrt(r2)
+    # the screen's horizontal axis is orthogonal to the path (none when the
+    # path is vertical); the path is blocked where its closest approach to
+    # the screen center lies between the end points
+    flat = np.hypot(link[..., 0], link[..., 1])
+    ok = flat > 1e-12 * r
+    flat, r2 = np.where(ok, flat, 1.0), np.where(ok, r2, 1.0)
+    horiz = np.stack([link[..., 1], -link[..., 0], np.zeros_like(r)],
+                     axis=-1) / flat[..., None]
+    tpar = np.sum((c - tx) * link, axis=-1) / r2
+    hit = ok & (tpar > 0.0) & (tpar < 1.0)
     # the direct ray is blocked in a dimension when its crossing point lies
     # within the screen extent in that dimension
-    cross = tx + tpar * link
-    in_h = abs(np.dot(cross - c, horiz)) <= blocker.width / 2.0
-    in_v = abs(cross[2] - c[2]) <= blocker.height / 2.0
-    top = c + up * blocker.height / 2.0
-    bot = c - up * blocker.height / 2.0
-    left = c - horiz * blocker.width / 2.0
-    right = c + horiz * blocker.width / 2.0
-    f_h1 = edge_f(top, in_v)
-    f_h2 = edge_f(bot, in_v)
-    f_w1 = edge_f(left, in_h)
-    f_w2 = edge_f(right, in_h)
-    return knife_edge_loss_db((f_h1 + f_h2) * (f_w1 + f_w2), l_max_db)
+    cross = tx + tpar[..., None] * link
+    in_h = np.abs(np.sum((cross - c) * horiz, axis=-1)) <= blocker.width / 2.0
+    in_v = np.abs(cross[..., 2] - c[2]) <= blocker.height / 2.0
+    up = np.array([0.0, 0.0, blocker.height / 2.0])
+    side = horiz * (blocker.width / 2.0)
+    edges = np.stack(np.broadcast_arrays(c + up, c - up, c - side, c + side))
+    excess = np.maximum(np.linalg.norm(edges - tx, axis=-1)
+                        + np.linalg.norm(rx - edges, axis=-1) - r, 0.0)
+    sign = np.where(np.stack([in_v, in_v, in_h, in_h]), 1.0, -1.0)
+    f = np.arctan(sign * 0.5 * np.pi * np.sqrt(np.pi * excess / lam0)) / np.pi
+    product = np.where(hit, (f[0] + f[1]) * (f[2] + f[3]), 0.0)
+    return np.where(hit, knife_edge_loss_db(product, l_max_db), 0.0)[()]
 
 
 def knife_edge_loss_db(fresnel_product, l_max_db=40.0):
-    """L = -20 log10(1 - product), clamped at l_max_db when the argument of
-    the logarithm is non-positive."""
-    arg = 1.0 - fresnel_product
-    if arg <= 0.0:
+    """L = -20 log10(1 - product) per element, clamped at l_max_db where the
+    argument of the logarithm is non-positive (one warning per call)."""
+    arg = 1.0 - np.asarray(fresnel_product, dtype=float)
+    clamped = arg <= 0.0
+    if np.any(clamped):
         warnings.warn("knife-edge Fresnel product >= 1; loss clamped")
-        return float(l_max_db)
-    return float(min(-20.0 * np.log10(arg), l_max_db))
+    loss = -20.0 * np.log10(np.where(clamped, 1.0, arg))
+    return np.where(clamped, l_max_db, np.minimum(loss, l_max_db))[()]
 
 
 def draw_usage(cfg, rng):

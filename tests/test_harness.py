@@ -255,6 +255,11 @@ BAD_VALUES = {
     "sns_vp_sigma": "[run]\nsns_vp_sigma = -0.1\n",
     "sns_rolloff": "[run]\nsns_rolloff = -1\n",
     "non_finite_float": "[run]\nbs_downtilt_deg = nan\n",
+    "sns_blocker": "[run]\nsns = blocker\n",
+    # the layout is too small for the scenario's minimum BS-UE distance
+    "drop_disc_radius": "[run]\nscenario = UMi\nlayout = disc\n"
+                        "deploy_radius = 5\nn_ues = 2\n",
+    "drop_hex_isd": "[run]\nisd = 1\nn_ues = 2\n",
 }
 # a missing section header is a property of a file, not of a value
 CLI_BAD_VALUES = sorted(set(BAD_VALUES) - {"no_section_header"})
@@ -311,6 +316,11 @@ class TestConfigAndCli:
         assert built == [load_config(overrides=dict(
             fc_ghz=9.0, out_dir="D", ray_count_scaling=True, near_field=False,
             n_ues=2, seed=5, sns="stochastic"))]
+
+    @pytest.mark.parametrize("value", [2.7, float("inf"), True])
+    def test_int_override_must_be_integral(self, value):
+        with pytest.raises(ConfigError, match="n_ues"):
+            load_config(overrides={"n_ues": value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

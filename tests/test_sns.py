@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
@@ -125,7 +127,7 @@ class TestKnifeEdge:
         blk = Blocker(np.array([5.0, 0.0, 1.5]), 2.0, 2.0)
         l_blocked = blocker_attenuation(blk, np.array([0.0, 0.0, 1.5]),
                                         np.array([10.0, 0.0, 1.5]), LAM)
-        assert l_blocked > 3.0
+        assert np.ndim(l_blocked) == 0 and l_blocked > 3.0
 
     def test_outside_fresnel_zone_negligible(self):
         # blocker fully outside the first Fresnel zone: loss < 0.5 dB
@@ -142,6 +144,140 @@ class TestKnifeEdge:
         blk = Blocker(np.array([-5.0, 0.0, 1.5]), 2.0, 2.0)
         assert blocker_attenuation(blk, np.array([0.0, 0.0, 1.5]),
                                    np.array([10.0, 0.0, 1.5]), LAM) == 0.0
+
+
+def scalar_blocker_attenuation(blocker, p_tx, p_rx, lam0, l_max_db=40.0):
+    """The one-path form of `blocker_attenuation`, kept as its reference."""
+    tx = np.asarray(p_tx, dtype=float)
+    rx = np.asarray(p_rx, dtype=float)
+    c = np.asarray(blocker.center, dtype=float)
+    link = rx - tx
+    r = np.linalg.norm(link)
+    tpar = np.dot(c - tx, link) / np.dot(link, link)
+    if not (0.0 < tpar < 1.0):
+        return 0.0
+    up = np.array([0.0, 0.0, 1.0])
+    horiz = np.cross(link / r, up)
+    nh = np.linalg.norm(horiz)
+    if nh < 1e-12:
+        return 0.0
+    horiz = horiz / nh
+
+    def edge_f(edge_point, blocked):
+        d1 = np.linalg.norm(edge_point - tx)
+        d2 = np.linalg.norm(rx - edge_point)
+        excess = max(d1 + d2 - r, 0.0)
+        sign = 1.0 if blocked else -1.0
+        return np.arctan(sign * 0.5 * np.pi
+                         * np.sqrt(np.pi * excess / lam0)) / np.pi
+
+    cross = tx + tpar * link
+    in_h = abs(np.dot(cross - c, horiz)) <= blocker.width / 2.0
+    in_v = abs(cross[2] - c[2]) <= blocker.height / 2.0
+    f_h = (edge_f(c + up * blocker.height / 2.0, in_v)
+           + edge_f(c - up * blocker.height / 2.0, in_v))
+    f_w = (edge_f(c - horiz * blocker.width / 2.0, in_h)
+           + edge_f(c + horiz * blocker.width / 2.0, in_h))
+    arg = 1.0 - f_h * f_w
+    if arg <= 0.0:
+        warnings.warn("knife-edge Fresnel product >= 1; loss clamped")
+        return float(l_max_db)
+    return float(min(-20.0 * np.log10(arg), l_max_db))
+
+
+def reference_grid(blk, tx, rx, lam0, **kw):
+    """The scalar reference over the broadcast shape of ``tx`` and ``rx``."""
+    tx, rx = np.broadcast_arrays(tx, rx)
+    out = np.empty(tx.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        out[idx] = scalar_blocker_attenuation(blk, tx[idx], rx[idx], lam0, **kw)
+    return out
+
+
+class TestBroadcastBlocker:
+    """`blocker_attenuation` over (..., 3) end points against the scalar
+    reference, one path at a time."""
+
+    def test_random_geometries(self):
+        rng = np.random.default_rng(11)
+        hits = misses = 0
+        for _ in range(40):
+            blk = Blocker(rng.uniform(-2.0, 2.0, 3), rng.uniform(0.2, 4.0),
+                          rng.uniform(0.2, 4.0))
+            # end points on both sides of the screen, and some behind it
+            tx = rng.uniform([-30.0, -4.0, -3.0], [5.0, 4.0, 3.0], (8, 1, 3))
+            rx = rng.uniform([-5.0, -4.0, -3.0], [30.0, 4.0, 3.0], (1, 12, 3))
+            lam0 = rng.choice([LAM, 3e8 / 24e9, 0.3])
+            got = blocker_attenuation(blk, tx, rx, lam0)
+            ref = reference_grid(blk, tx, rx, lam0)
+            assert got.shape == (8, 12)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
+            hits += np.count_nonzero(ref)
+            misses += np.count_nonzero(ref == 0.0)
+        assert hits > 1000 and misses > 500
+
+    def test_element_by_ray_grid(self):
+        # 64 elements against 280 ray sources in one call
+        rng = np.random.default_rng(12)
+        blk = Blocker(np.array([10.0, 0.0, 25.0]), 2.0, 2.0)
+        elems = np.array([0.0, 0.0, 25.0]) + rng.uniform(-0.5, 0.5, (64, 1, 3))
+        sources = rng.uniform([-60.0, -40.0, 0.0], [120.0, 40.0, 30.0],
+                              (1, 280, 3))
+        got = blocker_attenuation(blk, elems, sources, LAM)
+        assert got.shape == (64, 280)
+        np.testing.assert_allclose(got, reference_grid(blk, elems, sources, LAM),
+                                   rtol=0.0, atol=1e-9)
+        assert 1000 < np.count_nonzero(got) < got.size - 1000
+
+    def test_endpoints_behind_screen(self):
+        blk = Blocker(np.array([-5.0, 0.0, 1.5]), 2.0, 2.0)
+        tx = np.array([[0.0, y, 1.5] for y in (-1.0, 0.0, 1.0)])
+        rx = np.array([10.0, 0.0, 1.5])
+        assert np.array_equal(blocker_attenuation(blk, tx, rx, LAM), np.zeros(3))
+        assert np.array_equal(blocker_attenuation(blk, rx, tx, LAM), np.zeros(3))
+
+    def test_vertical_path(self):
+        # no horizontal screen axis: 0 dB, and no division warning
+        blk = Blocker(np.array([0.0, 0.0, 5.0]), 2.0, 2.0)
+        tx = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 4.95], [1.0, 0.0, 0.0]])
+        rx = np.array([[0.0, 0.0, 10.0], [0.5, 0.0, 5.05], [0.0, 0.0, 10.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = blocker_attenuation(blk, tx, rx, LAM)
+        assert np.array_equal(got[:2], [0.0, 0.0])
+        assert got[2] != 0.0
+        np.testing.assert_allclose(got, reference_grid(blk, tx, rx, LAM),
+                                   rtol=0.0, atol=1e-9)
+
+    def test_clamp_warns_once(self):
+        # a wavelength so short that every edge term saturates at 1/2: the
+        # Fresnel product of a path through the screen is exactly 1
+        blk = Blocker(np.array([5.0, 0.0, 1.5]), 2.0, 2.0)
+        tx = np.array([[0.0, y, 1.5] for y in (-0.5, 0.0, 0.5, 9.0)])
+        rx = np.array([10.0, 0.0, 1.5])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = blocker_attenuation(blk, tx, rx, 1e-40, l_max_db=35.0)
+        assert [str(w.message) for w in caught] == [
+            "knife-edge Fresnel product >= 1; loss clamped"]
+        assert np.array_equal(got[:3], [35.0, 35.0, 35.0])
+        with pytest.warns(UserWarning):
+            ref = reference_grid(blk, tx, rx, 1e-40, l_max_db=35.0)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
+
+    def test_missed_paths_do_not_warn(self):
+        blk = Blocker(np.array([-5.0, 0.0, 1.5]), 2.0, 2.0)
+        tx = np.array([[0.0, y, 1.5] for y in (-0.5, 0.0, 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = blocker_attenuation(blk, tx, np.array([10.0, 0.0, 1.5]), 1e-40)
+        assert np.array_equal(got, np.zeros(3))
+
+    def test_loss_elementwise(self):
+        with pytest.warns(UserWarning) as caught:
+            got = knife_edge_loss_db(np.array([0.0, 0.9, 1.0, 1.5]))
+        assert len(caught) == 1
+        np.testing.assert_allclose(got, [0.0, 20.0, 40.0, 40.0], rtol=1e-12)
 
 
 class TestUeMasks:
