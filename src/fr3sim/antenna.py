@@ -97,13 +97,12 @@ class PanelArray:
         return self.pol_slants[: self.p]
 
 
-def element_positions(a, wavelength):
-    """Element offsets in the array frame (boresight +x, columns along +y,
-    rows along +z), centered on the array's geometric center.
+def element_grid(a, wavelength):
+    """The element sites of ``a`` as a rows x columns grid.
 
-    Returns (positions (K, 3) in meters, pol_index (K,)).  Ordering is
-    polarization-major, then panel row, panel column, element row, element
-    column; co-located dual-polarized pairs share a position.
+    Returns (y (n_cols,), z (n_rows,), row (K,), col (K,)): the array-frame
+    column and row coordinates in meters, exactly as element_positions
+    places its elements, and each element's row and column in that order.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -116,10 +115,24 @@ def element_positions(a, wavelength):
     zs = (gv * d_gv + r * a.d_v) * wavelength
     ys -= ys.mean()
     zs -= zs.mean()
-    single = np.stack([np.zeros_like(ys), ys, zs], axis=1)
-    pos = np.tile(single, (a.p, 1))
-    pol = np.repeat(np.arange(a.p), single.shape[0])
-    return pos, pol
+    row, col = gv * a.m + r, gh * a.n + c
+    y = np.empty(a.ng * a.n)
+    z = np.empty(a.mg * a.m)
+    y[col], z[row] = ys, zs
+    return y, z, np.tile(row, a.p), np.tile(col, a.p)
+
+
+def element_positions(a, wavelength):
+    """Element offsets in the array frame (boresight +x, columns along +y,
+    rows along +z), centered on the array's geometric center.
+
+    Returns (positions (K, 3) in meters, pol_index (K,)).  Ordering is
+    polarization-major, then panel row, panel column, element row, element
+    column; co-located dual-polarized pairs share a position.
+    """
+    y, z, row, col = element_grid(a, wavelength)
+    pos = np.stack([np.zeros(row.size), y[col], z[row]], axis=1)
+    return pos, np.repeat(np.arange(a.p), row.size // a.p)
 
 
 @dataclass(frozen=True)
@@ -172,6 +185,22 @@ def ue_candidate_locations(device):
     return out
 
 
+@dataclass(frozen=True)
+class PlanarGrid:
+    """Rows x columns layout of a mounted planar array (see element_grid).
+
+    ``y`` / ``z`` are the exact array-frame column / row coordinates,
+    ``row`` / ``col`` each element's row and column, and ``axes`` (3, 2)
+    the GCS directions of the array's y and z axes, so that an element's
+    offset is y[col] axes[:, 0] + z[row] axes[:, 1].
+    """
+    y: np.ndarray
+    z: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    axes: np.ndarray
+
+
 @dataclass
 class MountedArray:
     """An antenna aperture placed in the GCS.
@@ -181,6 +210,7 @@ class MountedArray:
     slants: per-element polarization slant in degrees.
     candidate_index: maps elements to device candidate locations (UE masks);
     -1 when not applicable.
+    grid: the PlanarGrid of a uniform planar array, None otherwise.
     """
     reference: np.ndarray
     offsets: np.ndarray
@@ -188,6 +218,7 @@ class MountedArray:
     slants: np.ndarray
     pattern: ElementPattern
     candidate_index: np.ndarray
+    grid: PlanarGrid = None
 
     @property
     def size(self):
@@ -215,6 +246,31 @@ class MountedArray:
         return [(slanted[s], ori, np.array(idx))
                 for (ori, s), idx in groups.items()]
 
+    @cached_property
+    def group_index(self):
+        """(K,) index into ``field_groups`` of each element."""
+        out = np.empty(self.size, dtype=int)
+        for g, (_pat, _ori, idx) in enumerate(self.field_groups):
+            out[idx] = g
+        return out
+
+    @cached_property
+    def sites(self):
+        """Distinct element positions: (first (P,), index (K,)).
+
+        Site p sits at ``offsets[first[p]]`` and element k at site
+        ``index[k]``; co-located elements (the slants of a dual-polarized
+        pair) share a site.  A grid numbers its sites row-major.
+        """
+        if self.grid is None:
+            _, first, index = np.unique(self.offsets, axis=0, return_index=True,
+                                        return_inverse=True)
+            return first, index.ravel()
+        index = self.grid.row * self.grid.y.size + self.grid.col
+        first = np.empty(index.max() + 1, dtype=int)
+        first[index[::-1]] = np.arange(self.size)[::-1]
+        return first, index
+
 
 def mount_bs_array(array, site_position, sector_orientation, wavelength):
     """Place a PanelArray at a site, boresight along the sector bearing."""
@@ -223,9 +279,11 @@ def mount_bs_array(array, site_position, sector_orientation, wavelength):
     offsets = pos_lcs @ rot.T
     slants = np.array([array.slants()[i] for i in pol])
     orientations = [sector_orientation] * offsets.shape[0]
+    y, z, row, col = element_grid(array, wavelength)
     return MountedArray(np.asarray(site_position, dtype=float), offsets,
                         orientations, slants, array.element,
-                        np.full(offsets.shape[0], -1, dtype=int))
+                        np.full(offsets.shape[0], -1, dtype=int),
+                        PlanarGrid(y, z, row, col, rot[:, 1:]))
 
 
 def mount_ue_device(device, ue_position, dual_polarized=True, pattern=None,

@@ -84,24 +84,27 @@ class ChannelRealization:
         return sum((np.abs(g[:, :, 0]) ** 2 for g in self.gains))
 
 
-def _pol_halves(offsets):
-    """Detect the co-located dual-polarization layout (second half of the
-    element list repeats the first half's positions)."""
-    k = offsets.shape[0]
-    half = k // 2
-    return k % 2 == 0 and half > 0 and np.array_equal(offsets[:half], offsets[half:])
+def _site_phases(arr, first, r_hat, lam0, d=None, grid=None):
+    """Array phases (P, R) at the sites ``arr.offsets[first]``: plane-wave
+    exp(j 2 pi r_hat . d_bar / lam), or spherical-wave toward per-ray
+    sources at distances ``d``.  Plane-wave phases on a PlanarGrid are the
+    products of one row and one column factor per ray."""
+    if d is not None:
+        return nlos_element_phase(d, r_hat, arr.offsets[first], lam0)
+    if grid is None:
+        return unit_phase(2.0 * np.pi * (arr.offsets[first] @ r_hat.T) / lam0)
+    proj = (2.0 * np.pi / lam0) * (r_hat @ grid.axes)        # (R, 2)
+    cols = unit_phase(grid.y[:, None] * proj[None, :, 0])
+    rows = unit_phase(grid.z[:, None] * proj[None, :, 1])
+    return (rows[:, None, :] * cols[None, :, :]).reshape(-1, r_hat.shape[0])
 
 
-def _array_phase(r_hat, offsets, lam0, d=None):
-    """Array phases (K, R): plane-wave exp(j 2 pi r_hat . d_bar / lam), or
-    spherical-wave toward per-ray sources at distances ``d``.  Co-located
-    dual-polarized positions are evaluated once."""
-    if _pol_halves(offsets):
-        half = _array_phase(r_hat, offsets[: offsets.shape[0] // 2], lam0, d)
-        return np.concatenate([half, half], axis=0)
-    if d is None:
-        return unit_phase(2.0 * np.pi * (offsets @ r_hat.T) / lam0)
-    return nlos_element_phase(d, r_hat, offsets, lam0)
+def group_fields(mounted, zen, az):
+    """GCS field patterns (F_theta, F_phi), each (G, R): one row per entry
+    of ``mounted.field_groups`` for (R,) angles in degrees shared by all
+    elements."""
+    f = [field_pattern(pat, ori, zen, az) for pat, ori, _idx in mounted.field_groups]
+    return np.array([f_t for f_t, _ in f]), np.array([f_p for _, f_p in f])
 
 
 def array_fields(mounted, zen, az):
@@ -113,11 +116,13 @@ def array_fields(mounted, zen, az):
     """
     zen = np.asarray(zen, dtype=float)
     az = np.asarray(az, dtype=float)
-    f_t = np.empty((mounted.size, zen.shape[-1]))
+    if zen.ndim == 1:
+        f_t, f_p = group_fields(mounted, zen, az)
+        return f_t[mounted.group_index], f_p[mounted.group_index]
+    f_t = np.empty(zen.shape)
     f_p = np.empty_like(f_t)
     for pat, ori, idx in mounted.field_groups:
-        z, a = (zen, az) if zen.ndim == 1 else (zen[idx], az[idx])
-        f_t[idx], f_p[idx] = field_pattern(pat, ori, z, a)
+        f_t[idx], f_p[idx] = field_pattern(pat, ori, zen[idx], az[idx])
     return f_t, f_p
 
 
@@ -134,96 +139,145 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     taps (absolute time of arrival); the LOS specular term lands exactly at
     ``base_delay``.  The two strongest clusters expand into three delay
     taps; taps are emitted in non-decreasing delay order.
+
+    A BS element's field depends only on its field group g (orientation,
+    slant), so every tap is one product over the tap's rays r,
+    H[u, s] = sum_r G_g(s)[u, r] A[site(s), r], with
+    G_g = Ga_theta F_theta,g + Ga_phi F_phi,g per group and the array
+    phases A per distinct element site.  The ray amplitude and sqrt(beta)
+    live in G, sqrt(alpha) in A (elements that share a site but not their
+    alpha get a site each), and the Doppler factor in G, or in A when there
+    are several time samples.  With ``nf_angles`` in near-field mode the BS
+    fields differ per element and do not factor: the product then runs
+    over the two field components with per-element columns
+    F_b[s, r] A[site(s), r].  ``keep_rays`` takes its per-ray gains from
+    the same factors.
     """
     n, m = cs.n, cs.m
     t = np.asarray(t_samples if t_samples is not None else [0.0], dtype=float)
     n_t = t.shape[0]
     u_cnt, s_cnt = ue.size, bs.size
 
-    zoa = cs.zoa.reshape(-1)
-    aoa = cs.aoa.reshape(-1)
-    zod = cs.zod.reshape(-1)
-    aod = cs.aod.reshape(-1)
-    r_rx = sph_unit(zoa, aoa)              # (NM, 3)
-    r_tx = sph_unit(zod, aod)
+    # rays in tap order, so that every tap is one contiguous slice
+    taps = sorted(cs.taps(base_delay), key=lambda tap: tap[0])
+    order = np.concatenate([rays for _delay, rays, _power in taps])
+    bounds = np.cumsum([0] + [rays.size for _delay, rays, _power in taps])
+    n_r = order.size
 
+    zoa, aoa, zod, aod = (x.reshape(-1)[order]
+                          for x in (cs.zoa, cs.aoa, cs.zod, cs.aod))
+    r_rx = sph_unit(zoa, aoa)              # (R, 3)
+    r_tx = sph_unit(zod, aod)
     d1 = d2 = None
     if near_field is not None:
-        d1, d2 = near_field.d1.reshape(-1), near_field.d2.reshape(-1)
-    frx_t, frx_p = array_fields(ue, zoa, aoa)
-    a_rx = _array_phase(r_rx, ue.offsets, lam0, d2)
-    a_tx = _array_phase(r_tx, bs.offsets, lam0, d1)
-    if nf_angles and d1 is not None:
+        d1, d2 = near_field.d1.reshape(-1)[order], near_field.d2.reshape(-1)[order]
+    elementwise = nf_angles and d1 is not None
+    if elementwise:
         # per-element departure angles toward each ray's spherical source
         src = bs.reference[None, :] + d1[:, None] * r_tx
         zod, aod = unit_to_angles(src[None, :, :] - bs.positions()[:, None, :])
-    ftx_t, ftx_p = array_fields(bs, zod, aod)
+    if los:
+        # the LOS direction is one more angle column of the field evaluation
+        zoa, aoa = np.append(zoa, geom.zoa), np.append(aoa, geom.aoa_az)
+        if elementwise:
+            z_e, a_e = unit_to_angles(ue.reference[None, :] - bs.positions())
+            zod, aod = np.append(zod, z_e[:, None], 1), np.append(aod, a_e[:, None], 1)
+        else:
+            zod, aod = np.append(zod, geom.zod), np.append(aod, geom.aod_az)
+    frx_t, frx_p = array_fields(ue, zoa, aoa)
+    ftx_t, ftx_p = (array_fields if elementwise else group_fields)(bs, zod, aod)
+
+    # BS sites, and sqrt(alpha) per site and alpha column (cluster or ray)
+    first, site = bs.sites
+    grid = bs.grid
+    sqrt_al = None
+    if sns_alpha is not None:
+        al = np.asarray(sns_alpha, dtype=float).reshape(s_cnt, -1)
+        if not np.array_equal(al[first][site], al):
+            first, site, grid = np.arange(s_cnt), np.arange(s_cnt), None
+        sqrt_al = np.sqrt(al[first] if not elementwise else al)
+        al_col = order // m if al.shape[1] == n else order
+    ue_first, ue_site = ue.sites
+    a_rx = _site_phases(ue, ue_first, r_rx, lam0, d2)[ue_site]
+    a_tx = _site_phases(bs, first, r_tx, lam0, d1, grid)
 
     # polarization matrix entries per ray
-    ph = phases.reshape(-1, 4)
-    eta = cs.eta.reshape(-1, 4)
-    inv_k = 1.0 / cs.kappa.reshape(-1)
+    ph = phases.reshape(-1, 4)[order]
+    eta = cs.eta.reshape(-1, 4)[order]
+    inv_k = 1.0 / cs.kappa.reshape(-1)[order]
     p11 = np.sqrt(eta[:, 0]) * np.exp(1j * ph[:, 0])
     p12 = np.sqrt(eta[:, 1] * inv_k) * np.exp(1j * ph[:, 1])
     p21 = np.sqrt(eta[:, 2] * inv_k) * np.exp(1j * ph[:, 2])
     p22 = np.sqrt(eta[:, 3]) * np.exp(1j * ph[:, 3])
 
-    # Ga[u, b, r] = (F_rx^T Phi)_b * a_rx ; Fa[s, b, r] = F_tx_b * a_tx
-    ga = np.empty((u_cnt, 2, n * m), dtype=complex)
-    ga[:, 0, :] = (frx_t * p11[None, :] + frx_p * p21[None, :]) * a_rx
-    ga[:, 1, :] = (frx_t * p12[None, :] + frx_p * p22[None, :]) * a_rx
-    fa = np.empty((s_cnt, 2, n * m), dtype=complex)
-    fa[:, 0, :] = ftx_t * a_tx
-    fa[:, 1, :] = ftx_p * a_tx
-
-    # per-ray power weights and SNS attenuation
-    amp = np.sqrt(np.repeat(cs.p, m) / m)
+    # Ga_b[u, r] = (F_rx^T Phi)_b a_rx, with the ray amplitude and sqrt(beta)
+    rx = a_rx * np.sqrt(np.repeat(cs.p, m)[order] / m)
     if sns_beta is not None:
-        ga *= np.sqrt(np.asarray(sns_beta))[:, None, None]
-    if sns_alpha is not None:
-        al = np.asarray(sns_alpha, dtype=float)
-        if al.ndim == 2:
-            al = np.repeat(al, m, axis=1)
-        else:
-            al = al.reshape(s_cnt, n * m)
-        fa *= np.sqrt(al)[:, None, :]
+        rx *= np.sqrt(np.asarray(sns_beta))[:, None]
+    ga_t = (frx_t[:, :n_r] * p11 + frx_p[:, :n_r] * p21) * rx
+    ga_p = (frx_t[:, :n_r] * p12 + frx_p[:, :n_r] * p22) * rx
 
-    # Doppler per ray
+    # H = sum_i left_i right_i^T per tap, rows (u, group) and columns
+    # (column, t), which is (U, S, T) order when the columns are elements
+    if elementwise:
+        fa = a_tx[site]
+        left, right = [ga_t, ga_p], [ftx_t[:, :n_r] * fa, ftx_p[:, :n_r] * fa]
+        n_cols, perm = s_cnt, None
+    else:
+        left = [(ga_t[:, None] * ftx_t[None, :, :n_r]
+                 + ga_p[:, None] * ftx_p[None, :, :n_r]).reshape(-1, n_r)]
+        right = [a_tx]
+        n_cols = a_tx.shape[0]
+        perm = bs.group_index * n_cols + site
+        if np.array_equal(perm, np.arange(s_cnt)):
+            perm = None
+
+    # Doppler per (t, ray) on the left when there is one sample; otherwise
+    # it and sqrt(alpha) scale the right factors tap by tap
     v = np.zeros(3) if v_vec is None else np.asarray(v_vec, dtype=float)
-    dop_freq = (r_rx @ v) / lam0          # (NM,)
-    dop = np.exp(2j * np.pi * dop_freq[:, None] * t[None, :])  # (NM, T)
+    dop = np.exp(2j * np.pi * ((r_rx @ v) / lam0)[None, :] * t[:, None])
+    if n_t == 1:
+        left = [x * dop for x in left]
 
-    # taps (delay, flat ray indices, power) in non-decreasing delay order
-    taps = sorted(cs.taps(base_delay), key=lambda tap: tap[0])
+    def right_factors(lo, hi):
+        out = [x[:, lo:hi] for x in right]
+        if sqrt_al is not None:
+            w = np.take(sqrt_al, al_col[lo:hi], axis=1)
+            out = [x * w for x in out]
+        if n_t > 1:
+            out = [(x[:, None, :] * dop[:, lo:hi]).reshape(-1, hi - lo)
+                   for x in out]
+        return out
+
+    def to_elements(x):
+        x = x.reshape(u_cnt, -1, n_t, *x.shape[2:])
+        return x if perm is None else np.take(x, perm, axis=1)
 
     gains = []
     ray_gains = [] if keep_rays else None
-    for _delay, rays, _power in taps:
-        h = np.zeros((u_cnt, s_cnt, n_t), dtype=complex)
-        rg = np.zeros((u_cnt, s_cnt, rays.size, n_t), dtype=complex) if keep_rays else None
-        ga_r = ga[:, :, rays] * amp[rays][None, None, :]
-        fa_r = fa[:, :, rays]
-        for ti in range(n_t):
-            ga_t = ga_r * dop[rays, ti][None, None, :]
-            if keep_rays:
-                rg[:, :, :, ti] = np.einsum("ubr,sbr->usr", ga_t, fa_r)
-                h[:, :, ti] = rg[:, :, :, ti].sum(axis=2)
-            else:
-                h[:, :, ti] = ga_t.reshape(u_cnt, -1) @ \
-                    fa_r.reshape(s_cnt, -1).T
-        gains.append(h)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        tap_right = right_factors(lo, hi)
+        h = left[0][:, lo:hi] @ tap_right[0].T
+        for a, b in zip(left[1:], tap_right[1:]):
+            h += a[:, lo:hi] @ b.T
+        gains.append(to_elements(h))
         if keep_rays:
-            ray_gains.append(rg)
+            rg = sum(a[:, None, lo:hi] * b[None, :, :]
+                     for a, b in zip(left, tap_right))
+            ray_gains.append(to_elements(rg).swapaxes(2, 3))
     delays = np.array([tp[0] for tp in taps])
 
     if los:
         if k_db is None:
             raise ValueError("LOS synthesis requires the Ricean K factor")
-        h_los = _los_component(geom, bs, ue, lam0, near_field is not None,
-                               nf_angles, v, t, sns_alpha, sns_beta,
-                               cs.p_los)
+        f_tx = (ftx_t[:, -1], ftx_p[:, -1])
+        if not elementwise:
+            f_tx = tuple(f[bs.group_index] for f in f_tx)
+        h_los = _los_component(geom, bs, ue, lam0, near_field is not None, v,
+                               t, (frx_t[:, -1], frx_p[:, -1]), f_tx,
+                               sns_alpha, sns_beta, cs.p_los)
         i0 = int(np.argmin(np.abs(delays - base_delay)))
-        gains[i0] = gains[i0] + h_los
+        gains[i0] += h_los
         if keep_rays:
             ray_gains[i0] = np.concatenate(
                 [ray_gains[i0], h_los[:, :, None, :]], axis=2)
@@ -234,40 +288,34 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
                               ray_gains=ray_gains)
 
 
-def _los_component(geom, bs, ue, lam0, near_field, nf_angles, v, t,
+def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
                    sns_alpha, sns_beta, p_los):
     """Deterministic specular term with weight sqrt(K_R / (K_R + 1)) folded
-    into p_los.  Near-field mode uses exact element-pair distances; the
-    plane-wave mode uses first-order array phases."""
-    zoa, aoa = geom.zoa, geom.aoa_az
-    zod, aod = geom.zod, geom.aod_az
-    frx_t, frx_p = array_fields(ue, [zoa], [aoa])
-    if nf_angles and near_field:
-        zod_e, aod_e = unit_to_angles(ue.reference[None, :] - bs.positions())
-        ftx_t, ftx_p = array_fields(bs, zod_e[:, None], aod_e[:, None])
-    else:
-        ftx_t, ftx_p = array_fields(bs, [zod], [aod])
-    # polarization matrix [[1, 0], [0, -1]]
-    coup = frx_t * ftx_t.T - frx_p * ftx_p.T
-    if near_field:
-        pair = np.linalg.norm(ue.positions()[:, None, :]
-                              - bs.positions()[None, :, :], axis=-1)
-        phase = los_element_phase(pair, lam0)
-    else:
-        r_tx = sph_unit(zod, aod)
-        r_rx = sph_unit(zoa, aoa)
-        phase = (np.exp(-2j * np.pi * geom.d3d / lam0)
-                 * np.exp(2j * np.pi * (ue.offsets @ r_rx) / lam0)[:, None]
-                 * np.exp(2j * np.pi * (bs.offsets @ r_tx) / lam0)[None, :])
-    h = np.sqrt(p_los) * coup * phase
+    into p_los.  ``f_rx`` / ``f_tx`` are the (F_theta, F_phi) fields of
+    each UE / BS element toward the LOS direction.  Near-field mode uses
+    exact element-pair distances; the plane-wave mode uses first-order
+    array phases."""
+    r_rx = sph_unit(geom.zoa, geom.aoa_az)
+    w_rx = np.full(ue.size, np.sqrt(p_los), dtype=complex)
+    w_tx = np.ones(bs.size, dtype=complex)
     if sns_beta is not None:
-        h = h * np.sqrt(np.asarray(sns_beta))[:, None]
+        w_rx *= np.sqrt(np.asarray(sns_beta))
     if sns_alpha is not None:
-        al = np.asarray(sns_alpha, dtype=float)
-        al0 = al[:, 0] if al.ndim == 2 else al[:, 0, 0]
-        h = h * np.sqrt(al0)[None, :]
-    dop = np.exp(2j * np.pi * ((sph_unit(zoa, aoa) @ v) / lam0) * t)
-    return h[:, :, None] * dop[None, None, :]
+        w_tx *= np.sqrt(np.asarray(sns_alpha, dtype=float).reshape(bs.size, -1)[:, 0])
+    if not near_field:
+        w_rx *= (np.exp(-2j * np.pi * geom.d3d / lam0)
+                 * np.exp(2j * np.pi * (ue.offsets @ r_rx) / lam0))
+        w_tx *= np.exp(2j * np.pi * (bs.offsets @ sph_unit(geom.zod, geom.aod_az))
+                       / lam0)
+    # polarization matrix [[1, 0], [0, -1]]
+    h = (np.outer(f_rx[0] * w_rx, f_tx[0] * w_tx)
+         - np.outer(f_rx[1] * w_rx, f_tx[1] * w_tx))
+    if near_field:
+        (ue_first, ue_site), (bs_first, bs_site) = ue.sites, bs.sites
+        pair = np.linalg.norm(ue.positions()[ue_first][:, None, :]
+                              - bs.positions()[bs_first][None, :, :], axis=-1)
+        h *= los_element_phase(pair, lam0)[ue_site][:, bs_site]
+    return h[:, :, None] * np.exp(2j * np.pi * ((r_rx @ v) / lam0) * t)
 
 
 def apply_large_scale(h, ls):

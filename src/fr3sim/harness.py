@@ -159,9 +159,10 @@ def _apply(cfg, mapping):
             if typ is bool and isinstance(val, str):
                 val = configparser.ConfigParser.BOOLEAN_STATES[
                     val.strip().lower()]
-            elif typ is int and not isinstance(val, str) and (
-                    isinstance(val, bool) or int(val) != val):
-                raise ValueError   # a library caller's float or bool
+            elif not isinstance(val, str) and (
+                    isinstance(val, bool) != (typ is bool)
+                    or typ is int and int(val) != val):
+                raise ValueError   # a library caller's mistyped value
             values[key] = typ(val)
         except (KeyError, ValueError, OverflowError):
             raise ConfigError(f"{key} = {val!r} is not "

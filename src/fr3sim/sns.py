@@ -141,10 +141,12 @@ def blocker_attenuation(blocker, p_tx, p_rx, lam0, l_max_db=40.0):
     ``p_tx`` and ``p_rx`` are (..., 3) end points that broadcast against
     each other, so (S, 1, 3) elements and (1, R, 3) sources give (S, R)
     losses.  L = -20 log10(1 - (F_h1 + F_h2)(F_w1 + F_w2)) with edge terms
-    from the top/bottom and side screen edges.  A path has 0 dB when its
-    closest approach to the screen center lies outside the segment between
-    its end points, or when it is vertical; a non-positive log argument
-    clamps at ``l_max_db``.
+    from the top/bottom and side screen edges, each signed by the side of
+    its edge that the path crosses (TR 38.901 blockage model B), so that
+    L >= 0 and a path beside the screen loses little.  A path has 0 dB
+    when its closest approach to the screen center lies outside the segment
+    between its end points, or when it is vertical; a non-positive log
+    argument clamps at ``l_max_db``.
     """
     tx, rx = np.broadcast_arrays(np.asarray(p_tx, dtype=float),
                                  np.asarray(p_rx, dtype=float))
@@ -162,17 +164,20 @@ def blocker_attenuation(blocker, p_tx, p_rx, lam0, l_max_db=40.0):
                      axis=-1) / flat[..., None]
     tpar = np.sum((c - tx) * link, axis=-1) / r2
     hit = ok & (tpar > 0.0) & (tpar < 1.0)
-    # the direct ray is blocked in a dimension when its crossing point lies
-    # within the screen extent in that dimension
+    # an edge term is positive when the crossing point lies on the screen's
+    # side of that edge (shadowed by it) and negative beyond it, so a path
+    # beside the screen gets F_near < F_far and a small positive sum
     cross = tx + tpar[..., None] * link
-    in_h = np.abs(np.sum((cross - c) * horiz, axis=-1)) <= blocker.width / 2.0
-    in_v = np.abs(cross[..., 2] - c[2]) <= blocker.height / 2.0
-    up = np.array([0.0, 0.0, blocker.height / 2.0])
-    side = horiz * (blocker.width / 2.0)
+    x_h = np.sum((cross - c) * horiz, axis=-1)
+    x_v = cross[..., 2] - c[2]
+    hh, hw = blocker.height / 2.0, blocker.width / 2.0
+    up = np.array([0.0, 0.0, hh])
+    side = horiz * hw
     edges = np.stack(np.broadcast_arrays(c + up, c - up, c - side, c + side))
     excess = np.maximum(np.linalg.norm(edges - tx, axis=-1)
                         + np.linalg.norm(rx - edges, axis=-1) - r, 0.0)
-    sign = np.where(np.stack([in_v, in_v, in_h, in_h]), 1.0, -1.0)
+    shadowed = np.stack([x_v <= hh, x_v >= -hh, x_h >= -hw, x_h <= hw])
+    sign = np.where(shadowed, 1.0, -1.0)
     f = np.arctan(sign * 0.5 * np.pi * np.sqrt(np.pi * excess / lam0)) / np.pi
     product = np.where(hit, (f[0] + f[1]) * (f[2] + f[3]), 0.0)
     return np.where(hit, knife_edge_loss_db(product, l_max_db), 0.0)[()]

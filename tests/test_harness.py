@@ -322,6 +322,18 @@ class TestConfigAndCli:
         with pytest.raises(ConfigError, match="n_ues"):
             load_config(overrides={"n_ues": value})
 
+    @pytest.mark.parametrize("key,value", [("fc_ghz", True),
+                                           ("near_field", 2),
+                                           ("near_field", 1.0)])
+    def test_bool_and_float_overrides_keep_their_type(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides={key: value})
+
+    def test_string_bool_and_int_float_overrides_accepted(self):
+        cfg = load_config(overrides={"near_field": "yes", "fc_ghz": 9})
+        assert cfg.near_field is True
+        assert cfg.fc_ghz == 9.0 and isinstance(cfg.fc_ghz, float)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides={"not_a_key": 1})

@@ -140,6 +140,27 @@ class TestKnifeEdge:
         l_db = blocker_attenuation(blk, tx, rx, LAM)
         assert l_db < 0.5
 
+    def test_centre_path_unchanged_by_edge_signs(self):
+        # a path through the screen centre is shadowed by all four edges;
+        # its loss is the value the single-sign form gave
+        blk = Blocker(np.array([5.0, 0.0, 1.5]), 2.0, 2.0)
+        got = blocker_attenuation(blk, np.array([0.0, 0.0, 1.5]),
+                                  np.array([10.0, 0.0, 1.5]), LAM)
+        assert got == pytest.approx(13.993074039093056, rel=1e-12)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_path_beside_screen_loses_little(self, axis):
+        # beside (axis 1) or above (axis 2) a 2 m screen: the loss is never
+        # a gain, and it falls as the crossing point moves off the screen
+        blk = Blocker(np.array([5.0, 0.0, 1.5]), 2.0, 2.0)
+        offsets = np.linspace(1.2, 6.0, 9)
+        tx = np.tile([0.0, 0.0, 1.5], (9, 1))
+        tx[:, axis] += 2.0 * offsets
+        got = blocker_attenuation(blk, tx, np.array([10.0, 0.0, 1.5]), LAM)
+        assert np.all(got >= 0.0)
+        assert np.all(np.diff(got) < 0.0)
+        assert got[-1] < 0.2
+
     def test_behind_endpoints_ignored(self):
         blk = Blocker(np.array([-5.0, 0.0, 1.5]), 2.0, 2.0)
         assert blocker_attenuation(blk, np.array([0.0, 0.0, 1.5]),
@@ -163,21 +184,21 @@ def scalar_blocker_attenuation(blocker, p_tx, p_rx, lam0, l_max_db=40.0):
         return 0.0
     horiz = horiz / nh
 
-    def edge_f(edge_point, blocked):
+    def edge_f(edge_point, shadowed):
         d1 = np.linalg.norm(edge_point - tx)
         d2 = np.linalg.norm(rx - edge_point)
         excess = max(d1 + d2 - r, 0.0)
-        sign = 1.0 if blocked else -1.0
+        sign = 1.0 if shadowed else -1.0
         return np.arctan(sign * 0.5 * np.pi
                          * np.sqrt(np.pi * excess / lam0)) / np.pi
 
+    # each edge is signed by the side of it that the path crosses
     cross = tx + tpar * link
-    in_h = abs(np.dot(cross - c, horiz)) <= blocker.width / 2.0
-    in_v = abs(cross[2] - c[2]) <= blocker.height / 2.0
-    f_h = (edge_f(c + up * blocker.height / 2.0, in_v)
-           + edge_f(c - up * blocker.height / 2.0, in_v))
-    f_w = (edge_f(c - horiz * blocker.width / 2.0, in_h)
-           + edge_f(c + horiz * blocker.width / 2.0, in_h))
+    x_h = np.dot(cross - c, horiz)
+    x_v = cross[2] - c[2]
+    hh, hw = blocker.height / 2.0, blocker.width / 2.0
+    f_h = (edge_f(c + up * hh, x_v <= hh) + edge_f(c - up * hh, x_v >= -hh))
+    f_w = (edge_f(c - horiz * hw, x_h >= -hw) + edge_f(c + horiz * hw, x_h <= hw))
     arg = 1.0 - f_h * f_w
     if arg <= 0.0:
         warnings.warn("knife-edge Fresnel product >= 1; loss clamped")
