@@ -1,6 +1,6 @@
 """Element patterns, planar arrays, and UE device antenna placement."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -10,28 +10,26 @@ from .geometry import Orientation, gcs_to_lcs, vec3
 
 @dataclass(frozen=True)
 class ElementPattern:
-    """Parabolic-cut element power pattern with slant polarization.
+    """Parabolic-cut element power pattern.
 
     phi_3db / theta_3db are the 3 dB beamwidths in degrees, a_max the
     azimuth-cut floor and sla_v the elevation side-lobe floor (both in dB,
-    >= 0), max_gain_dbi the boresight directive gain.  slant_deg is the
-    polarization slant angle zeta in the element frame.
+    >= 0), max_gain_dbi the boresight directive gain.  The polarization
+    slant belongs to the mounted element (``MountedArray.slants``).
     """
     phi_3db: float = 65.0
     theta_3db: float = 65.0
     a_max: float = 30.0
     sla_v: float = 30.0
     max_gain_dbi: float = 8.0
-    slant_deg: float = 0.0
 
     @staticmethod
-    def directional(slant_deg=0.0):
-        return ElementPattern(slant_deg=slant_deg)
+    def directional():
+        return ElementPattern()
 
     @staticmethod
-    def isotropic(slant_deg=0.0):
-        return ElementPattern(phi_3db=65.0, theta_3db=65.0, a_max=0.0,
-                              sla_v=0.0, max_gain_dbi=0.0, slant_deg=slant_deg)
+    def isotropic():
+        return ElementPattern(a_max=0.0, sla_v=0.0, max_gain_dbi=0.0)
 
 
 def element_power_pattern(p, zenith_deg, azimuth_deg):
@@ -47,24 +45,34 @@ def element_power_pattern(p, zenith_deg, azimuth_deg):
     return -np.minimum(-(a_v + a_h), p.a_max)
 
 
-def field_pattern_lcs(p, zenith_deg, azimuth_deg):
-    """(F_theta, F_phi) in the element frame; |F_th|^2 + |F_ph|^2 = A."""
-    a_db = element_power_pattern(p, zenith_deg, azimuth_deg) + p.max_gain_dbi
-    amp = 10.0 ** (a_db / 20.0)
-    zeta = np.radians(p.slant_deg)
-    return amp * np.cos(zeta), amp * np.sin(zeta)
+def field_pattern(p, orientations, slants_deg, zenith_deg, azimuth_deg):
+    """(F_theta, F_phi) in the GCS, each (G, R), of G elements of pattern
+    ``p``: element g is mounted with ``orientations[g]`` and slanted by
+    ``slants_deg[g]`` degrees, and sees the (R,) angles shared by all or
+    its row of (G, R) angles.
 
-
-def field_pattern(p, orientation, zenith_deg, azimuth_deg):
-    """(F_theta, F_phi) in the GCS for an element mounted with ``orientation``.
-
-    The GCS direction is rotated into the element frame, the slanted field
-    components are evaluated there, and the polarization basis is rotated
-    back through the angle psi.  Power is preserved exactly.
+    Each direction is rotated into the element frame, where the power
+    pattern gives the amplitude and the slant zeta splits it into
+    (cos zeta, sin zeta); the basis is rotated back through the angle psi.
+    Power is preserved exactly.  Shared angles are transformed, and the
+    power pattern evaluated, once per distinct orientation.
     """
-    zen_l, az_l, psi = gcs_to_lcs(orientation, zenith_deg, azimuth_deg)
-    f_th_l, f_ph_l = field_pattern_lcs(p, zen_l, az_l)
-    c, s = np.cos(np.radians(psi)), np.sin(np.radians(psi))
+    frames = {}
+    row = np.array([frames.setdefault(o, len(frames)) for o in orientations])
+    rot = np.array([o.rotation() for o in frames])
+    zen = np.asarray(zenith_deg, dtype=float)
+    az = np.asarray(azimuth_deg, dtype=float)
+    if zen.ndim == 1:
+        zen, az = zen[None], az[None]      # one output row per frame
+    else:
+        rot, row = rot[row], slice(None)   # one frame per angle row
+    zen_l, az_l, psi = gcs_to_lcs(rot, zen, az)
+    a_db = element_power_pattern(p, zen_l, az_l) + p.max_gain_dbi
+    amp = (10.0 ** (a_db / 20.0))[row]
+    zeta = np.radians(np.asarray(slants_deg, dtype=float))[:, None]
+    f_th_l, f_ph_l = amp * np.cos(zeta), amp * np.sin(zeta)
+    psi = np.radians(psi[row])
+    c, s = np.cos(psi), np.sin(psi)
     return c * f_th_l - s * f_ph_l, s * f_th_l + c * f_ph_l
 
 
@@ -74,7 +82,7 @@ class PanelArray:
 
     Spacings are in wavelengths; panel spacings default to M/2 and N/2
     (i.e. M lambda/2 and N lambda/2).  P=2 places co-located +/-45 deg
-    slanted element pairs.
+    slanted element pairs; a single-polarized panel has slant 0.
     """
     mg: int = 1
     ng: int = 1
@@ -92,9 +100,7 @@ class PanelArray:
         return self.mg * self.ng * self.m * self.n * self.p
 
     def slants(self):
-        if self.p == 1:
-            return (self.element.slant_deg,)
-        return self.pol_slants[: self.p]
+        return (0.0,) if self.p == 1 else self.pol_slants[: self.p]
 
 
 def element_grid(a, wavelength):
@@ -236,21 +242,18 @@ class MountedArray:
 
     @cached_property
     def field_groups(self):
-        """(slanted pattern, orientation, element indices) for each distinct
-        (orientation, slant) pair, in order of first appearance."""
+        """(orientation, slant, element indices) of each field group, one
+        per distinct (orientation, slant) pair, in order of first appearance."""
         groups = {}
         for k, key in enumerate(zip(self.orientations, self.slants.tolist())):
             groups.setdefault(key, []).append(k)
-        slanted = {s: replace(self.pattern, slant_deg=s)
-                   for s in set(self.slants.tolist())}
-        return [(slanted[s], ori, np.array(idx))
-                for (ori, s), idx in groups.items()]
+        return [(ori, s, np.array(idx)) for (ori, s), idx in groups.items()]
 
     @cached_property
     def group_index(self):
         """(K,) index into ``field_groups`` of each element."""
         out = np.empty(self.size, dtype=int)
-        for g, (_pat, _ori, idx) in enumerate(self.field_groups):
+        for g, (_ori, _slant, idx) in enumerate(self.field_groups):
             out[idx] = g
         return out
 

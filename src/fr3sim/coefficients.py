@@ -3,7 +3,7 @@ sub-cluster expansion, Doppler, absolute delay, and large-scale application.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +68,11 @@ class ChannelRealization:
     lam0: float
     delays: np.ndarray            # (n_taps,) seconds, non-decreasing
     gains: list                   # n_taps arrays of shape (U, S, T)
-    meta: dict = field(default_factory=dict)
     ray_gains: list = None        # optional per-tap (U, S, R, T) diagnostics
 
     @property
     def n_taps(self):
         return self.delays.shape[0]
-
-    def tensor(self, t_index=0):
-        """(n_taps, U, S) gains at one time sample."""
-        return np.stack([g[:, :, t_index] for g in self.gains])
 
     def energy(self):
         """Sum over taps of |H|^2, per (u, s) element pair."""
@@ -99,31 +94,23 @@ def _site_phases(arr, first, r_hat, lam0, d=None, grid=None):
     return (rows[:, None, :] * cols[None, :, :]).reshape(-1, r_hat.shape[0])
 
 
-def group_fields(mounted, zen, az):
-    """GCS field patterns (F_theta, F_phi), each (G, R): one row per entry
-    of ``mounted.field_groups`` for (R,) angles in degrees shared by all
-    elements."""
-    f = [field_pattern(pat, ori, zen, az) for pat, ori, _idx in mounted.field_groups]
-    return np.array([f_t for f_t, _ in f]), np.array([f_p for _, f_p in f])
-
-
-def array_fields(mounted, zen, az):
-    """GCS field patterns (F_theta, F_phi), each (K, R), of a mounted array.
-
-    ``zen`` / ``az`` are (R,) angles in degrees shared by all elements, or
-    (K, R) angles with one row per element.  ``field_pattern`` is evaluated
-    once per distinct (orientation, slant) of the array.
+def array_fields(mounted, zen, az, per_group=False):
+    """GCS field patterns (F_theta, F_phi), each (K, R), of a mounted array
+    from one ``field_pattern`` call, for (R,) angles in degrees shared by
+    all elements or (K, R) angles with one row per element.  Shared angles
+    are evaluated once per entry of ``mounted.field_groups``, and
+    ``per_group`` returns those (G, R) rows.
     """
     zen = np.asarray(zen, dtype=float)
     az = np.asarray(az, dtype=float)
-    if zen.ndim == 1:
-        f_t, f_p = group_fields(mounted, zen, az)
-        return f_t[mounted.group_index], f_p[mounted.group_index]
-    f_t = np.empty(zen.shape)
-    f_p = np.empty_like(f_t)
-    for pat, ori, idx in mounted.field_groups:
-        f_t[idx], f_p[idx] = field_pattern(pat, ori, zen[idx], az[idx])
-    return f_t, f_p
+    if zen.ndim == 2:
+        return field_pattern(mounted.pattern, mounted.orientations,
+                             mounted.slants, zen, az)
+    orientations, slants, _idx = zip(*mounted.field_groups)
+    f_t, f_p = field_pattern(mounted.pattern, orientations, slants, zen, az)
+    if per_group:
+        return f_t, f_p
+    return f_t[mounted.group_index], f_p[mounted.group_index]
 
 
 def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
@@ -185,7 +172,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
         else:
             zod, aod = np.append(zod, geom.zod), np.append(aod, geom.aod_az)
     frx_t, frx_p = array_fields(ue, zoa, aoa)
-    ftx_t, ftx_p = (array_fields if elementwise else group_fields)(bs, zod, aod)
+    ftx_t, ftx_p = array_fields(bs, zod, aod, per_group=True)
 
     # BS sites, and sqrt(alpha) per site and alpha column (cluster or ray)
     first, site = bs.sites
@@ -284,7 +271,6 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
 
     return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9, lam0=lam0,
                               delays=delays, gains=gains,
-                              meta={"n_clusters": n, "n_rays": m, "los": los},
                               ray_gains=ray_gains)
 
 
@@ -323,7 +309,7 @@ def apply_large_scale(h, ls):
     scale = 10.0 ** (-ls.total / 20.0)
     return ChannelRealization(
         fc_ghz=h.fc_ghz, lam0=h.lam0, delays=h.delays,
-        gains=[g * scale for g in h.gains], meta=dict(h.meta),
+        gains=[g * scale for g in h.gains],
         ray_gains=None if h.ray_gains is None else [g * scale for g in h.ray_gains])
 
 

@@ -82,13 +82,17 @@ def gcs_to_lcs(orientation, zenith_deg, azimuth_deg):
     Returns (zenith', azimuth', psi) where psi is the polarization rotation
     angle in degrees: GCS field components are obtained from LCS components
     by a 2x2 rotation through psi.
+
+    ``orientation`` may also be an (O, 3, 3) stack of rotation matrices,
+    which broadcasts like a matmul stack against (1, R) or (O, R) angles.
     """
-    r = orientation.rotation()
+    r = orientation.rotation() if isinstance(orientation, Orientation) \
+        else np.asarray(orientation)
     v = sph_unit(zenith_deg, azimuth_deg)
     v_lcs = v @ r  # == R.T applied to each row vector
     zen_l, az_l = unit_to_angles(v_lcs)
     # psi from the projection of the rotated LCS theta-basis onto the GCS basis
-    th_l = _theta_hat(zen_l, az_l) @ r.T
+    th_l = _theta_hat(zen_l, az_l) @ np.swapaxes(r, -1, -2)
     cos_psi = np.sum(_theta_hat(zenith_deg, azimuth_deg) * th_l, axis=-1)
     sin_psi = np.sum(_phi_hat(zenith_deg, azimuth_deg) * th_l, axis=-1)
     psi = np.degrees(np.arctan2(sin_psi, cos_psi))

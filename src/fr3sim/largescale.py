@@ -37,6 +37,13 @@ def breakpoint_distance(family, h_bs, h_ue, fc_ghz, env_height=1.0):
     return 4.0 * (h_bs - env_height) * (h_ue - env_height) * fc_hz / C_LIGHT
 
 
+def _scenario_breakpoint(sc, h_bs, h_ue, fc_ghz):
+    """breakpoint_distance of ``sc``'s path-loss family at its environment
+    height (1 m unless the table sets pl_env_height)."""
+    return breakpoint_distance(sc.text("pl_family"), h_bs, h_ue, fc_ghz,
+                               sc.value("pl_env_height", default=1.0))
+
+
 def _pl1_rma(d, fc_ghz, h):
     return (20.0 * np.log10(40.0 * np.pi * d * fc_ghz / 3.0)
             + min(0.03 * h ** 1.72, 10.0) * np.log10(d)
@@ -62,8 +69,8 @@ def path_loss(sc, g, state, fc_ghz, nlos_floor=True, strict=False):
     if g.d3d <= 0:
         raise ValueError("non-positive link distance")
     family = sc.text("pl_family")
-    d_min = sc.value("pl_d2d_min") if sc.has("pl_d2d_min") else 0.0
-    d_max = sc.value("pl_d2d_max") if sc.has("pl_d2d_max") else np.inf
+    d_min = sc.value("pl_d2d_min", default=0.0)
+    d_max = sc.value("pl_d2d_max", default=np.inf)
     if not (d_min <= g.d2d <= d_max):
         msg = f"{sc.name}: d2D={g.d2d:.1f} m outside validity [{d_min}, {d_max}]"
         if strict:
@@ -87,8 +94,7 @@ def path_loss(sc, g, state, fc_ghz, nlos_floor=True, strict=False):
         return float(max(pl_los, pl_n) if nlos_floor else pl_n)
 
     if family in ("uma_dual", "umi_dual"):
-        h_e = sc.value("pl_env_height") if sc.has("pl_env_height") else 1.0
-        dbp = breakpoint_distance(family, g.h_bs, g.h_ue, fc_ghz, h_e)
+        dbp = _scenario_breakpoint(sc, g.h_bs, g.h_ue, fc_ghz)
         if family == "uma_dual":
             a, slope2, corr = 28.0, 40.0, 9.0
         else:
@@ -124,8 +130,7 @@ def sf_sigma(sc, state, d2d, fc_ghz, h_bs, h_ue):
     key = state.state_key
     sigma = sc.value("sf_sigma", key)
     if key == LOS and sc.has("sf_sigma_far", key):
-        dbp = breakpoint_distance(sc.text("pl_family"), h_bs, h_ue, fc_ghz,
-                                  sc.value("pl_env_height") if sc.has("pl_env_height") else 1.0)
+        dbp = _scenario_breakpoint(sc, h_bs, h_ue, fc_ghz)
         if d2d > dbp:
             sigma = sc.value("sf_sigma_far", key)
     return sigma

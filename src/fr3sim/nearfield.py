@@ -22,9 +22,6 @@ class NearFieldGeometry:
     alpha: float
     beta: float
 
-    def total(self):
-        return self.d1 + self.d2
-
 
 def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
     """Per-ray spherical-wave source distances.

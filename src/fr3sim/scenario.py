@@ -11,13 +11,9 @@ import ast
 import hashlib
 import operator
 from dataclasses import dataclass, field
+from importlib.resources import files
 
 import numpy as np
-
-try:
-    from importlib.resources import files as _pkg_files
-except ImportError:  # pragma: no cover
-    _pkg_files = None
 
 LOS, NLOS, O2I = "los", "nlos", "o2i"
 STATES = (LOS, NLOS, O2I)
@@ -122,7 +118,11 @@ class ScenarioParams:
     def text(self, param, state="all"):
         return self._entry(param, state).raw
 
-    def value(self, param, state="all", fc=None):
+    def value(self, param, state="all", fc=None, default=None):
+        """The parameter's value; ``default``, when given, stands in for a
+        parameter the table lacks."""
+        if default is not None and not self.has(param, state):
+            return default
         return eval_expression(self._entry(param, state).raw, fc=fc)
 
     # -- convenience accessors used across the pipeline -----------------
@@ -134,15 +134,15 @@ class ScenarioParams:
         return self.value("indoor_ratio")
 
     def commercial_fraction(self):
-        return self.value("commercial_fraction") if self.has("commercial_fraction") else 0.0
+        return self.value("commercial_fraction", default=0.0)
 
     def building_floors(self, building):
         key = "commercial_floors" if building == "commercial" else "residential_floors"
-        return int(self.value(key)) if self.has(key) else 1
+        return int(self.value(key, default=1))
 
     def floor_height(self, floor):
-        base = self.value("floor_base_m") if self.has("floor_base_m") else 1.5
-        step = self.value("floor_step_m") if self.has("floor_step_m") else 3.0
+        base = self.value("floor_base_m", default=1.5)
+        step = self.value("floor_step_m", default=3.0)
         return base + step * floor
 
     def outdoor_ue_height(self):
@@ -254,16 +254,15 @@ def _parse_rows(path):
     return rows
 
 
-def _data_root():
-    if _pkg_files is None:
-        raise ParameterError("importlib.resources unavailable")
-    return _pkg_files("fr3sim") / "data"
+def data_root():
+    """The packaged data directory: parameter tables and presets/."""
+    return files("fr3sim") / "data"
 
 
 def load_parameter_tables(source=None):
     """Load all parameter files from ``source`` (a directory path) or the
     packaged defaults.  Returns a validated Registry."""
-    root = source if source is not None else _data_root()
+    root = source if source is not None else data_root()
     hashes = {}
 
     def digest(p):
@@ -380,7 +379,7 @@ def _o2i_mix(sc, building):
     probs = []
     for model in ("low", "high", "lowa"):
         key = f"o2i_p_{model}_{suffix}"
-        probs.append(sc.value(key) if sc.has(key) else 0.0)
+        probs.append(sc.value(key, default=0.0))
     total = sum(probs)
     if total <= 0:
         return [1.0, 0.0, 0.0]
@@ -416,7 +415,7 @@ def assign_states(links, sc, rng, ues=None, force_los=None, force_location=None)
             building = "commercial" if u_building < sc.commercial_fraction() else "residential"
 
         location = "indoor" if indoor else "outdoor"
-        if not indoor and sc.has("outdoor_in_car") and sc.value("outdoor_in_car") > 0:
+        if not indoor and sc.value("outdoor_in_car", default=0.0) > 0:
             location = "car"
         if force_location is not None:
             location = force_location

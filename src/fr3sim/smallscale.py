@@ -159,14 +159,13 @@ def prune_clusters(tau, tau_scaled, p, p_los, threshold_db=25.0):
     """Drop clusters more than threshold_db below the strongest one.
 
     Survivor powers are rescaled to preserve the total scattered power so
-    the sum-to-one invariant stays exact.
+    the sum-to-one invariant stays exact.  The last value returned is the
+    (ascending) original index of each survivor.
     """
-    keep = p >= p.max() * 10.0 ** (-threshold_db / 10.0)
-    if keep.all():
-        return tau, tau_scaled, p, p_los
-    p2 = p[keep]
+    kept = np.flatnonzero(p >= p.max() * 10.0 ** (-threshold_db / 10.0))
+    p2 = p[kept]
     p2 = p2 * (p.sum() / p2.sum())
-    return tau[keep], tau_scaled[keep], p2, p_los
+    return tau[kept], tau_scaled[kept], p2, p_los, kept
 
 
 def _scaling_factor(table, n, k_db=None, kind="phi"):
@@ -312,13 +311,10 @@ def build_cluster_set(sc, state, lsp, los_angles, fc_ghz, rngs, scaling,
     p, p_los = generate_powers(tau, lsp.ds, ssp["r_tau"], ssp["zeta"], k_db,
                                los, rngs["powers"])
     strongest = rank_strongest(p)
-    if prune_db is not None:
-        keep_mask = p >= p.max() * 10.0 ** (-prune_db / 10.0)
-        tau, tau_scaled, p, p_los = prune_clusters(tau, tau_scaled, p, p_los,
-                                                   prune_db)
-        old_idx = np.flatnonzero(keep_mask)
-        strongest = tuple(int(np.searchsorted(old_idx, s)) for s in strongest
-                          if s in old_idx)
+    tau, tau_scaled, p, p_los, kept = prune_clusters(tau, tau_scaled, p, p_los,
+                                                     prune_db)
+    strongest = tuple(int(np.searchsorted(kept, s)) for s in strongest
+                      if s in kept)
     n_gen, n = n, p.shape[0]
     aoa, aod, zoa, zod = generate_angles(p, lsp, los, los_angles, ssp,
                                          scaling, m, rngs["angles"],

@@ -272,6 +272,7 @@ def _mean_gain(preset, radius, n_ues, out, seed=101):
 
 @pytest.mark.filterwarnings("ignore::fr3sim.largescale.ValidityWarning")
 class TestNearFieldTrend:
+    @pytest.mark.slow
     def test_capacity_gain_ordering(self, tmp_path):
         inh = [_mean_gain("inh", r, 500, tmp_path) for r in (2.0, 5.0, 10.0)]
         umi = [_mean_gain("umi", r, 300, tmp_path) for r in (20.0, 50.0, 100.0)]
@@ -311,6 +312,7 @@ class TestSnsProperties:
         ok = inside[0] == 1.0 and abs(edge[0] - 1.0) < 1e-9 and 0 < outside[0] < 1
         _report("alpha in (0,1], unity inside VR, boundary-continuous", ok, "")
 
+    @pytest.mark.slow
     def test_coupling_loss_shift(self, tmp_path):
         shifts = {}
         per_link_ok = True

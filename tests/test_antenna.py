@@ -3,7 +3,7 @@ import pytest
 
 from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
                             element_positions, element_power_pattern,
-                            field_pattern, field_pattern_lcs,
+                            field_pattern,
                             mount_ue_device, ue_candidate_locations)
 from fr3sim.geometry import Orientation, gcs_to_lcs
 
@@ -41,27 +41,48 @@ class TestPowerPattern:
 
 
 class TestFieldPattern:
+    # with the identity orientation the element frame is the GCS
+
     def test_zero_slant_no_phi_component(self):
-        p = ElementPattern.directional(slant_deg=0.0)
-        _ft, fp = field_pattern_lcs(p, 77.0, 12.0)
+        p = ElementPattern.directional()
+        (_ft,), (fp,) = field_pattern(p, [Orientation()], [0.0], [77.0], [12.0])
         assert fp == pytest.approx(0.0, abs=1e-15)
 
     def test_slant_45_boresight(self):
-        p = ElementPattern(a_max=0, sla_v=0, max_gain_dbi=0, slant_deg=45.0)
-        ft, fp = field_pattern_lcs(p, 90.0, 0.0)
+        p = ElementPattern(a_max=0, sla_v=0, max_gain_dbi=0)
+        (ft,), (fp,) = field_pattern(p, [Orientation()], [45.0], [90.0], [0.0])
         assert ft == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert fp == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+    def test_stack_matches_one_element_calls(self):
+        # repeated orientations with different slants, shared and per-row
+        # angles: each row equals the element evaluated on its own
+        rng = np.random.default_rng(3)
+        p = ElementPattern()
+        o1, o2 = Orientation(30.0, 10.0, 0.0), Orientation(-45.0, 0.0, 5.0)
+        oris, slants = [o1, o2, o1, o2, o1], [0.0, 90.0, 90.0, 45.0, -45.0]
+        zen, az = rng.uniform(5, 175, (5, 13)), rng.uniform(-179, 179, (5, 13))
+        shared = field_pattern(p, oris, slants, zen[0], az[0])
+        rows = field_pattern(p, oris, slants, zen, az)
+        for g in range(5):
+            one = field_pattern(p, [oris[g]], [slants[g]], zen[0], az[0])
+            assert np.array_equal(shared[0][g], one[0][0])
+            assert np.array_equal(shared[1][g], one[1][0])
+            one = field_pattern(p, [oris[g]], [slants[g]], zen[g], az[g])
+            assert np.array_equal(rows[0][g], one[0][0])
+            assert np.array_equal(rows[1][g], one[1][0])
 
     def test_power_identity_in_gcs(self):
         # |F_theta|^2 + |F_phi|^2 equals the directive power gain for any
         # mounting orientation and slant
         rng = np.random.default_rng(2)
+        p = ElementPattern()
         for _ in range(40):
-            p = ElementPattern(slant_deg=rng.uniform(-90, 90))
+            slant = rng.uniform(-90, 90)
             o = Orientation(*rng.uniform(-90, 90, 3))
             zen = rng.uniform(5, 175, 25)
             az = rng.uniform(-179, 179, 25)
-            ft, fp = field_pattern(p, o, zen, az)
+            (ft,), (fp,) = field_pattern(p, [o], [slant], zen, az)
             zl, al, _ = gcs_to_lcs(o, zen, az)
             a_lin = 10 ** ((element_power_pattern(p, zl, al) + p.max_gain_dbi) / 10)
             assert np.allclose(ft ** 2 + fp ** 2, a_lin, atol=1e-12)

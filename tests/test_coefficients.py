@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -193,12 +191,11 @@ class TestSynthesize:
 
 def per_element_fields(arr, zen, az):
     """Reference: one field_pattern call per element."""
-    rows = [field_pattern(replace(arr.pattern, slant_deg=float(arr.slants[k])),
-                          arr.orientations[k],
+    rows = [field_pattern(arr.pattern, [arr.orientations[k]], [arr.slants[k]],
                           zen if zen.ndim == 1 else zen[k],
                           az if az.ndim == 1 else az[k])
             for k in range(arr.size)]
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    return np.array([r[0][0] for r in rows]), np.array([r[1][0] for r in rows])
 
 
 class TestArrayFields:
@@ -231,6 +228,49 @@ class TestArrayFields:
         zen = self.RNG.uniform(0.0, 180.0, (bs.size, 23))
         az = self.RNG.uniform(-180.0, 180.0, (bs.size, 23))
         self.check(bs, zen, az)
+
+    def test_per_group_rows(self):
+        ue = mount_ue_device(UEDevice("handheld"), vec3(40, 10, 1.5),
+                             device_orientation=Orientation(20.0, 5.0, -3.0))
+        f_t, f_p = array_fields(ue, self.ZEN, self.AZ, per_group=True)
+        assert f_t.shape == (len(ue.field_groups), self.ZEN.size) == (16, 37)
+        want = per_element_fields(ue, self.ZEN, self.AZ)
+        first = [idx[0] for _ori, _slant, idx in ue.field_groups]
+        assert np.array_equal(f_t, want[0][first])
+        assert np.array_equal(f_p, want[1][first])
+        assert np.array_equal(f_t[ue.group_index], want[0])
+
+    def test_per_element_angles_dual_pol_bs(self):
+        # per-element rows have one frame each, so per_group changes nothing
+        # (synthesize's nf_angles path, LOS column included)
+        bs = mount_bs_array(PanelArray(m=4, n=4, p=2,
+                                       element=ElementPattern.directional()),
+                            vec3(0, 0, 3), Orientation(15.0, 90.0, 0.0), LAM)
+        zen = self.RNG.uniform(0.0, 180.0, (bs.size, 11))
+        az = self.RNG.uniform(-180.0, 180.0, (bs.size, 11))
+        got = array_fields(bs, zen, az, per_group=True)
+        want = per_element_fields(bs, zen, az)
+        assert got[0].shape == (32, 11)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        # the two slants of a co-located pair see the same angles but not
+        # the same fields
+        pair = bs.sites[1] == bs.sites[1][0]
+        assert pair.sum() == 2 and set(bs.slants[pair]) == {45.0, -45.0}
+        assert not np.allclose(got[1][pair][0], got[1][pair][1])
+
+    def test_single_pol_panel_keeps_slant_zero(self):
+        arr = PanelArray(m=4, n=2, p=1, element=ElementPattern.directional())
+        assert arr.slants() == (0.0,)
+        bs = mount_bs_array(arr, vec3(0, 0, 10), Orientation(0.0, 0.0, 0.0),
+                            LAM)
+        assert np.array_equal(bs.slants, np.zeros(8))
+        assert len(bs.field_groups) == 1
+        self.check(bs, self.ZEN, self.AZ)
+        # unrotated and unslanted: the field is all F_theta at the horizon
+        f_t, f_p = array_fields(bs, [90.0], [0.0])
+        assert np.allclose(f_p, 0.0, atol=1e-15)
+        assert np.allclose(f_t, 10.0 ** (8.0 / 20.0), rtol=1e-12)
 
 
 class TestAbsoluteDelay:

@@ -194,6 +194,19 @@ class TestGcsLcs:
         _zen, az, _psi = gcs_to_lcs(Orientation(90, 0, 0), 90.0, 0.0)
         assert az == pytest.approx(-90.0, abs=1e-10)
 
+    def test_rotation_stack_matches_single_frames(self):
+        rng = np.random.default_rng(12)
+        oris = [Orientation(*rng.uniform(-90, 90, 3)) for _ in range(4)]
+        rot = np.array([o.rotation() for o in oris])
+        zen, az = rng.uniform(1, 179, 9), rng.uniform(-179, 179, 9)
+        shared = gcs_to_lcs(rot, zen[None], az[None])          # (4, 9)
+        rows = gcs_to_lcs(rot, np.tile(zen, (4, 1)), np.tile(az, (4, 1)))
+        for i, o in enumerate(oris):
+            for got, want in zip(shared, gcs_to_lcs(o, zen, az)):
+                assert np.array_equal(got[i], want)
+            for got, want in zip(rows, gcs_to_lcs(o, zen, az)):
+                assert np.array_equal(got[i], want)
+
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):

@@ -53,6 +53,12 @@ class TestRegistry:
         assert SMA.value("sigma_xpr", "nlos") == 3.0
         assert SMA.value("n_clusters", "los") == 15
 
+    def test_value_default_only_for_missing(self):
+        assert SMA.value("r_tau", "los", default=9.0) == 2.4
+        assert SMA.value("no_such_param", default=1.5) == 1.5
+        with pytest.raises(ParameterError, match="no_such_param"):
+            SMA.value("no_such_param")
+
     def test_missing_key_named(self):
         with pytest.raises(ParameterError, match="r_tau"):
             broken = ScenarioParams("X", [e for (p, s), e in SMA.entries.items()

@@ -99,9 +99,21 @@ class TestPowers:
         tau = np.linspace(0, 1e-6, 12)
         p = np.geomspace(1.0, 1e-5, 12)
         p = p / p.sum() * 0.8
-        t2, s2, p2, p_los = prune_clusters(tau, tau, p, 0.2, threshold_db=25.0)
+        t2, s2, p2, p_los, _kept = prune_clusters(tau, tau, p, 0.2,
+                                                  threshold_db=25.0)
         assert t2.shape[0] < 12
         assert p2.sum() + p_los == pytest.approx(1.0, abs=1e-12)
+
+    def test_prune_reports_survivors(self):
+        p = np.array([0.3, 1e-5, 0.5, 2e-5, 0.2])
+        tau = np.arange(5) * 1e-8
+        t2, _s2, p2, _p_los, kept = prune_clusters(tau, tau, p, 0.0,
+                                                   threshold_db=25.0)
+        assert kept.tolist() == [0, 2, 4]
+        assert np.array_equal(t2, tau[kept])
+        assert np.allclose(p2 / p2.sum(), p[kept] / p[kept].sum())
+        *_, kept = prune_clusters(tau, tau, p, 0.0, threshold_db=60.0)
+        assert kept.tolist() == [0, 1, 2, 3, 4]
 
 
 class TestRayOffsets:

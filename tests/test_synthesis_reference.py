@@ -6,11 +6,10 @@ term, with no grouping by field or site.  Every tap of the synthesized
 channel must match it to 1e-12 relative to the tap's largest gain.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from fr3sim import coefficients
 from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
                             field_pattern, mount_bs_array, mount_ue_device)
 from fr3sim.coefficients import draw_phases, synthesize
@@ -41,10 +40,11 @@ def element_fields(arr, zen, az):
     (K, R)."""
     out = []
     for k in range(arr.size):
-        pat = replace(arr.pattern, slant_deg=float(arr.slants[k]))
         z = zen if np.ndim(zen) == 1 else zen[k]
         a = az if np.ndim(az) == 1 else az[k]
-        out.append(np.stack(field_pattern(pat, arr.orientations[k], z, a)))
+        f_t, f_p = field_pattern(arr.pattern, [arr.orientations[k]],
+                                 [arr.slants[k]], z, a)
+        out.append(np.stack([f_t[0], f_p[0]]))
     return np.array(out)
 
 
@@ -256,3 +256,19 @@ def test_keep_rays_sums_to_taps(name):
     assert_taps_close(h.gains, gains)
     assert_taps_close(h.ray_gains, ray_gains)
     assert_taps_close([r.sum(axis=2) for r in h.ray_gains], h.gains)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_one_field_pattern_call_per_array(name, monkeypatch):
+    # the UE and the BS fields, the LOS column and nf_angles' per-element
+    # angles included, come from one field_pattern call each
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return field_pattern(*args)
+
+    monkeypatch.setattr(coefficients, "field_pattern", counted)
+    args, got_kw, _ref_kw = link(CASES[name], np.random.default_rng(3))
+    synthesize(*args, LAM, **got_kw)
+    assert len(calls) == 2
