@@ -217,53 +217,35 @@ class UE:
         return float(self.position[2])
 
 
-def wrap_images(point, wrap_vectors, reach=1):
-    """The point plus its lattice-translated images.
-
-    ``reach`` = 1 gives the classic 7-image set; larger values enumerate all
-    integer combinations of the two lattice basis vectors within that reach
-    (brute-force oracle).
-    """
-    point = np.asarray(point, dtype=float)
-    if not wrap_vectors:
-        return point[None, :]
-    if reach == 1:
-        imgs = [point]
-        for w in wrap_vectors:
-            imgs.append(point + w)
-        return np.array(imgs)
-    b1, b2 = wrap_vectors[0], wrap_vectors[1]
-    imgs = []
-    for i in range(-reach, reach + 1):
-        for j in range(-reach, reach + 1):
-            imgs.append(point + i * b1 + j * b2)
-    return np.array(imgs)
+# lattice offsets of the 3 x 3 candidate images around the rounded
+# lattice coordinates, searched in this order
+_NEIGHBOURS = np.array([(di, dj) for di in (-1.0, 0.0, 1.0)
+                        for dj in (-1.0, 0.0, 1.0)])
 
 
 def effective_ue_position(site_pos, ue_pos, wrap_vectors):
-    """Wrap image of the UE closest to the site (identity if no wrap set).
+    """Wrap image of the UE closest to the site (the UE itself if there is
+    no wrap set).
 
-    The UE-site displacement is reduced modulo the cluster translation
-    lattice (nearest-image convention), which makes the effective distance
-    exactly invariant under any lattice translation of the UE.
+    ``site_pos`` and ``ue_pos`` broadcast over (..., 3), so one call covers
+    every (UE, site) pair.  The UE-site displacement is reduced modulo the
+    cluster translation lattice (nearest-image convention), which makes the
+    effective distance exactly invariant under any lattice translation of
+    the UE.  Of two equally near images, the first candidate in
+    ``_NEIGHBOURS`` order wins.
     """
     ue = np.asarray(ue_pos, dtype=float)
+    site = np.asarray(site_pos, dtype=float)
+    out = np.array(np.broadcast_to(ue, np.broadcast_shapes(ue.shape, site.shape)))
     if not wrap_vectors:
-        return ue
+        return out
     basis = np.column_stack([wrap_vectors[0][:2], wrap_vectors[1][:2]])
-    delta = ue[:2] - np.asarray(site_pos, dtype=float)[:2]
-    frac = np.linalg.solve(basis, delta)
-    base = np.round(frac)
-    best, best_d = None, np.inf
-    for di in (-1.0, 0.0, 1.0):
-        for dj in (-1.0, 0.0, 1.0):
-            k = base + np.array([di, dj])
-            cand = delta - basis @ k
-            d = np.hypot(cand[0], cand[1])
-            if d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and best is None):
-                best, best_d = k, d
-    out = ue.copy()
-    out[:2] = ue[:2] - basis @ best
+    delta = out[..., :2] - site[..., :2]
+    base = np.round(np.linalg.solve(basis, delta[..., None]))    # (..., 2, 1)
+    shift = (basis @ (base[..., None, :, :] + _NEIGHBOURS[:, :, None]))[..., 0]
+    cand = delta[..., None, :] - shift                           # (..., 9, 2)
+    best = np.argmin(np.hypot(cand[..., 0], cand[..., 1]), axis=-1)
+    out[..., :2] -= np.take_along_axis(shift, best[..., None, None], axis=-2)[..., 0, :]
     return out
 
 
@@ -274,7 +256,8 @@ def drop_ues(layout, count, sc, rng):
     seeds reproduce.  Heights follow the scenario rules: outdoor UEs at the
     scenario's outdoor height, indoor UEs uniformly over the floors of their
     building type.  Positions closer than the scenario minimum 2D distance
-    to any site are rejection-resampled.
+    to any site, measured to the nearest wrap image as in serving, are
+    rejection-resampled.
     """
     if count == 0:
         return []
@@ -282,7 +265,7 @@ def drop_ues(layout, count, sc, rng):
         raise ValueError("count must be >= 0")
     min_d = sc.min_bs_ue_distance()
     region = layout.drop_region
-    site_xy = np.array([s.position[:2] for s in layout.sites])
+    site_pos = np.array([s.position for s in layout.sites])
     ues = []
     attempts_budget = 1000 * count + 1000
     while len(ues) < count:
@@ -299,13 +282,9 @@ def drop_ues(layout, count, sc, rng):
             rad = r * np.sqrt(rng.uniform())
             x, y = cx + rad * np.cos(ang), cy + rad * np.sin(ang)
         if min_d > 0:
-            xy = np.array([x, y])
-            if layout.wrap_vectors:
-                imgs = wrap_images(vec3(x, y, 0.0), layout.wrap_vectors)[:, :2]
-                d = np.min(np.linalg.norm(imgs[None, :, :] - site_xy[:, None, :], axis=2))
-            else:
-                d = np.min(np.linalg.norm(site_xy - xy, axis=1))
-            if d < min_d:
+            eff = effective_ue_position(site_pos, vec3(x, y, 0.0),
+                                        layout.wrap_vectors)
+            if np.linalg.norm(eff[:, :2] - site_pos[:, :2], axis=1).min() < min_d:
                 continue
         indoor = bool(rng.uniform() < sc.indoor_ratio())
         building = ""

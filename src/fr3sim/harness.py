@@ -3,7 +3,6 @@ metrics, and output emission."""
 
 import configparser
 import hashlib
-import io
 import math
 import operator
 import os
@@ -300,12 +299,13 @@ class LinkTask:
 
 @dataclass
 class LinkReport:
+    """One row of links.csv; the field names are its columns."""
     link_id: int
-    ue_index: int
-    site_index: int
-    sector_index: int
-    d2d: float
-    d3d: float
+    ue: int
+    site: int
+    sector: int
+    d2d_m: float
+    d3d_m: float
     state: str
     pl_db: float
     sf_db: float
@@ -318,23 +318,17 @@ class LinkReport:
     zsd_deg: float
     n_clusters: int
     m_rays: int
-    gini_index: float
+    gini: float
 
 
-CSV_HEADER = ("link_id,ue,site,sector,d2d_m,d3d_m,state,pl_db,sf_db,"
-              "coupling_loss_db,capacity_bps_hz,ds_s,asa_deg,asd_deg,"
-              "zsa_deg,zsd_deg,n_clusters,m_rays,gini\n")
+# links.csv text of a LinkReport field, by the field's type
+_CSV_FORMAT = {int: str, str: str, float: "{:.9g}".format}
+CSV_HEADER = ",".join(f.name for f in fields(LinkReport)) + "\n"
 
 
 def report_row(r):
-    def g(x):
-        return f"{x:.9g}"
-    return ",".join([str(r.link_id), str(r.ue_index), str(r.site_index),
-                     str(r.sector_index), g(r.d2d), g(r.d3d), r.state,
-                     g(r.pl_db), g(r.sf_db), g(r.coupling_loss_db),
-                     g(r.capacity_bps_hz), g(r.ds_s), g(r.asa_deg),
-                     g(r.asd_deg), g(r.zsa_deg), g(r.zsd_deg),
-                     str(r.n_clusters), str(r.m_rays), g(r.gini_index)]) + "\n"
+    return ",".join(_CSV_FORMAT[f.type](getattr(r, f.name))
+                    for f in fields(LinkReport)) + "\n"
 
 
 @dataclass
@@ -448,8 +442,8 @@ def process_link(ctx, task):
     w_ray = np.repeat(cs.p / cs.m, cs.m)
     tap_d, tap_p = _tap_powers(cs, base_delay)
     report = LinkReport(
-        link_id=lid, ue_index=task.ue_index, site_index=task.site_index,
-        sector_index=task.sector_index, d2d=geom.d2d, d3d=geom.d3d,
+        link_id=lid, ue=task.ue_index, site=task.site_index,
+        sector=task.sector_index, d2d_m=geom.d2d, d3d_m=geom.d3d,
         state=f"{state.los}/{state.location}",
         pl_db=task.ls.pl_outdoor + task.ls.pl_tw + task.ls.pl_in
         + task.ls.penetration_random,
@@ -460,7 +454,7 @@ def process_link(ctx, task):
         asd_deg=_angular_spread(cs.aod, w_ray),
         zsa_deg=_angular_spread(cs.zoa, w_ray),
         zsd_deg=_angular_spread(cs.zod, w_ray),
-        n_clusters=cs.n, m_rays=cs.m, gini_index=gini(w_ray))
+        n_clusters=cs.n, m_rays=cs.m, gini=gini(w_ray))
     return report
 
 
@@ -495,21 +489,25 @@ def _build_layout(cfg, sc):
                              Orientation(0.0, cfg.bs_downtilt_deg, 0.0))
 
 
-def _serve(layout, ue_pos):
-    """Serving (site, sector, effective UE position) by minimum 3D distance
-    and boresight alignment."""
-    best = None
-    for si, site in enumerate(layout.sites):
-        eff = effective_ue_position(site.position, ue_pos, layout.wrap_vectors)
-        d = np.linalg.norm(eff - site.position)
-        if best is None or d < best[0]:
-            best = (d, si, eff)
-    _, si, eff = best
-    site = layout.sites[si]
-    g = link_geometry(site.position, eff)
-    sec = int(np.argmin([abs(wrap_azimuth(g.aod_az - s.alpha))
-                         for s in site.sectors]))
-    return si, sec, eff
+def _serve(layout, positions):
+    """Serve every UE of ``positions`` (U, 3) in one broadcast call: the
+    site whose nearest wrap image of the UE is closest in 3D (the first
+    such site on a tie), that image, and the sector best aligned with the
+    direction to it.  Returns (sites, sectors, effective positions (U, 3),
+    served LinkGeometry per UE)."""
+    site_pos = np.array([s.position for s in layout.sites])
+    eff = effective_ue_position(site_pos, positions[:, None, :],
+                                layout.wrap_vectors)
+    sites = np.argmin(np.linalg.norm(eff - site_pos, axis=-1), axis=1)
+    eff = eff[np.arange(len(sites)), sites]
+    sectors, links = [], []
+    for si, pos in zip(sites, eff):
+        site = layout.sites[si]
+        g = link_geometry(site.position, pos)
+        sectors.append(int(np.argmin([abs(wrap_azimuth(g.aod_az - s.alpha))
+                                      for s in site.sectors])))
+        links.append(g)
+    return sites.tolist(), sectors, eff, links
 
 
 def run(cfg, registry=None):
@@ -534,12 +532,8 @@ def run(cfg, registry=None):
         cir_dir = str(out / "cir")
         pathlib.Path(cir_dir).mkdir(exist_ok=True)
 
-    links, serving = [], []
-    for ue in ues:
-        si, sec, eff = _serve(layout, ue.position)
-        site = layout.sites[si]
-        links.append(link_geometry(site.position, eff))
-        serving.append((si, sec, eff))
+    sites, sectors, eff, links = _serve(
+        layout, np.array([ue.position for ue in ues]))
 
     states = assign_states(links, sc, substream(cfg.seed, 0, rngmod.STAGE_STATE),
                            ues=ues,
@@ -550,11 +544,11 @@ def run(cfg, registry=None):
     # (wrap-around) positions the links are served at
     groups = {}
     for i, (st, ue) in enumerate(zip(states, ues)):
-        key = (serving[i][0], st.state_key, ues[i].floor)
+        key = (sites[i], st.state_key, ue.floor)
         groups.setdefault(key, []).append(i)
     std_vectors = {}
     for (si, skey, floor), idxs in sorted(groups.items()):
-        pos = np.array([serving[i][2][:2] for i in idxs])
+        pos = eff[idxs, :2]
         f_rng = substream(cfg.seed, 0, si, _STATE_ORD[skey], floor,
                           rngmod.STAGE_LSP_FIELD)
         vals, names = correlated_standard_normals(pos, sc, skey, f_rng)
@@ -563,7 +557,7 @@ def run(cfg, registry=None):
 
     tasks = []
     for i, ue in enumerate(ues):
-        si, sec, eff = serving[i]
+        si, sec = sites[i], sectors[i]
         st = states[i]
         g = links[i]
         s_vec, names = std_vectors[i]
@@ -591,7 +585,7 @@ def run(cfg, registry=None):
         site = layout.sites[si]
         tasks.append(LinkTask(link_id=i, ue_index=i, site_index=si,
                               sector_index=sec, site_pos=site.position,
-                              sector=site.sectors[sec], ue_pos=eff, geom=g,
+                              sector=site.sectors[sec], ue_pos=eff[i], geom=g,
                               state=st, lsp=lsp, ls=ls, v_vec=v_vec,
                               usage=usage))
 
@@ -613,21 +607,30 @@ def run(cfg, registry=None):
     return reports
 
 
+# cdf_<name>.csv -> the LinkReport field it is the CDF of
+_CDFS = {"coupling_loss": "coupling_loss_db", "capacity": "capacity_bps_hz",
+         "ds": "ds_s", "gini": "gini"}
+
+
 def _write_outputs(out, cfg, reg, reports):
-    buf = io.StringIO()
-    buf.write(CSV_HEADER)
-    for r in reports:
-        buf.write(report_row(r))
-    (out / "links.csv").write_text(buf.getvalue())
-    emit_cdf([r.coupling_loss_db for r in reports], out / "cdf_coupling_loss.csv")
-    emit_cdf([r.capacity_bps_hz for r in reports], out / "cdf_capacity.csv")
-    emit_cdf([r.ds_s for r in reports], out / "cdf_ds.csv")
-    emit_cdf([r.gini_index for r in reports], out / "cdf_gini.csv")
+    """Write links.csv, the CDFs and the manifest under ``.tmp-`` names,
+    then rename them into place, the manifest last and only after any old
+    one is deleted, so a run that fails part-way never leaves a manifest
+    beside a links.csv it does not describe."""
+    def tmp(name):
+        return out / f".tmp-{name}"
+
+    tmp("links.csv").write_text(CSV_HEADER + "".join(map(report_row, reports)))
+    for name, key in _CDFS.items():
+        emit_cdf([getattr(r, key) for r in reports], tmp(f"cdf_{name}.csv"))
     lines = ["# fr3sim run manifest"]
     for key, val in sorted(asdict(cfg).items()):
         lines.append(f"config {key} = {val}")
     for name, digest in sorted(reg.file_hashes.items()):
         lines.append(f"data {name} sha256 {digest}")
-    links_hash = hashlib.sha256((out / "links.csv").read_bytes()).hexdigest()
+    links_hash = hashlib.sha256(tmp("links.csv").read_bytes()).hexdigest()
     lines.append(f"output links.csv sha256 {links_hash}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    tmp("manifest.txt").write_text("\n".join(lines) + "\n")
+    (out / "manifest.txt").unlink(missing_ok=True)
+    for name in ["links.csv", *(f"cdf_{n}.csv" for n in _CDFS), "manifest.txt"]:
+        os.replace(tmp(name), out / name)

@@ -4,15 +4,39 @@ import pytest
 from fr3sim.geometry import (Orientation, build_hex_layout,
                              build_indoor_layout, drop_ues,
                              effective_ue_position, gcs_to_lcs, lcs_to_gcs,
-                             link_geometry, vec3, wrap_images)
+                             link_geometry, vec3)
 from fr3sim.scenario import load_parameter_tables
 
 REG = load_parameter_tables()
 SMA = REG.scenario("SMa")
+# the hex ISDs of SMa, UMa, UMi and RMa
+HEX_ISDS = (1299.0, 500.0, 200.0, 1732.0)
 
 
 def site_xy(layout):
     return np.array([s.position[:2] for s in layout.sites])
+
+
+def wrap_images(point, wrap_vectors, reach=1):
+    """Brute-force oracle: the point plus its lattice-translated images.
+
+    ``reach`` = 1 gives the classic 7-image set; larger values enumerate all
+    integer combinations of the two lattice basis vectors within that reach.
+    """
+    point = np.asarray(point, dtype=float)
+    if not wrap_vectors:
+        return point[None, :]
+    if reach == 1:
+        imgs = [point]
+        for w in wrap_vectors:
+            imgs.append(point + w)
+        return np.array(imgs)
+    b1, b2 = wrap_vectors[0], wrap_vectors[1]
+    imgs = []
+    for i in range(-reach, reach + 1):
+        for j in range(-reach, reach + 1):
+            imgs.append(point + i * b1 + j * b2)
+    return np.array(imgs)
 
 
 class TestHexLayout:
@@ -64,6 +88,49 @@ class TestHexLayout:
             d_eff = np.linalg.norm(eff[:2] - site.position[:2])
             d_brute = np.min(np.linalg.norm(imgs[:, :2] - site.position[:2], axis=1))
             assert d_eff == pytest.approx(d_brute, rel=1e-12)
+
+    @pytest.mark.parametrize("isd", HEX_ISDS)
+    def test_broadcast_matches_scalar_calls(self, isd):
+        lay = build_hex_layout(isd)
+        sites = np.array([s.position for s in lay.sites])
+        rng = np.random.default_rng(int(isd))
+        half = lay.drop_region[2]
+        ues = np.column_stack([rng.uniform(-3 * half, 3 * half, (40, 2)),
+                               rng.uniform(1.5, 20.0, 40)])
+        got = effective_ue_position(sites[None], ues[:, None], lay.wrap_vectors)
+        assert got.shape == (40, 19, 3)
+        for u, ue in enumerate(ues):
+            for s, site in enumerate(sites):
+                want = effective_ue_position(site, ue, lay.wrap_vectors)
+                assert np.array_equal(got[u, s], want)
+
+    @pytest.mark.parametrize("wrap", [True, False])
+    def test_shapes(self, wrap):
+        lay = build_hex_layout(500.0)
+        wraps = lay.wrap_vectors if wrap else []
+        sites = np.array([s.position for s in lay.sites])
+        ues = np.array([vec3(900.0, -40.0, 1.5), vec3(-2000.0, 700.0, 7.5)])
+        assert effective_ue_position(sites[3], ues[0], wraps).shape == (3,)
+        per_site = effective_ue_position(sites, ues[1], wraps)
+        assert per_site.shape == (19, 3)
+        assert np.array_equal(per_site[3], effective_ue_position(
+            sites[3], ues[1], wraps))
+        pairs = effective_ue_position(sites[None], ues[:, None], wraps)
+        assert pairs.shape == (2, 19, 3)
+        assert np.array_equal(pairs[1], per_site)
+        if not wrap:   # no wrap set: every UE is its own image
+            assert np.array_equal(pairs, np.broadcast_to(ues[:, None], pairs.shape))
+
+    def test_equidistant_images_first_candidate_wins(self):
+        # halfway along a lattice vector, the UE and its image one lattice
+        # vector back are equally near the site; the UE itself comes first
+        lay = build_hex_layout(1299.0)
+        site = lay.sites[0].position
+        ue = site + 0.5 * lay.wrap_vectors[0] + vec3(0.0, 0.0, -33.5)
+        back = ue - lay.wrap_vectors[0]
+        assert np.hypot(*(ue - site)[:2]) == np.hypot(*(back - site)[:2])
+        assert np.array_equal(
+            effective_ue_position(site, ue, lay.wrap_vectors), ue)
 
     def test_nonpositive_isd_rejected(self):
         with pytest.raises(ValueError):

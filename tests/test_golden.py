@@ -1,0 +1,66 @@
+"""Golden outputs: three small runs must keep writing the `links.csv` files
+checked in under ``tests/data``.
+
+Integer and string columns must match exactly; float columns to a relative
+1e-9, so that the test pins the model's outputs without depending on the
+last bits a given numpy build produces.  When a change moves a random
+stream or a model output on purpose, say so in CHANGES.md and regenerate
+the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import csv
+import pathlib
+import shutil
+import sys
+import tempfile
+
+import pytest
+
+from fr3sim.harness import load_config, run
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+# name -> (preset, overrides)
+CASES = {
+    "sma-hex": (None, {"n_ues": 8, "seed": 4}),    # 19-site wrap-around
+    "umi-disc": (None, {"scenario": "UMi", "layout": "disc", "n_ues": 6}),
+    "inh-nf-2": ("inh-nf-2", {"n_ues": 4}),
+}
+EXACT = {"link_id", "ue", "site", "sector", "state", "n_clusters", "m_rays"}
+
+
+def _run(name, out_dir):
+    preset, overrides = CASES[name]
+    run(load_config(preset=preset,
+                    overrides=dict(overrides, out_dir=str(out_dir))))
+    return out_dir / "links.csv"
+
+
+def _rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_links_csv_matches_golden(tmp_path, name):
+    got = _rows(_run(name, tmp_path))
+    want = _rows(DATA / f"golden_{name}.csv")
+    assert len(got) == len(want)
+    assert list(got[0]) == list(want[0])
+    for g, w in zip(got, want):
+        for key, expected in w.items():
+            if key in EXACT:
+                assert g[key] == expected, (w["link_id"], key)
+            else:
+                assert float(g[key]) == pytest.approx(float(expected),
+                                                      rel=1e-9), (w["link_id"], key)
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copy(_run(case, pathlib.Path(tmp)),
+                        DATA / f"golden_{case}.csv")
+            print(f"wrote {DATA / f'golden_{case}.csv'}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import argparse
 import configparser
+import hashlib
 import numpy as np
 import os
 import pathlib
@@ -12,6 +13,10 @@ import pytest
 from fr3sim import cli, harness
 from fr3sim.cli import _build_parser, main as cli_main
 from fr3sim.coefficients import ChannelRealization
+from fr3sim.geometry import (Orientation, Site, SiteLayout, build_disc_layout,
+                             build_hex_layout, build_indoor_layout,
+                             effective_ue_position, link_geometry, vec3,
+                             wrap_azimuth)
 from fr3sim.harness import (ConfigError, RunConfig, capacity, coupling_loss,
                             emit_cdf, gini, load_config, run)
 
@@ -188,6 +193,31 @@ class TestRun:
         h = read_cir(cirs[0])
         assert h.n_taps >= 1
 
+    def test_failed_run_leaves_no_stale_manifest(self, tmp_path, monkeypatch):
+        def manifest_matches():
+            digest = hashlib.sha256(
+                (tmp_path / "links.csv").read_bytes()).hexdigest()
+            return (f"output links.csv sha256 {digest}"
+                    in (tmp_path / "manifest.txt").read_text().splitlines())
+
+        run(tiny_cfg(tmp_path))
+        real_cdf, calls = harness.emit_cdf, []
+
+        def failing_cdf(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_cdf(*args)
+
+        monkeypatch.setattr(harness, "emit_cdf", failing_cdf)
+        with pytest.raises(OSError):
+            run(tiny_cfg(tmp_path, seed=12))
+        assert not (tmp_path / "manifest.txt").exists() or manifest_matches()
+        monkeypatch.setattr(harness, "emit_cdf", real_cdf)
+        run(tiny_cfg(tmp_path, seed=12))
+        assert manifest_matches()
+        assert not list(tmp_path.glob(".tmp-*"))
+
     def test_lsps_keyed_on_wrapped_position(self, tmp_path, monkeypatch):
         # moving a UE's drop position by a wrap-lattice vector leaves its
         # serving image, and so every standardized LSP vector, unchanged
@@ -218,6 +248,76 @@ class TestRun:
         assert len(base) == len(moved)
         for a, b in zip(base, moved):
             assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+
+
+def serve_one(layout, ue_pos):
+    """Scalar oracle: the per-site serving loop that `_serve` replaced."""
+    best = None
+    for si, site in enumerate(layout.sites):
+        eff = effective_ue_position(site.position, ue_pos, layout.wrap_vectors)
+        d = np.linalg.norm(eff - site.position)
+        if best is None or d < best[0]:
+            best = (d, si, eff)
+    _, si, eff = best
+    site = layout.sites[si]
+    g = link_geometry(site.position, eff)
+    sec = int(np.argmin([abs(wrap_azimuth(g.aod_az - s.alpha))
+                         for s in site.sectors]))
+    return si, sec, eff, g
+
+
+SERVE_LAYOUTS = {
+    **{f"hex-{isd:g}": build_hex_layout(isd, h_bs=h)
+       for isd, h in ((1299.0, 35.0), (500.0, 25.0), (200.0, 10.0),
+                      (1732.0, 35.0))},
+    "indoor": build_indoor_layout(120.0, 50.0, 12, 3.0),
+    "disc": build_disc_layout(100.0, 10.0, Orientation(30.0, 10.0, 0.0)),
+}
+
+
+class TestServe:
+    @pytest.mark.parametrize("name", sorted(SERVE_LAYOUTS))
+    def test_matches_scalar_oracle(self, name):
+        layout = SERVE_LAYOUTS[name]
+        rng = np.random.default_rng(len(name))
+        kind, *region = layout.drop_region
+        if kind == "disc":
+            cx, cy, r = region
+            region = [cx - r, cx + r, cy - r, cy + r]
+        x0, x1, y0, y1 = region
+        # three times the drop region's extent, so that hex UEs need wrapping
+        pos = np.column_stack([rng.uniform(2 * x0 - x1, 2 * x1 - x0, 60),
+                               rng.uniform(2 * y0 - y1, 2 * y1 - y0, 60),
+                               rng.choice([1.5, 4.5, 22.5], 60)])
+        sites, sectors, eff, links = harness._serve(layout, pos)
+        assert eff.shape == (60, 3)
+        for u, p in enumerate(pos):
+            si, sec, e, g = serve_one(layout, p)
+            assert (sites[u], sectors[u]) == (si, sec)
+            assert np.array_equal(eff[u], e)
+            assert links[u] == g
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_equidistant_sites_first_wins(self, order):
+        xs = [(-100.0, 0.0), (100.0, 0.0), (900.0, 0.0)]
+        sector = (Orientation(0.0, 0.0, 0.0),)
+        layout = SiteLayout([Site(vec3(*xs[i], 10.0), sector) for i in order],
+                            0.0)
+        sites, *_ = harness._serve(layout, np.array([vec3(0.0, 50.0, 1.5)]))
+        assert sites == [min(order.index(0), order.index(1))]
+
+    def test_one_wrap_call_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return effective_ue_position(*args)
+
+        monkeypatch.setattr(harness, "effective_ue_position", counted)
+        run(RunConfig(n_ues=5, seed=4, bs_rows=2, bs_cols=2,
+                      out_dir=str(tmp_path)))
+        assert len(calls) == 1
+        assert np.shape(calls[0][1]) == (5, 1, 3)
 
 
 BAD_VALUES = {
@@ -382,3 +482,37 @@ def test_import_leaves_scipy_stats_and_signal_unloaded():
                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# RunConfig fields the extreme-value sweep leaves alone: out_dir is where its
+# runs write, workers would start that many processes, and n_ues, bs_rows,
+# bs_cols and t_count would allocate memory in proportion to their values
+SWEEP_SKIP = {"out_dir", "workers", "n_ues", "bs_rows", "bs_cols", "t_count"}
+ALL_FEATURES = ["--near-field", "--nf-angles", "--sns", "stochastic",
+                "--ue-sns", "--absolute-delay", "--ray-count-scaling",
+                "--pol-variability", "--t-count", "2", "--emit-cir"]
+
+
+def test_extreme_values_exit_cleanly(tmp_path, capsys):
+    # every other field at 0, -1, nan, inf and -inf (bool fields by their
+    # two flags), with the optional features off and all on
+    bad = []
+    for f in fields(RunConfig):
+        if f.name in SWEEP_SKIP:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        values = [[flag], ["--no-" + flag[2:]]] if f.type is bool else \
+            [[flag, v] for v in ("0", "-1", "nan", "inf", "-inf")]
+        for features in ([], ALL_FEATURES):
+            for value in values:
+                argv = ["run", "--n-ues", "2", "--bs-rows", "2",
+                        "--bs-cols", "2", *features, *value,
+                        "--out-dir", str(tmp_path / "out")]
+                try:
+                    code = cli_main(argv)
+                except Exception as exc:   # report every failing case at once
+                    code = repr(exc)
+                if code not in (0, 2, 3) or \
+                        "Traceback" in capsys.readouterr().err:
+                    bad.append((" ".join(argv[7:-2]), code))
+    assert not bad
