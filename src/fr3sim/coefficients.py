@@ -11,6 +11,7 @@ from .antenna import field_pattern
 from .geometry import sph_unit, unit_to_angles
 from .largescale import C_LIGHT
 from .nearfield import los_element_phase, nlos_element_phase, unit_phase
+from .scenario import NLOS
 
 
 @dataclass
@@ -55,8 +56,8 @@ def draw_phases(n, m, rng):
 def draw_absolute_excess(sc, rng, l_bound=None):
     """Log-normal NLOS excess delay; optionally clamped to 2 L / c (the
     clamp is monotone in the underlying normal)."""
-    mu, sigma, _ = sc.abs_delay_params()
-    dt = 10.0 ** rng.normal(mu, sigma)
+    dt = 10.0 ** rng.normal(sc.value("mu_lg_abs_delay", NLOS),
+                            sc.value("sigma_lg_abs_delay", NLOS))
     if l_bound is not None:
         dt = min(dt, 2.0 * l_bound / C_LIGHT)
     return float(dt)

@@ -263,7 +263,7 @@ def drop_ues(layout, count, sc, rng):
         return []
     if count < 0:
         raise ValueError("count must be >= 0")
-    min_d = sc.min_bs_ue_distance()
+    min_d = sc.value("min_bs_ue_d2d")
     region = layout.drop_region
     site_pos = np.array([s.position for s in layout.sites])
     ues = []
@@ -286,15 +286,16 @@ def drop_ues(layout, count, sc, rng):
                                         layout.wrap_vectors)
             if np.linalg.norm(eff[:, :2] - site_pos[:, :2], axis=1).min() < min_d:
                 continue
-        indoor = bool(rng.uniform() < sc.indoor_ratio())
+        indoor = bool(rng.uniform() < sc.value("indoor_ratio"))
         building = ""
         floor = 0
-        h = sc.outdoor_ue_height()
+        h = sc.value("ue_height_outdoor")
         if indoor:
-            building = "commercial" if rng.uniform() < sc.commercial_fraction() else "residential"
-            n_floors = sc.building_floors(building)
-            floor = int(rng.integers(0, n_floors))
-            h = sc.floor_height(floor)
+            building = "commercial" if rng.uniform() < sc.value("commercial_fraction", default=0.0) \
+                else "residential"
+            floor = int(rng.integers(0, int(sc.value(f"{building}_floors", default=1))))
+            h = (sc.value("floor_base_m", default=1.5)
+                 + sc.value("floor_step_m", default=3.0) * floor)
         ues.append(UE(vec3(x, y, h), indoor, building, floor))
     return ues
 

@@ -70,8 +70,8 @@ class RunConfig:
     prune_db: float = _key(25.0, ge=0.0)
     nlos_floor: bool = True
     n_spec: int = _key(0, ge=0)
-    nf_alpha: float = _key(2.0, gt=0.0)
-    nf_beta: float = _key(2.0, gt=0.0)
+    nf_alpha: float = _key(2.0, ge=1.0)   # >= 1 keeps the Beta draw off 0 and 1
+    nf_beta: float = _key(2.0, ge=1.0)
     m_min: int = _key(20, ge=1)
     m_max: int = 40
     abs_delay_bound_m: float = _key(0.0, ge=0.0)   # 0 -> unbounded
@@ -356,7 +356,7 @@ def process_link(ctx, task):
     cfg, sc = ctx.cfg, ctx.sc
     lam0 = cfg.wavelength()
     geom, state, lsp = task.geom, task.state, task.lsp
-    los = state.los == "LOS" and state.location != "indoor"
+    los = state.state_key == LOS
     lid = task.link_id
 
     m_override = None

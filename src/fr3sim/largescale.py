@@ -257,17 +257,20 @@ def lsps_from_standardized(s, lsp_names, g, sc, state, fc_ghz):
     104/52 deg caps), plain normal for SF and K.
     """
     key = state.state_key
-    stats = sc.lsp_stats(key, fc_ghz)
     by_name = dict(zip(lsp_names, s))
+
+    def normal(lsp, prefix="lg_"):
+        """mu + sigma * s of one LSP from its mu_/sigma_ table rows."""
+        return (sc.value(f"mu_{prefix}{lsp}", key, fc_ghz)
+                + sc.value(f"sigma_{prefix}{lsp}", key, fc_ghz) * by_name[lsp])
+
     sigma_sf = sf_sigma(sc, state, g.d2d, fc_ghz, g.h_bs, g.h_ue)
-    ds = 10.0 ** (stats["mu_lg_ds"] + stats["sigma_lg_ds"] * by_name["ds"])
-    asa = min(10.0 ** (stats["mu_lg_asa"] + stats["sigma_lg_asa"] * by_name["asa"]), AS_CAP_AZIMUTH)
-    asd = min(10.0 ** (stats["mu_lg_asd"] + stats["sigma_lg_asd"] * by_name["asd"]), AS_CAP_AZIMUTH)
-    zsa = min(10.0 ** (stats["mu_lg_zsa"] + stats["sigma_lg_zsa"] * by_name["zsa"]), AS_CAP_ZENITH)
-    zsd = min(10.0 ** (stats["mu_lg_zsd"] + stats["sigma_lg_zsd"] * by_name["zsd"]), AS_CAP_ZENITH)
-    k_db = None
-    if key == LOS:
-        k_db = stats["mu_k"] + stats["sigma_k"] * by_name["k"]
+    ds = 10.0 ** normal("ds")
+    asa = min(10.0 ** normal("asa"), AS_CAP_AZIMUTH)
+    asd = min(10.0 ** normal("asd"), AS_CAP_AZIMUTH)
+    zsa = min(10.0 ** normal("zsa"), AS_CAP_ZENITH)
+    zsd = min(10.0 ** normal("zsd"), AS_CAP_ZENITH)
+    k_db = normal("k", "") if key == LOS else None
     return LspSet(ds=float(ds), asa=float(asa), asd=float(asd), zsa=float(zsa),
                   zsd=float(zsd), sf_db=float(sigma_sf * by_name["sf"]), k_db=k_db)
 

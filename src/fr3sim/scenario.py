@@ -105,6 +105,7 @@ class ScenarioParams:
             if key in self.entries:
                 raise ParameterError(f"{name}: duplicate row for {e.param}/{e.state}")
             self.entries[key] = e
+        self._values = {}         # (param, state, fc) -> evaluated row
 
     def _entry(self, param, state="all"):
         e = self.entries.get((param, state)) or self.entries.get((param, "all"))
@@ -119,45 +120,15 @@ class ScenarioParams:
         return self._entry(param, state).raw
 
     def value(self, param, state="all", fc=None, default=None):
-        """The parameter's value; ``default``, when given, stands in for a
-        parameter the table lacks."""
-        if default is not None and not self.has(param, state):
-            return default
-        return eval_expression(self._entry(param, state).raw, fc=fc)
-
-    # -- convenience accessors used across the pipeline -----------------
-
-    def min_bs_ue_distance(self):
-        return self.value("min_bs_ue_d2d")
-
-    def indoor_ratio(self):
-        return self.value("indoor_ratio")
-
-    def commercial_fraction(self):
-        return self.value("commercial_fraction", default=0.0)
-
-    def building_floors(self, building):
-        key = "commercial_floors" if building == "commercial" else "residential_floors"
-        return int(self.value(key, default=1))
-
-    def floor_height(self, floor):
-        base = self.value("floor_base_m", default=1.5)
-        step = self.value("floor_step_m", default=3.0)
-        return base + step * floor
-
-    def outdoor_ue_height(self):
-        return self.value("ue_height_outdoor")
-
-    def lsp_stats(self, state, fc):
-        """mu/sigma of the log-normal spreads plus K statistics (LOS)."""
-        out = {}
-        for lsp in ("ds", "asd", "asa", "zsa", "zsd"):
-            out[f"mu_lg_{lsp}"] = self.value(f"mu_lg_{lsp}", state, fc)
-            out[f"sigma_lg_{lsp}"] = self.value(f"sigma_lg_{lsp}", state, fc)
-        if state == LOS:
-            out["mu_k"] = self.value("mu_k", state, fc)
-            out["sigma_k"] = self.value("sigma_k", state, fc)
-        return out
+        """The parameter's value, evaluated once per (param, state, fc) and
+        memoized; ``default``, when given, stands in for a parameter the
+        table lacks and is not cached."""
+        key = (param, state, fc)
+        if key not in self._values:
+            if default is not None and not self.has(param, state):
+                return default
+            self._values[key] = eval_expression(self._entry(param, state).raw, fc=fc)
+        return self._values[key]
 
     def cross_correlation(self, state):
         """(matrix, lsp_names); symmetric with unit diagonal."""
@@ -201,19 +172,14 @@ class ScenarioParams:
                 f"{self.name}: cluster-count range d1_clusters/d2_clusters missing for {state}")
         return (int(self.value("d1_clusters", state)), int(self.value("d2_clusters", state)))
 
-    def abs_delay_params(self, state=NLOS):
-        return (self.value("mu_lg_abs_delay", state),
-                self.value("sigma_lg_abs_delay", state),
-                self.value("dcor_abs_delay", state))
-
     def validate(self):
-        states = (LOS, NLOS, O2I) if self.indoor_ratio() > 0 else (LOS, NLOS)
+        states = (LOS, NLOS, O2I) if self.value("indoor_ratio") > 0 else (LOS, NLOS)
         for p in _REQUIRED_COMMON:
             self._entry(p)
         for st in states:
             for p in _REQUIRED_PER_STATE:
-                e = self._entry(p, st)
-                if p.startswith("sigma") and eval_expression(e.raw, fc=10.0) < 0:
+                self._entry(p, st)
+                if p.startswith("sigma") and self.value(p, st, 10.0) < 0:
                     raise ParameterError(f"{self.name}: {p}/{st} is negative")
             self.cross_correlation(st)
             if self.has("d1_clusters", st) and self.has("d2_clusters", st):
@@ -411,8 +377,9 @@ def assign_states(links, sc, rng, ues=None, force_los=None, force_location=None)
             indoor = ues[idx].indoor
             building = ues[idx].building or "residential"
         else:
-            indoor = u_indoor < sc.indoor_ratio()
-            building = "commercial" if u_building < sc.commercial_fraction() else "residential"
+            indoor = u_indoor < sc.value("indoor_ratio")
+            building = "commercial" if u_building < sc.value("commercial_fraction", default=0.0) \
+                else "residential"
 
         location = "indoor" if indoor else "outdoor"
         if not indoor and sc.value("outdoor_in_car", default=0.0) > 0:

@@ -185,24 +185,15 @@ def _scaling_factor(table, n, k_db=None, kind="phi"):
     return c
 
 
-def _cluster_azimuths(p, spread, c_phi, center, los, rng):
-    ratio = np.clip(p / p.max(), 1e-300, 1.0)
-    phi_p = 2.0 * (spread / 1.4) * np.sqrt(-np.log(ratio)) / c_phi
-    x = rng.choice((1.0, -1.0), size=p.shape[0])
-    y = rng.normal(0.0, spread / 7.0, size=p.shape[0])
+def _cluster_angles(offsets, spread, center, los, rng):
+    """Cluster angles from their power-derived ``offsets``: a random sign,
+    a spread/7 Gaussian jitter, and under LOS the first cluster anchored on
+    the direct path's ``center``."""
+    x = rng.choice((1.0, -1.0), size=offsets.shape[0])
+    y = rng.normal(0.0, spread / 7.0, size=offsets.shape[0])
     if los:
-        return x * phi_p + y - (x[0] * phi_p[0] + y[0] - center)
-    return x * phi_p + y + center
-
-
-def _cluster_zeniths(p, spread, c_theta, center, los, rng):
-    ratio = np.clip(p / p.max(), 1e-300, 1.0)
-    th_p = -spread * np.log(ratio) / c_theta
-    x = rng.choice((1.0, -1.0), size=p.shape[0])
-    y = rng.normal(0.0, spread / 7.0, size=p.shape[0])
-    if los:
-        return x * th_p + y - (x[0] * th_p[0] + y[0] - center)
-    return x * th_p + y + center
+        return x * offsets + y - (x[0] * offsets[0] + y[0] - center)
+    return x * offsets + y + center
 
 
 def generate_angles(p, lsp, los, los_angles, ssp, scaling, m, rng,
@@ -222,10 +213,12 @@ def generate_angles(p, lsp, los, los_angles, ssp, scaling, m, rng,
     k_db = lsp.k_db if los else None
     c_phi = _scaling_factor(scaling["c_phi"], n, k_db, "phi")
     c_theta = _scaling_factor(scaling["c_theta"], n, k_db, "theta")
-    aoa_c = _cluster_azimuths(p, lsp.asa, c_phi, los_angles[0], los, rng)
-    aod_c = _cluster_azimuths(p, lsp.asd, c_phi, los_angles[1], los, rng)
-    zoa_c = _cluster_zeniths(p, lsp.zsa, c_theta, los_angles[2], los, rng)
-    zod_c = _cluster_zeniths(p, lsp.zsd, c_theta, los_angles[3], los, rng)
+    ln_ratio = np.log(np.clip(p / p.max(), 1e-300, 1.0))
+    aoa_c, aod_c = (_cluster_angles(2.0 * (s / 1.4) * np.sqrt(-ln_ratio) / c_phi,
+                                    s, center, los, rng)
+                    for s, center in ((lsp.asa, los_angles[0]), (lsp.asd, los_angles[1])))
+    zoa_c, zod_c = (_cluster_angles(-s * ln_ratio / c_theta, s, center, los, rng)
+                    for s, center in ((lsp.zsa, los_angles[2]), (lsp.zsd, los_angles[3])))
     basis = ray_offset_basis(m)
     aoa = wrap_azimuth(aoa_c[:, None] + ssp["c_asa"] * basis[None, :])
     aod = wrap_azimuth(aod_c[:, None] + ssp["c_asd"] * basis[None, :])
@@ -302,7 +295,7 @@ def build_cluster_set(sc, state, lsp, los_angles, fc_ghz, rngs, scaling,
     """
     key = state.state_key
     ssp = sc.ssp(key, fc_ghz)
-    los = state.los == "LOS" and state.location != "indoor"
+    los = key == LOS
     n = draw_cluster_count(sc, key, rngs["count"], enabled=cluster_variability)
     m = int(ray_count) if ray_count is not None else ssp["n_rays"]
     k_db = lsp.k_db if los else 0.0

@@ -342,6 +342,9 @@ BAD_VALUES = {
     "bs_cols": "[run]\nbs_cols = 0\n",
     "nf_alpha": "[run]\nnear_field = true\nnf_alpha = 0\n",
     "nf_beta": "[run]\nnear_field = true\nnf_beta = 0\n",
+    # below 1 the Beta draw can land on 0 or 1 exactly
+    "nf_alpha_below_one": "[run]\nnear_field = true\nnf_alpha = 0.5\n",
+    "nf_beta_below_one": "[run]\nnear_field = true\nnf_beta = 0.5\n",
     "bandwidth_hz": "[run]\nray_count_scaling = true\nbandwidth_hz = 0\n",
     "prune_db": "[run]\nprune_db = -3\n",
     "bool_spelling": "[run]\nnear_field = ture\n",

@@ -2,6 +2,7 @@ import numpy as np
 import pathlib
 import pytest
 
+from fr3sim import harness, scenario
 from fr3sim.geometry import LinkGeometry
 from fr3sim.scenario import (Entry, ParameterError, ScenarioParams,
                              assign_states, eval_expression,
@@ -100,6 +101,64 @@ class TestRegistry:
         for p in sorted((tmp_path / "again").iterdir()):
             assert p.read_bytes() == (tmp_path / p.name).read_bytes()
 
+
+    def test_every_row_evaluates_across_fr3_and_beyond(self):
+        for name, sc in REG.scenarios.items():
+            for (param, state), e in sc.entries.items():
+                if param in ("pl_family", "los_family"):
+                    continue
+                for fc in (0.5, 7.0, 15.0, 24.0, 100.0):
+                    v = eval_expression(e.raw, fc=fc)
+                    if param.startswith("sigma_"):
+                        assert v >= 0, (name, param, state, fc)
+
+
+def counted_evaluations(monkeypatch):
+    """Route scenario.eval_expression through a counter; returns the count."""
+    calls = [0]
+    real = scenario.eval_expression
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "eval_expression", counting)
+    return calls
+
+
+class TestOneLookup:
+    @pytest.mark.parametrize("n_ues", [8, 40])
+    def test_run_evaluates_each_row_once(self, tmp_path, monkeypatch, n_ues):
+        reg = load_parameter_tables()
+        calls = counted_evaluations(monkeypatch)
+
+        def evaluations(out):
+            calls[0] = 0
+            harness.run(harness.load_config(overrides={
+                "n_ues": n_ues, "out_dir": str(tmp_path / out)}), registry=reg)
+            return calls[0]
+
+        assert 0 < evaluations("a") < 100
+        assert evaluations("b") == 0       # a repeat run on the same tables
+        assert (tmp_path / "a" / "links.csv").read_bytes() == \
+            (tmp_path / "b" / "links.csv").read_bytes()
+
+    def test_memoized_value_per_fc(self):
+        sc = load_parameter_tables().scenario("SMa")
+        raw = sc.text("c_ds", "los")
+        assert "fc" in raw
+        for fc in (7.0, 24.0, 7.0):
+            assert sc.value("c_ds", "los", fc) == eval_expression(raw, fc=fc)
+        assert sc.value("c_ds", "los", 7.0) != sc.value("c_ds", "los", 24.0)
+
+    def test_missing_row_raises_every_call(self, monkeypatch):
+        sc = load_parameter_tables().scenario("SMa")
+        calls = counted_evaluations(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ParameterError, match="no_such_param"):
+                sc.value("no_such_param", "los", 7.0)
+            assert sc.value("no_such_param", "los", 7.0, default=2.5) == 2.5
+        assert calls[0] == 0
 
 class TestLosProbability:
     def test_sma_short_distance(self):
