@@ -68,8 +68,7 @@ class ChannelRealization:
     fc_ghz: float
     lam0: float
     delays: np.ndarray            # (n_taps,) seconds, non-decreasing
-    gains: list                   # n_taps arrays of shape (U, S, T)
-    ray_gains: list = None        # optional per-tap (U, S, R, T) diagnostics
+    gains: np.ndarray             # (n_taps, U, S, T) complex
 
     @property
     def n_taps(self):
@@ -77,7 +76,7 @@ class ChannelRealization:
 
     def energy(self):
         """Sum over taps of |H|^2, per (u, s) element pair."""
-        return sum((np.abs(g[:, :, 0]) ** 2 for g in self.gains))
+        return np.sum(np.abs(self.gains[:, :, :, 0]) ** 2, axis=0)
 
 
 def _site_phases(arr, first, r_hat, lam0, d=None, grid=None):
@@ -116,9 +115,9 @@ def array_fields(mounted, zen, az, per_group=False):
 
 def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
                v_vec=None, t_samples=None, near_field=None, nf_angles=False,
-               sns_alpha=None, sns_beta=None, base_delay=0.0,
-               keep_rays=False):
-    """Assemble the time-variant CIR tensor for one link (steps 10-12).
+               sns_alpha=None, sns_beta=None, base_delay=0.0):
+    """Assemble the time-variant CIR tensor for one link (steps 10-12):
+    the tap delays and one complex (n_taps, U, S, T) gain tensor.
 
     bs / ue are MountedArray instances (tx and rx side).  ``near_field``
     carries per-ray spherical source distances; None selects plane-wave
@@ -138,8 +137,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     are several time samples.  With ``nf_angles`` in near-field mode the BS
     fields differ per element and do not factor: the product then runs
     over the two field components with per-element columns
-    F_b[s, r] A[site(s), r].  ``keep_rays`` takes its per-ray gains from
-    the same factors.
+    F_b[s, r] A[site(s), r].
     """
     n, m = cs.n, cs.m
     t = np.asarray(t_samples if t_samples is not None else [0.0], dtype=float)
@@ -210,13 +208,12 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     if elementwise:
         fa = a_tx[site]
         left, right = [ga_t, ga_p], [ftx_t[:, :n_r] * fa, ftx_p[:, :n_r] * fa]
-        n_cols, perm = s_cnt, None
+        perm = None
     else:
         left = [(ga_t[:, None] * ftx_t[None, :, :n_r]
                  + ga_p[:, None] * ftx_p[None, :, :n_r]).reshape(-1, n_r)]
         right = [a_tx]
-        n_cols = a_tx.shape[0]
-        perm = bs.group_index * n_cols + site
+        perm = bs.group_index * a_tx.shape[0] + site
         if np.array_equal(perm, np.arange(s_cnt)):
             perm = None
 
@@ -237,22 +234,14 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
                    for x in out]
         return out
 
-    def to_elements(x):
-        x = x.reshape(u_cnt, -1, n_t, *x.shape[2:])
-        return x if perm is None else np.take(x, perm, axis=1)
-
-    gains = []
-    ray_gains = [] if keep_rays else None
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    gains = np.empty((len(taps), u_cnt, s_cnt, n_t), dtype=complex)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         tap_right = right_factors(lo, hi)
         h = left[0][:, lo:hi] @ tap_right[0].T
         for a, b in zip(left[1:], tap_right[1:]):
             h += a[:, lo:hi] @ b.T
-        gains.append(to_elements(h))
-        if keep_rays:
-            rg = sum(a[:, None, lo:hi] * b[None, :, :]
-                     for a, b in zip(left, tap_right))
-            ray_gains.append(to_elements(rg).swapaxes(2, 3))
+        h = h.reshape(u_cnt, -1, n_t)
+        gains[i] = h if perm is None else h[:, perm]
     delays = np.array([tp[0] for tp in taps])
 
     if los:
@@ -266,13 +255,9 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
                                sns_alpha, sns_beta, cs.p_los)
         i0 = int(np.argmin(np.abs(delays - base_delay)))
         gains[i0] += h_los
-        if keep_rays:
-            ray_gains[i0] = np.concatenate(
-                [ray_gains[i0], h_los[:, :, None, :]], axis=2)
 
     return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9, lam0=lam0,
-                              delays=delays, gains=gains,
-                              ray_gains=ray_gains)
+                              delays=delays, gains=gains)
 
 
 def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
@@ -306,15 +291,14 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
 
 
 def apply_large_scale(h, ls):
-    """Scale every tap gain by the total large-scale attenuation."""
-    scale = 10.0 ** (-ls.total / 20.0)
-    return ChannelRealization(
-        fc_ghz=h.fc_ghz, lam0=h.lam0, delays=h.delays,
-        gains=[g * scale for g in h.gains],
-        ray_gains=None if h.ray_gains is None else [g * scale for g in h.ray_gains])
+    """Scale every tap gain of ``h`` in place by the total large-scale
+    attenuation; returns ``h``."""
+    h.gains *= 10.0 ** (-ls.total / 20.0)
+    return h
 
 
 CIR_MAGIC = b"FR3CIR1\x00"
+_CIR_HEADER = struct.Struct("<8s4Id")      # magic, U, S, T, n_taps, fc_Hz
 
 
 def write_cir(path, h):
@@ -324,34 +308,32 @@ def write_cir(path, h):
     f64 fc_Hz; then per tap f64 delay_s followed by U*S*T (re, im) f32
     pairs in u-major, s-major, t-minor order.
     """
-    u, s, t = h.gains[0].shape
+    n_taps, u, s, t = h.gains.shape
     with open(path, "wb") as f:
-        f.write(CIR_MAGIC)
-        f.write(struct.pack("<4I", u, s, t, h.n_taps))
-        f.write(struct.pack("<d", h.fc_ghz * 1e9))
+        f.write(_CIR_HEADER.pack(CIR_MAGIC, u, s, t, n_taps, h.fc_ghz * 1e9))
         for delay, g in zip(h.delays, h.gains):
-            f.write(struct.pack("<d", float(delay)))
-            inter = np.empty((u, s, t, 2), dtype="<f4")
-            inter[..., 0] = g.real
-            inter[..., 1] = g.imag
-            f.write(inter.tobytes())
+            f.write(struct.pack("<d", delay))
+            g.view(float).astype("<f4").tofile(f)
 
 
 def read_cir(path):
     """Inverse of write_cir; returns a ChannelRealization with f32-rounded
-    gains."""
+    gains.  Raises ValueError unless the file holds exactly the header and
+    the n_taps tap records it declares."""
     with open(path, "rb") as f:
-        if f.read(8) != CIR_MAGIC:
-            raise ValueError("not a FR3CIR1 file")
-        u, s, t, n_taps = struct.unpack("<4I", f.read(16))
-        fc_hz, = struct.unpack("<d", f.read(8))
-        delays = np.empty(n_taps)
-        gains = []
-        for i in range(n_taps):
-            delays[i], = struct.unpack("<d", f.read(8))
-            raw = np.frombuffer(f.read(u * s * t * 8), dtype="<f4")
-            raw = raw.reshape(u, s, t, 2)
-            gains.append(raw[..., 0] + 1j * raw[..., 1])
-    lam0 = C_LIGHT / fc_hz
-    return ChannelRealization(fc_ghz=fc_hz / 1e9, lam0=lam0, delays=delays,
-                              gains=gains)
+        raw = f.read()
+    if raw[:8] != CIR_MAGIC:
+        raise ValueError("not a FR3CIR1 file")
+    if len(raw) < _CIR_HEADER.size:
+        raise ValueError(f"truncated CIR header: {len(raw)} bytes")
+    _magic, u, s, t, n_taps, fc_hz = _CIR_HEADER.unpack_from(raw)
+    body, tap_bytes = len(raw) - _CIR_HEADER.size, 8 + 8 * u * s * t
+    if body != n_taps * tap_bytes:
+        raise ValueError(f"CIR body has {body} bytes, but {n_taps} taps of "
+                         f"{u}x{s}x{t} gains need {n_taps * tap_bytes}")
+    taps = np.frombuffer(raw, [("delay", "<f8"), ("g", "<f4", (u, s, t, 2))],
+                         count=n_taps, offset=_CIR_HEADER.size)
+    g = taps["g"]
+    return ChannelRealization(fc_ghz=fc_hz / 1e9, lam0=C_LIGHT / fc_hz,
+                              delays=taps["delay"].astype(float),
+                              gains=g[..., 0] + 1j * g[..., 1])

@@ -18,9 +18,6 @@ class NearFieldGeometry:
     s_bs: np.ndarray      # (N,) BS-side scaling factors, 1 for specular
     d1: np.ndarray        # (N, M) BS to spherical-wave source [m]
     d2: np.ndarray        # (N, M) UE to spherical-wave source [m]
-    n_spec: int
-    alpha: float
-    beta: float
 
 
 def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
@@ -46,8 +43,7 @@ def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
     spec = np.arange(n) < n_spec
     d1 = np.where(spec[:, None], total, s_bs[:, None] * total)
     d2 = np.where(spec[:, None], total, (1.0 - s_bs[:, None]) * total)
-    return NearFieldGeometry(s_bs=s_bs, d1=d1, d2=d2, n_spec=n_spec,
-                             alpha=alpha, beta=beta)
+    return NearFieldGeometry(s_bs=s_bs, d1=d1, d2=d2)
 
 
 def los_element_phase(pair_distance, lam0):
@@ -65,7 +61,7 @@ def nlos_element_phase(d, r_hat, d_bar, lam0):
 
     The excess d - ||d r_hat - d_bar|| is evaluated in the cancellation-free
     form (2 d (r_hat . d_bar) - |d_bar|^2) / (d + dist), which is both exact
-    and avoids (K, R, 3) temporaries.
+    and avoids (K, R, 3) temporaries.  The (K, R) steps run in place.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
@@ -73,10 +69,17 @@ def nlos_element_phase(d, r_hat, d_bar, lam0):
     d_bar = np.asarray(d_bar, dtype=float)
     proj = d_bar @ np.asarray(r_hat, dtype=float).T          # (K, R)
     sq = np.sum(d_bar ** 2, axis=1)[:, None]
-    dist_sq = d[None, :] ** 2 - 2.0 * d[None, :] * proj + sq
-    dist = np.sqrt(np.maximum(dist_sq, 0.0))
-    excess = (2.0 * d[None, :] * proj - sq) / (d[None, :] + dist)
-    return unit_phase(2.0 * np.pi * excess / lam0)
+    proj *= 2.0 * d[None, :]                                 # 2 d proj
+    dist = d[None, :] ** 2 - proj
+    dist += sq
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    dist += d[None, :]                                       # d + dist
+    proj -= sq
+    proj /= dist                                             # the excess
+    proj *= 2.0 * np.pi
+    proj /= lam0
+    return unit_phase(proj)
 
 
 def unit_phase(phase_rad):

@@ -240,11 +240,11 @@ class TestNearFieldProperties:
     def test_toggle_exactness(self):
         from test_nearfield import TestFeatureIsolation
         t = TestFeatureIsolation()
-        h_ff = t._channels(False)
-        h_nf = t._channels(True)
+        h_ff, rays_ff = t._channels(False)
+        h_nf, rays_nf = t._channels(True)
         delays_eq = np.array_equal(h_ff.delays, h_nf.delays)
         amp_ok = all(np.allclose(np.abs(a), np.abs(b), rtol=1e-12, atol=0)
-                     for a, b in zip(h_ff.ray_gains, h_nf.ray_gains))
+                     for a, b in zip(rays_ff, rays_nf))
         _report("near-field toggle leaves amplitudes/delays unchanged",
                 delays_eq and amp_ok, "")
 

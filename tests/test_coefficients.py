@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fr3sim.geometry import LinkGeometry, Orientation, vec3
 from fr3sim.largescale import C_LIGHT, LargeScaleResult
 from fr3sim.scenario import load_parameter_tables
 from fr3sim.smallscale import ClusterSet, subcluster_groups
+from test_synthesis_reference import synthesize_with_rays
 
 REG = load_parameter_tables()
 SMA = REG.scenario("SMa")
@@ -127,10 +130,11 @@ class TestSynthesize:
         # the parent cluster power: check the ray grouping weights
         cs = simple_cs(n=2, m=20, p=np.array([0.6, 0.4]))
         ph = draw_phases(2, 20, np.random.default_rng(4))
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM, keep_rays=True)
+        _h, ray_gains = synthesize_with_rays(
+            (geom_for(), cs, ph, iso_element((0, 0, 10)),
+             iso_element((50, 0, 10))))
         for tap_idx, frac in zip(range(3), (0.5, 0.3, 0.2)):
-            rays = h.ray_gains[tap_idx]
+            rays = ray_gains[tap_idx]
             assert rays.shape[2] == int(20 * frac)
             energy = np.sum(np.abs(rays[0, 0, :, 0]) ** 2)
             assert energy == pytest.approx(0.6 * frac, rel=1e-9)
@@ -293,18 +297,22 @@ class TestApplyLargeScale:
         ph = draw_phases(2, 2, np.random.default_rng(11))
         h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
                        iso_element((50, 0, 10)), LAM)
+        before = h.gains.copy()
         h2 = apply_large_scale(h, LargeScaleResult(pl_outdoor=0.0))
-        for a, b in zip(h.gains, h2.gains):
-            assert np.array_equal(a, b)
+        assert np.array_equal(h2.gains, before)
 
     def test_20db(self):
+        # the gains are scaled in place, and h itself is returned
         cs = simple_cs(n=1, m=1)
         ph = draw_phases(1, 1, np.random.default_rng(12))
         h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
                        iso_element((50, 0, 10)), LAM)
+        before = h.gains.copy()
         h2 = apply_large_scale(h, LargeScaleResult(pl_outdoor=20.0))
-        assert abs(h2.gains[0][0, 0, 0]) == pytest.approx(
-            0.1 * abs(h.gains[0][0, 0, 0]), rel=1e-12)
+        assert h2 is h
+        assert abs(h2.gains[0, 0, 0, 0]) == pytest.approx(
+            0.1 * abs(before[0, 0, 0, 0]), rel=1e-12)
+        assert np.allclose(h2.gains, 0.1 * before, rtol=1e-12, atol=0)
 
 
 class TestCirFormat:
@@ -323,3 +331,54 @@ class TestCirFormat:
         assert np.allclose(h2.delays, h.delays)
         for a, b in zip(h.gains, h2.gains):
             assert np.allclose(a, b, atol=1e-6)
+
+    @staticmethod
+    def _los_link():
+        """A 16 x 8 element LOS link with two time samples."""
+        cs = simple_cs(n=3, m=4, p=np.array([0.3, 0.2, 0.1]), p_los=0.4)
+        ph = draw_phases(3, 4, np.random.default_rng(14))
+        bs = mount_bs_array(PanelArray(m=2, n=2, p=2), vec3(0, 0, 10),
+                            Orientation(0, 0, 0), LAM)
+        ue = mount_ue_device(UEDevice("handheld"), vec3(50, 0, 10))
+        return synthesize(geom_for(), cs, ph, bs, ue, LAM, k_db=3.0, los=True,
+                          v_vec=np.array([3.0, 4.0, 0.0]),
+                          t_samples=np.array([0.0, 1e-3]))
+
+    def test_bytes_match_naive_writer(self, tmp_path):
+        # the layout of write_cir's docstring, packed value by value
+        h = self._los_link()
+        n_taps, u, s, t = h.gains.shape
+        assert (u, s, t) == (16, 8, 2) and h.n_taps == n_taps
+        want = [b"FR3CIR1\x00", struct.pack("<4I", u, s, t, n_taps),
+                struct.pack("<d", h.fc_ghz * 1e9)]
+        for i in range(n_taps):
+            want.append(struct.pack("<d", h.delays[i]))
+            for iu in range(u):
+                for js in range(s):
+                    for k in range(t):
+                        g = h.gains[i, iu, js, k]
+                        want.append(struct.pack("<2f", g.real, g.imag))
+        path = tmp_path / "x.cir"
+        write_cir(path, h)
+        assert path.read_bytes() == b"".join(want)
+        h2 = read_cir(path)
+        assert np.array_equal(h2.delays, h.delays)
+        assert np.array_equal(h2.gains, h.gains.astype(np.complex64))
+
+    @pytest.mark.parametrize("keep", [12, -1, -8, -2 * 16 * 8 * 8],
+                             ids=["header", "byte", "pair", "rows"])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "x.cir"
+        write_cir(path, self._los_link())
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated|body"):
+            read_cir(path)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8],
+                             ids=["byte", "delay"])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "x.cir"
+        write_cir(path, self._los_link())
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match="body"):
+            read_cir(path)

@@ -1,16 +1,23 @@
 """Golden outputs: three small runs must keep writing the `links.csv` files
-checked in under ``tests/data``.
+checked in under ``tests/data``, and one small run with ``emit_cir`` the
+CIR files whose sha256 values are in ``tests/data/golden_cir_umi-disc.sha256``.
 
 Integer and string columns must match exactly; float columns to a relative
 1e-9, so that the test pins the model's outputs without depending on the
-last bits a given numpy build produces.  When a change moves a random
-stream or a model output on purpose, say so in CHANGES.md and regenerate
-the files with
+last bits a given numpy build produces.  The CIR files are pinned byte for
+byte: their gains are rounded to f32, which hides most such last bits, and
+the digests guard the file layout as well as the values.  When a change
+moves a random stream or a model output on purpose, say so in CHANGES.md
+and regenerate all the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The digest file has the ``sha256sum`` format, so ``sha256sum -c`` checks
+it against the ``cir`` directory of a run with the same settings.
 """
 
 import csv
+import hashlib
 import pathlib
 import shutil
 import sys
@@ -30,12 +37,25 @@ CASES = {
 }
 EXACT = {"link_id", "ue", "site", "sector", "state", "n_clusters", "m_rays"}
 
+# the run whose CIR files are pinned: plane-wave UMi links with absolute
+# delays and two time samples
+CIR_OVERRIDES = {"scenario": "UMi", "layout": "disc", "n_ues": 3,
+                 "emit_cir": True, "t_count": 2, "absolute_delay": True}
+CIR_GOLDEN = DATA / "golden_cir_umi-disc.sha256"
+
 
 def _run(name, out_dir):
     preset, overrides = CASES[name]
     run(load_config(preset=preset,
                     overrides=dict(overrides, out_dir=str(out_dir))))
     return out_dir / "links.csv"
+
+
+def _cir_digests(out_dir):
+    """``sha256sum`` lines of the CIR files of the CIR_OVERRIDES run."""
+    run(load_config(overrides=dict(CIR_OVERRIDES, out_dir=str(out_dir))))
+    return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+                   for p in sorted((out_dir / "cir").glob("link_*.cir")))
 
 
 def _rows(path):
@@ -58,9 +78,16 @@ def test_links_csv_matches_golden(tmp_path, name):
                                                       rel=1e-9), (w["link_id"], key)
 
 
+def test_cir_files_match_golden_sha256(tmp_path):
+    assert _cir_digests(tmp_path) == CIR_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             shutil.copy(_run(case, pathlib.Path(tmp)),
                         DATA / f"golden_{case}.csv")
             print(f"wrote {DATA / f'golden_{case}.csv'}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        CIR_GOLDEN.write_text(_cir_digests(pathlib.Path(tmp)))
+        print(f"wrote {CIR_GOLDEN}", file=sys.stderr)

@@ -30,9 +30,9 @@ def tiny_cfg(out_dir, **kw):
 
 
 def siso_channel(amp=1.0):
-    g = np.full((1, 1, 1), amp, dtype=complex)
+    g = np.full((1, 1, 1, 1), amp, dtype=complex)    # (n_taps, U, S, T)
     return ChannelRealization(fc_ghz=7.0, lam0=3e8 / 7e9,
-                              delays=np.array([0.0]), gains=[g])
+                              delays=np.array([0.0]), gains=g)
 
 
 class TestCapacity:
@@ -184,6 +184,26 @@ class TestRun:
         run(tiny_cfg(tmp_path / "w2", workers=2, n_ues=8))
         assert (tmp_path / "w1" / "links.csv").read_bytes() == \
             (tmp_path / "w2" / "links.csv").read_bytes()
+
+    def test_pool_workers_keep_their_context(self, tmp_path, monkeypatch):
+        # the forked workers log each BS array they mount: a context that
+        # lives for the worker's life mounts each (site, sector) at most
+        # once per worker, where a context per chunk would mount at least
+        # once in each of the 8 chunks
+        log = tmp_path / "mounts.log"
+        real = harness.mount_bs_array
+
+        def logged(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "mount_bs_array", logged)
+        reports = run(tiny_cfg(tmp_path / "out", workers=2, n_ues=16))
+        keys = {(r.site, r.sector) for r in reports}
+        pids = log.read_text().split()
+        assert os.getpid() not in map(int, pids)
+        assert len(pids) <= 2 * len(keys) < 8
 
     def test_emit_cir(self, tmp_path):
         run(tiny_cfg(tmp_path / "c", emit_cir=True, n_ues=2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fr3sim.antenna import PanelArray, element_positions
-from fr3sim.coefficients import draw_phases, synthesize
+from fr3sim.coefficients import draw_phases
 from fr3sim.geometry import sph_unit
 from fr3sim.largescale import C_LIGHT
 from fr3sim.nearfield import (element_wise_angles,
@@ -10,6 +10,7 @@ from fr3sim.nearfield import (element_wise_angles,
                               nlos_element_phase, source_distances)
 
 from test_coefficients import geom_for, iso_element, simple_cs
+from test_synthesis_reference import synthesize_with_rays
 
 LAM = C_LIGHT / 7e9
 
@@ -162,14 +163,14 @@ class TestFeatureIsolation:
         if near:
             nf = source_distances(cs, 30.0, 0.0, 0, 2.0, 2.0,
                                   np.random.default_rng(9))
-        return synthesize(geom_for(30.0), cs, ph, bs, ue, LAM,
-                          near_field=nf, keep_rays=True)
+        return synthesize_with_rays((geom_for(30.0), cs, ph, bs, ue),
+                                    near_field=nf)
 
     def test_amplitudes_and_delays_unchanged(self):
-        h_ff = self._channels(False)
-        h_nf = self._channels(True)
+        h_ff, rays_ff = self._channels(False)
+        h_nf, rays_nf = self._channels(True)
         assert np.array_equal(h_ff.delays, h_nf.delays)
-        for a, b in zip(h_ff.ray_gains, h_nf.ray_gains):
+        for a, b in zip(rays_ff, rays_nf):
             assert np.allclose(np.abs(a), np.abs(b), rtol=1e-12, atol=1e-15)
             assert not np.allclose(np.angle(a[0, 1:]), np.angle(b[0, 1:]))
 
@@ -190,11 +191,12 @@ class TestFeatureIsolation:
         ue = iso_element((6.0, 0.0, 1.5))
         nf = source_distances(cs, 6.0, 0.0, 0, 2.0, 2.0,
                               np.random.default_rng(14))
-        h_plain = synthesize(geom_for(6.0), cs, ph, bs, ue, LAM,
-                             near_field=nf, nf_angles=False, keep_rays=True)
-        h_ang = synthesize(geom_for(6.0), cs, ph, bs, ue, LAM,
-                           near_field=nf, nf_angles=True, keep_rays=True)
+        args = (geom_for(6.0), cs, ph, bs, ue)
+        h_plain, rays_plain = synthesize_with_rays(args, near_field=nf,
+                                                   nf_angles=False)
+        h_ang, rays_ang = synthesize_with_rays(args, near_field=nf,
+                                               nf_angles=True)
         assert np.array_equal(h_plain.delays, h_ang.delays)
         changed = any(not np.allclose(np.abs(a), np.abs(b))
-                      for a, b in zip(h_plain.ray_gains, h_ang.ray_gains))
+                      for a, b in zip(rays_plain, rays_ang))
         assert changed

@@ -328,18 +328,18 @@ class TestUeMasks:
 
     def test_sns_scaling_leaves_phases_unchanged(self):
         # SNS multiplies real non-negative factors: per-ray phases identical
-        from fr3sim.coefficients import draw_phases, synthesize
+        from fr3sim.coefficients import draw_phases
         from test_coefficients import geom_for, iso_element, simple_cs
+        from test_synthesis_reference import synthesize_with_rays
         cs = simple_cs(n=3, m=4, p=np.array([0.5, 0.3, 0.2]))
         ph = draw_phases(3, 4, np.random.default_rng(6))
         bs = iso_element((0.0, 0.0, 10.0))
         ue = iso_element((20.0, 0.0, 1.5))
         alpha = np.random.default_rng(7).uniform(0.2, 1.0, (1, 3))
-        h0 = synthesize(geom_for(20.0), cs, ph, bs, ue, LAM * 21e9 / 3e8 * 3e8 / 21e9,
-                        keep_rays=True)
-        h1 = synthesize(geom_for(20.0), cs, ph, bs, ue, LAM,
-                        sns_alpha=alpha, keep_rays=True)
-        for a, b in zip(h0.ray_gains, h1.ray_gains):
+        args = (geom_for(20.0), cs, ph, bs, ue)
+        _h0, rays0 = synthesize_with_rays(args)
+        _h1, rays1 = synthesize_with_rays(args, sns_alpha=alpha)
+        for a, b in zip(rays0, rays1):
             assert np.allclose(np.angle(a), np.angle(b))
             assert not np.allclose(np.abs(a), np.abs(b))
 

@@ -3,7 +3,9 @@
 The reference below evaluates every element's field pattern and array
 phase on its own and sums the rays of each tap with one einsum per ray
 term, with no grouping by field or site.  Every tap of the synthesized
-channel must match it to 1e-12 relative to the tap's largest gain.
+channel must match it to 1e-12 relative to the tap's largest gain.  Its
+per-ray gains are what the per-ray checks of the other test modules read;
+each of them ties the reference to `synthesize` on its own input.
 """
 
 import numpy as np
@@ -226,15 +228,17 @@ CASES = {
 }
 
 
-def run_case(name, keep_rays=False):
+def run_case(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     args, got_kw, ref_kw = link(CASES[name], rng)
-    h = synthesize(*args, LAM, keep_rays=keep_rays, **got_kw)
+    h = synthesize(*args, LAM, **got_kw)
     want = reference(*args, **ref_kw)
     return h, want
 
 
 def assert_taps_close(got, want):
+    """Every tap of ``got`` (one (n_taps, U, S, T) tensor or a list of
+    taps) is ``want``'s to REL of the tap's largest gain."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -242,20 +246,34 @@ def assert_taps_close(got, want):
         assert err <= REL
 
 
+def synthesize_with_rays(args, **kw):
+    """synthesize(*args, LAM, **kw) and the reference's per-ray gains of the
+    same link, after checking that the reference's taps are synthesize's."""
+    h = synthesize(*args, LAM, **kw)
+    delays, gains, rays = reference(
+        *args, los=kw.get("los", False), v=kw.get("v_vec"),
+        t=kw.get("t_samples", (0.0,)), nf=kw.get("near_field"),
+        nf_angles=kw.get("nf_angles", False), alpha=kw.get("sns_alpha"),
+        beta=kw.get("sns_beta"), base_delay=kw.get("base_delay", 0.0))
+    assert np.array_equal(h.delays, delays)
+    assert_taps_close(h.gains, gains)
+    return h, rays
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_taps_match_naive_reference(name):
     h, (delays, gains, _rays) = run_case(name)
+    assert h.gains.shape == (len(delays),) + gains[0].shape
     assert np.array_equal(h.delays, delays)
     assert_taps_close(h.gains, gains)
 
 
 @pytest.mark.parametrize("name", ["nf-angles", "multi-panel-plane",
                                   "alpha-per-ray"])
-def test_keep_rays_sums_to_taps(name):
-    h, (_delays, gains, ray_gains) = run_case(name, keep_rays=True)
-    assert_taps_close(h.gains, gains)
-    assert_taps_close(h.ray_gains, ray_gains)
-    assert_taps_close([r.sum(axis=2) for r in h.ray_gains], h.gains)
+def test_reference_rays_sum_to_taps(name):
+    # the per-ray gains, the LOS ray included, add up to synthesize's taps
+    h, (_delays, _gains, ray_gains) = run_case(name)
+    assert_taps_close(h.gains, [r.sum(axis=2) for r in ray_gains])
 
 
 @pytest.mark.parametrize("name", CASES)
