@@ -1,4 +1,4 @@
-"""Golden outputs: three small runs must keep writing the `links.csv` files
+"""Golden outputs: five small runs must keep writing the `links.csv` files
 checked in under ``tests/data``, and one small run with ``emit_cir`` the
 CIR files whose sha256 values are in ``tests/data/golden_cir_umi-disc.sha256``.
 
@@ -34,6 +34,11 @@ CASES = {
     "sma-hex": (None, {"n_ues": 8, "seed": 4}),    # 19-site wrap-around
     "umi-disc": (None, {"scenario": "UMi", "layout": "disc", "n_ues": 6}),
     "inh-nf-2": ("inh-nf-2", {"n_ues": 4}),
+    # all four LOS/NLOS x indoor/outdoor states, with UMa's height-dependent
+    # LOS probability
+    "uma-hex": (None, {"scenario": "UMa", "n_ues": 8, "seed": 3}),
+    # RMa's dual-slope path loss and in-car UEs, LOS and NLOS
+    "rma-hex": (None, {"scenario": "RMa", "n_ues": 8, "seed": 2}),
 }
 EXACT = {"link_id", "ue", "site", "sector", "state", "n_clusters", "m_rays"}
 
