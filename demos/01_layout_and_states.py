@@ -32,35 +32,32 @@ print(f"\nUE at {far_ue[:2]} wraps to {np.round(eff[:2], 1)} "
       f"-> distance {np.linalg.norm(eff[:2]):.1f} m")
 
 # drop UEs: 80 percent indoor, 90/10 residential/commercial building mix,
-# heights uniform across the floors of the building type
+# heights uniform across the floors of the building type.  The drop is a set
+# of columns with one row per UE: positions, indoor, building and floor.
 rng = substream(1, 0, STAGE_DROP)  # master seed 1, drop 0
-ues = drop_ues(layout, 2000, sma, rng)
-indoor = [u for u in ues if u.indoor]
-print(f"\ndropped {len(ues)} UEs, indoor fraction "
-      f"{len(indoor) / len(ues):.2f}")
+drop = drop_ues(layout, 2000, sma, rng)
+print(f"\ndropped {len(drop.positions)} UEs, indoor fraction "
+      f"{np.mean(drop.indoor):.2f}")
 for btype in ("residential", "commercial"):
-    hs = sorted({u.height for u in indoor if u.building == btype})
-    frac = np.mean([u.building == btype for u in indoor])
-    print(f"  {btype:12s} {frac:.2f} of indoor, floor heights {hs}")
+    rows = drop.building == btype
+    hs = np.unique(drop.positions[rows, 2]).tolist()
+    print(f"  {btype:12s} {np.sum(rows) / np.sum(drop.indoor):.2f} of indoor, "
+          f"floor heights {hs}")
 
-# propagation states: LOS draw, O2I model, and indoor depth per link;
-# every UE sees its nearest wrap image of the central site
-links, near_ues = [], []
+# propagation states: LOS draw, O2I model, and indoor depth per link; every
+# UE sees its nearest wrap image of the central site.  Each call covers all
+# links at once and returns columns again.
 site = layout.sites[0]
-for u in ues:
-    eff = effective_ue_position(site.position, u.position, layout.wrap_vectors)
-    g = link_geometry(site.position, eff)
-    if g.d2d < 750.0:
-        links.append(g)
-        near_ues.append(u)
-states = assign_states(links, sma, np.random.default_rng(7), ues=near_ues)
-los_frac = np.mean([s.los == "LOS" for s in states])
-print(f"\nstates for {len(links)} links within one cell radius: "
-      f"LOS fraction {los_frac:.2f}")
-o2i = {}
-for s in states:
-    if s.location == "indoor":
-        o2i[s.o2i_model] = o2i.get(s.o2i_model, 0) + 1
-print(f"O2I model mix among indoor links: {o2i}")
-d_in = [s.d2d_in for s in states if s.location == "indoor"]
+eff = effective_ue_position(site.position, drop.positions, layout.wrap_vectors)
+near = link_geometry(site.position, eff).d2d < 750.0
+links = link_geometry(site.position, eff[near])
+states = assign_states(links, drop.indoor[near], drop.building[near], sma,
+                       np.random.default_rng(7))
+print(f"\nstates for {near.sum()} links within one cell radius: "
+      f"LOS fraction {np.mean(states.los == 'LOS'):.2f}")
+indoor = states.location == "indoor"
+models, counts = np.unique(states.o2i_model[indoor], return_counts=True)
+print(f"O2I model mix among indoor links: "
+      f"{dict(zip(models.tolist(), counts.tolist()))}")
+d_in = states.d2d_in[indoor]
 print(f"indoor depth d2D_in: mean {np.mean(d_in):.1f} m, max {np.max(d_in):.1f} m")

@@ -29,12 +29,20 @@ state = PropagationState("LOS", "outdoor")
 print(f"link: d2D = {g.d2d:.1f} m, d3D = {g.d3d:.1f} m, "
       f"AOD = {g.aod_az:.1f} deg, ZOD = {g.zod:.1f} deg")
 
-# correlated large-scale parameters at the UE position
-std, names = correlated_standard_normals(ue_pos[:2], sma, "los",
+# correlated large-scale parameters at the UE and three points further
+# along its route: one call per step gives one row per position, and the
+# UE's own link is row 0
+route = ue_pos + np.outer(np.arange(4) * 10.0, [1.0, 0.0, 0.0])
+std, names = correlated_standard_normals(route[:, :2], sma, "los",
                                          np.random.default_rng(3))
+lsps = lsps_from_standardized(
+    std, names, link_geometry(bs_pos, route), sma,
+    PropagationState(np.full(4, "LOS"), np.full(4, "outdoor")), fc)
+print("  x [m]   DS [ns]   ASA [deg]   ASD [deg]   K [dB]   SF [dB]")
+for row in zip(route[:, 0], lsps.ds * 1e9, lsps.asa, lsps.asd, lsps.k_db,
+               lsps.sf_db):
+    print("  {:5.0f}   {:7.1f}   {:9.1f}   {:9.1f}   {:6.1f}   {:7.1f}".format(*row))
 lsp = lsps_from_standardized(std[0], names, g, sma, state, fc)
-print(f"LSPs: DS = {lsp.ds * 1e9:.1f} ns, ASA = {lsp.asa:.1f} deg, "
-      f"ASD = {lsp.asd:.1f} deg, K = {lsp.k_db:.1f} dB, SF = {lsp.sf_db:.1f} dB")
 
 # steps 5-9: delays, powers, coupled angles, XPR
 rngs = {k: np.random.default_rng([5, i]) for i, k in enumerate(

@@ -2,7 +2,7 @@
 upper-mid band, with near-field spherical wavefronts, spatial
 non-stationarity, SMa support, and the revised ray-count rule."""
 
-from .geometry import (Orientation, SiteLayout, LinkGeometry, UE, vec3,
+from .geometry import (Orientation, SiteLayout, LinkGeometry, Drop, vec3,
                        build_hex_layout, build_indoor_layout,
                        build_disc_layout, drop_ues, link_geometry,
                        gcs_to_lcs, lcs_to_gcs)

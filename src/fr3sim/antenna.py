@@ -152,10 +152,6 @@ class UEDevice:
     """
     kind: str = "handheld"  # "handheld" | "CPE"
 
-    @property
-    def dims_cm(self):
-        return (15.0, 7.0, 0.0) if self.kind == "handheld" else (0.0, 20.0, 20.0)
-
 
 def _outward_orientation(offset):
     n = np.linalg.norm(offset)
@@ -232,13 +228,6 @@ class MountedArray:
 
     def positions(self):
         return self.reference[None, :] + self.offsets
-
-    def aperture(self):
-        """Largest pairwise element separation (meters)."""
-        if self.size == 1:
-            return 0.0
-        span = self.offsets.max(axis=0) - self.offsets.min(axis=0)
-        return float(np.linalg.norm(span))
 
     @cached_property
     def field_groups(self):

@@ -5,6 +5,7 @@ measured counter-clockwise from the +x axis in [-180, 180] deg, zenith is
 measured from the +z axis (0 = straight up, 90 = horizon) in [0, 180] deg.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,18 +206,6 @@ def build_disc_layout(radius, h_bs, sector_orientation=None):
     return SiteLayout([site], 0.0, [], ("disc", 0.0, 0.0, float(radius)))
 
 
-@dataclass
-class UE:
-    position: np.ndarray
-    indoor: bool = False
-    building: str = ""  # "residential" | "commercial" | "" (outdoor / n.a.)
-    floor: int = 0
-
-    @property
-    def height(self):
-        return float(self.position[2])
-
-
 # lattice offsets of the 3 x 3 candidate images around the rounded
 # lattice coordinates, searched in this order
 _NEIGHBOURS = np.array([(di, dj) for di in (-1.0, 0.0, 1.0)
@@ -249,6 +238,11 @@ def effective_ue_position(site_pos, ue_pos, wrap_vectors):
     return out
 
 
+# dropped UEs as columns, one row per UE: positions (U, 3) m, indoor (U,)
+# bool, building (U,) "residential" | "commercial" | "" and floor (U,) int
+Drop = namedtuple("Drop", "positions indoor building floor")
+
+
 def drop_ues(layout, count, sc, rng):
     """Drop ``count`` UEs uniformly over the layout's drop region.
 
@@ -257,18 +251,19 @@ def drop_ues(layout, count, sc, rng):
     scenario's outdoor height, indoor UEs uniformly over the floors of their
     building type.  Positions closer than the scenario minimum 2D distance
     to any site, measured to the nearest wrap image as in serving, are
-    rejection-resampled.
+    rejection-resampled.  The drop is the one place that decides whether a
+    UE is indoors and in which building type.
     """
-    if count == 0:
-        return []
     if count < 0:
         raise ValueError("count must be >= 0")
     min_d = sc.value("min_bs_ue_d2d")
+    indoor_ratio = sc.value("indoor_ratio")
+    commercial = sc.value("commercial_fraction", default=0.0)
     region = layout.drop_region
     site_pos = np.array([s.position for s in layout.sites])
-    ues = []
+    rows = []   # (x, y, indoor, building, floor) per UE
     attempts_budget = 1000 * count + 1000
-    while len(ues) < count:
+    while len(rows) < count:
         if attempts_budget <= 0:
             raise RuntimeError("minimum-distance rule cannot be satisfied; drop area exhausted")
         attempts_budget -= 1
@@ -286,44 +281,52 @@ def drop_ues(layout, count, sc, rng):
                                         layout.wrap_vectors)
             if np.linalg.norm(eff[:, :2] - site_pos[:, :2], axis=1).min() < min_d:
                 continue
-        indoor = bool(rng.uniform() < sc.value("indoor_ratio"))
-        building = ""
-        floor = 0
-        h = sc.value("ue_height_outdoor")
+        indoor = bool(rng.uniform() < indoor_ratio)
+        building, floor = "", 0
         if indoor:
-            building = "commercial" if rng.uniform() < sc.value("commercial_fraction", default=0.0) \
-                else "residential"
+            building = "commercial" if rng.uniform() < commercial else "residential"
             floor = int(rng.integers(0, int(sc.value(f"{building}_floors", default=1))))
-            h = (sc.value("floor_base_m", default=1.5)
-                 + sc.value("floor_step_m", default=3.0) * floor)
-        ues.append(UE(vec3(x, y, h), indoor, building, floor))
-    return ues
+        rows.append((x, y, indoor, building, floor))
+    c = np.array(rows, dtype=[("x", float), ("y", float), ("indoor", bool),
+                              ("building", "U11"), ("floor", int)])
+    h = np.where(c["indoor"], sc.value("floor_base_m", default=1.5)
+                 + sc.value("floor_step_m", default=3.0) * c["floor"],
+                 sc.value("ue_height_outdoor"))
+    return Drop(np.column_stack([c["x"], c["y"], h]), c["indoor"],
+                c["building"], c["floor"])
 
 
 @dataclass
 class LinkGeometry:
-    d2d: float
-    d3d: float
-    h_bs: float
-    h_ue: float
-    aod_az: float   # LOS azimuth of departure at the BS [deg]
-    aoa_az: float   # LOS azimuth of arrival at the UE [deg]
-    zod: float      # LOS zenith of departure [deg]
-    zoa: float      # LOS zenith of arrival [deg]
-    d2d_in: float = 0.0
+    """LOS geometry of BS-UE links; each field holds one value per link."""
+    d2d: np.ndarray
+    d3d: np.ndarray
+    h_bs: np.ndarray
+    h_ue: np.ndarray
+    aod_az: np.ndarray   # LOS azimuth of departure at the BS [deg]
+    aoa_az: np.ndarray   # LOS azimuth of arrival at the UE [deg]
+    zod: np.ndarray      # LOS zenith of departure [deg]
+    zoa: np.ndarray      # LOS zenith of arrival [deg]
 
 
 def link_geometry(bs_position, ue_position):
-    """Geometric quantities of one BS-UE pair in the GCS."""
-    bs = np.asarray(bs_position, dtype=float)
-    ue = np.asarray(ue_position, dtype=float)
+    """Geometric quantities of BS-UE pairs in the GCS.
+
+    The positions broadcast over (..., 3), and every field has their
+    broadcast shape without the last axis: one call covers all links, and a
+    single pair gives 0-d fields.
+    """
+    bs, ue = np.broadcast_arrays(np.asarray(bs_position, dtype=float),
+                                 np.asarray(ue_position, dtype=float))
     dv = ue - bs
-    d2d = float(np.hypot(dv[0], dv[1]))
-    d3d = float(np.linalg.norm(dv))
-    if d3d == 0.0:
+    # |dv| from the dot product of dv with itself, as np.linalg.norm takes
+    # it of one vector; a sum over the last axis rounds some links apart
+    d3d = np.sqrt((dv[..., None, :] @ dv[..., :, None])[..., 0, 0])
+    if np.any(d3d == 0.0):
         raise ValueError("BS and UE positions coincide")
     zod, aod = unit_to_angles(dv)
     zoa, aoa = unit_to_angles(-dv)
-    return LinkGeometry(d2d=d2d, d3d=d3d, h_bs=float(bs[2]), h_ue=float(ue[2]),
-                        aod_az=float(wrap_azimuth(aod)), aoa_az=float(wrap_azimuth(aoa)),
-                        zod=float(zod), zoa=float(zoa))
+    return LinkGeometry(d2d=np.hypot(dv[..., 0], dv[..., 1]), d3d=d3d,
+                        h_bs=bs[..., 2], h_ue=ue[..., 2],
+                        aod_az=wrap_azimuth(aod), aoa_az=wrap_azimuth(aoa),
+                        zod=zod, zoa=zoa)

@@ -26,14 +26,11 @@ from .largescale import (C_LIGHT, LargeScaleResult,
                          correlated_standard_normals, lsps_from_standardized,
                          o2i_penetration, path_loss)
 from .nearfield import source_distances
-from .scenario import (LOS, NLOS, O2I, assign_states, data_root,
+from .scenario import (LOS, LSP_ORDER_LOS, STATES, assign_states, data_root,
                        load_parameter_tables)
 from .smallscale import build_cluster_set
 from .sns import (USAGES, SnsConfig, draw_usage, stochastic_attenuation,
                   ue_sns_mask)
-
-_STATE_ORD = {LOS: 0, NLOS: 1, O2I: 2}
-
 
 def _key(default, **allowed):
     """A RunConfig field with its allowed values: ``choices`` and/or the
@@ -282,12 +279,11 @@ def _rms_delay_spread(delays, powers):
 
 @dataclass
 class LinkTask:
+    """One link's indices and its rows of the set-up columns."""
     link_id: int
     ue_index: int
     site_index: int
     sector_index: int
-    site_pos: np.ndarray
-    sector: Orientation
     ue_pos: np.ndarray
     geom: object
     state: object
@@ -295,6 +291,7 @@ class LinkTask:
     ls: LargeScaleResult
     v_vec: np.ndarray
     usage: str
+    ray_count: int = None   # rays per cluster under ray_count_scaling
 
 
 @dataclass
@@ -335,6 +332,7 @@ def report_row(r):
 class WorkerContext:
     cfg: RunConfig
     sc: object
+    layout: object
     scaling: dict
     masks: dict
     cir_dir: str = ""
@@ -359,18 +357,6 @@ def process_link(ctx, task):
     los = state.state_key == LOS
     lid = task.link_id
 
-    m_override = None
-    if cfg.ray_count_scaling:
-        ssp = sc.ssp(state.state_key, cfg.fc_ghz)
-        bs_arr = _build_bs_array(cfg)
-        d_h = (bs_arr.n - 1) * bs_arr.d_h * lam0
-        d_v = (bs_arr.m - 1) * bs_arr.d_v * lam0
-        rc = RayCountConfig(bandwidth_hz=cfg.bandwidth_hz, d_h=d_h, d_v=d_v,
-                            c_ds=ssp["c_ds"], c_asd=ssp["c_asd"],
-                            c_zsd=ssp["c_zsd"], wavelength=lam0,
-                            m_min=cfg.m_min, m_max=cfg.m_max)
-        m_override, _, _, _ = ray_count(rc)
-
     rngs = {
         "count": _link_rng(cfg, lid, rngmod.STAGE_CLUSTER_COUNT),
         "delays": _link_rng(cfg, lid, rngmod.STAGE_DELAYS),
@@ -385,7 +371,7 @@ def process_link(ctx, task):
                            ctx.scaling,
                            cluster_variability=cfg.cluster_variability,
                            pol_variability=cfg.pol_variability,
-                           ray_count=m_override, prune_db=cfg.prune_db)
+                           ray_count=task.ray_count, prune_db=cfg.prune_db)
     phases = draw_phases(cs.n, cs.m, _link_rng(cfg, lid, rngmod.STAGE_PHASES))
 
     base_delay = 0.0
@@ -405,17 +391,19 @@ def process_link(ctx, task):
                               cfg.nf_alpha, cfg.nf_beta,
                               _link_rng(cfg, lid, rngmod.STAGE_NEARFIELD))
 
+    site = ctx.layout.sites[task.site_index]
+    sector = site.sectors[task.sector_index]
     bs_key = (task.site_index, task.sector_index)
     bs = ctx.bs_arrays.get(bs_key)
     if bs is None:
         bs = ctx.bs_arrays[bs_key] = mount_bs_array(
-            _build_bs_array(cfg), task.site_pos, task.sector, lam0)
+            _build_bs_array(cfg), site.position, sector, lam0)
     ue = mount_ue_device(UEDevice(cfg.ue_device), task.ue_pos,
                          dual_polarized=cfg.ue_dual_pol)
 
     alpha = None
     if cfg.sns == "stochastic":
-        rot = task.sector.rotation()
+        rot = sector.rotation()
         yz = (bs.offsets @ rot)[:, 1:3]
         alpha = stochastic_attenuation(10.0 * np.log10(cs.p), cfg.sns_config(),
                                        yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
@@ -499,21 +487,104 @@ def _serve(layout, positions):
     """Serve every UE of ``positions`` (U, 3) in one broadcast call: the
     site whose nearest wrap image of the UE is closest in 3D (the first
     such site on a tie), that image, and the sector best aligned with the
-    direction to it.  Returns (sites, sectors, effective positions (U, 3),
-    served LinkGeometry per UE)."""
+    direction to it (the first on a tie).  Returns (sites, sectors,
+    effective positions (U, 3), LinkGeometry of the served links)."""
     site_pos = np.array([s.position for s in layout.sites])
     eff = effective_ue_position(site_pos, positions[:, None, :],
                                 layout.wrap_vectors)
     sites = np.argmin(np.linalg.norm(eff - site_pos, axis=-1), axis=1)
     eff = eff[np.arange(len(sites)), sites]
-    sectors, links = [], []
-    for si, pos in zip(sites, eff):
-        site = layout.sites[si]
-        g = link_geometry(site.position, pos)
-        sectors.append(int(np.argmin([abs(wrap_azimuth(g.aod_az - s.alpha))
-                                      for s in site.sectors])))
-        links.append(g)
-    return sites.tolist(), sectors, eff, links
+    geom = link_geometry(site_pos[sites], eff)
+    boresights = np.array([[s.alpha for s in site.sectors]
+                           for site in layout.sites])[sites]
+    sectors = np.argmin(np.abs(wrap_azimuth(geom.aod_az[:, None] - boresights)),
+                        axis=1)
+    return sites, sectors, eff, geom
+
+
+def _rows(columns):
+    """The per-link rows of a dataclass whose fields hold one value per
+    link, as instances of the same dataclass."""
+    cls = type(columns)
+    return [cls(*row) for row in zip(*(np.asarray(getattr(columns, f.name)).tolist()
+                                       for f in fields(cls)))]
+
+
+def _standardized_lsps(cfg, sc, sites, keys, floor, eff):
+    """Cross-correlated standard-normal LSP vectors, one row per link in
+    LSP_ORDER_LOS order (K is NaN outside LOS).  Each (site, state, floor)
+    group of links draws one correlated field, sampled at the effective
+    (wrap-around) positions its links are served at."""
+    std = np.full((len(keys), len(LSP_ORDER_LOS)), np.nan)
+    state_ord = np.select([keys == k for k in STATES], [0, 1, 2])
+    groups, inverse = np.unique(np.column_stack([sites, state_ord, floor]),
+                                axis=0, return_inverse=True)
+    for g, (si, so, fl) in enumerate(groups.tolist()):
+        idxs = np.flatnonzero(inverse.ravel() == g)
+        f_rng = substream(cfg.seed, 0, si, so, fl, rngmod.STAGE_LSP_FIELD)
+        vals, names = correlated_standard_normals(eff[idxs, :2], sc,
+                                                  STATES[so], f_rng)
+        std[np.ix_(idxs, [LSP_ORDER_LOS.index(m) for m in names])] = vals
+    return std
+
+
+def _link_tasks(cfg, reg, sc, layout, drop):
+    """The LinkTask of every dropped UE.  Serving, states, LSPs and the
+    large-scale terms are each computed once over all links, as columns
+    with one row per UE, and a task holds its link's rows.  Only the
+    per-UE substreams (O2I random term, velocity, usage) are drawn UE by
+    UE."""
+    n = len(drop.positions)
+    sites, sectors, eff, geom = _serve(layout, drop.positions)
+    states = assign_states(geom, drop.indoor, drop.building, sc,
+                           substream(cfg.seed, 0, rngmod.STAGE_STATE),
+                           force_los=cfg.force_state or None,
+                           force_location=cfg.force_location or None)
+    keys = states.state_key
+    lsp = lsps_from_standardized(
+        _standardized_lsps(cfg, sc, sites, keys, drop.floor, eff),
+        LSP_ORDER_LOS, geom, sc, states, cfg.fc_ghz)
+
+    pl_tw = np.where(states.location == "car",
+                     sc.value("car_loss", default=0.0), 0.0)
+    pl_in, pen_rand = np.zeros(n), np.zeros(n)
+    indoor = np.flatnonzero(states.location == "indoor")
+    pl_tw[indoor], pl_in[indoor], pen_rand[indoor] = o2i_penetration(
+        reg.materials, states.o2i_model[indoor], cfg.fc_ghz,
+        states.d2d_in[indoor],
+        [substream(cfg.seed, 0, i, rngmod.STAGE_O2I_RANDOM) for i in indoor])
+    ls = LargeScaleResult(
+        pl_outdoor=path_loss(sc, geom, states, cfg.fc_ghz,
+                             nlos_floor=cfg.nlos_floor),
+        pl_tw=pl_tw, pl_in=pl_in, sf=lsp.sf_db, penetration_random=pen_rand)
+
+    speed = np.where(states.location == "indoor",
+                     sc.value("ue_speed_indoor_kmh"),
+                     sc.value("ue_speed_outdoor_kmh")) / 3.6
+    ang = np.array([substream(cfg.seed, 0, i, rngmod.STAGE_VELOCITY)
+                    .uniform(0.0, 2.0 * np.pi) for i in range(n)])
+    v_vec = speed[:, None] * np.column_stack([np.cos(ang), np.sin(ang),
+                                              np.zeros(n)])
+    usage = [(cfg.ue_usage or draw_usage(cfg.sns_config(), substream(
+        cfg.seed, 0, i, rngmod.STAGE_UE_SNS))) if cfg.ue_sns else "free"
+        for i in range(n)]
+
+    # the ray count depends only on the config and the state
+    m_rays = {}
+    if cfg.ray_count_scaling:
+        lam0, arr = cfg.wavelength(), _build_bs_array(cfg)
+        d_h, d_v = (arr.n - 1) * arr.d_h * lam0, (arr.m - 1) * arr.d_v * lam0
+        for key in np.unique(keys).tolist():
+            ssp = sc.ssp(key, cfg.fc_ghz)
+            m_rays[key] = ray_count(RayCountConfig(
+                cfg.bandwidth_hz, d_h, d_v, ssp["c_ds"], ssp["c_asd"],
+                ssp["c_zsd"], lam0, m_min=cfg.m_min, m_max=cfg.m_max))[0]
+    return [LinkTask(link_id=i, ue_index=i, site_index=si, sector_index=sec,
+                     ue_pos=eff[i], geom=g, state=st, lsp=lp, ls=l,
+                     v_vec=v_vec[i], usage=usage[i], ray_count=m_rays.get(k))
+            for i, (si, sec, g, st, lp, l, k) in enumerate(zip(
+                sites.tolist(), sectors.tolist(), _rows(geom), _rows(states),
+                _rows(lsp), _rows(ls), keys.tolist()))]
 
 
 def run(cfg, registry=None):
@@ -527,8 +598,8 @@ def run(cfg, registry=None):
     sc = reg.scenario(cfg.scenario)
     layout = _build_layout(cfg, sc)
     try:
-        ues = drop_ues(layout, cfg.n_ues, sc,
-                       substream(cfg.seed, 0, rngmod.STAGE_DROP))
+        drop = drop_ues(layout, cfg.n_ues, sc,
+                        substream(cfg.seed, 0, rngmod.STAGE_DROP))
     except RuntimeError as exc:   # the layout is too small for the scenario
         raise ConfigError(f"cannot drop {cfg.n_ues} UEs: {exc}") from None
     out = pathlib.Path(cfg.out_dir)
@@ -538,65 +609,10 @@ def run(cfg, registry=None):
         cir_dir = str(out / "cir")
         pathlib.Path(cir_dir).mkdir(exist_ok=True)
 
-    sites, sectors, eff, links = _serve(
-        layout, np.array([ue.position for ue in ues]))
-
-    states = assign_states(links, sc, substream(cfg.seed, 0, rngmod.STAGE_STATE),
-                           ues=ues,
-                           force_los=cfg.force_state or None,
-                           force_location=cfg.force_location or None)
-
-    # correlated LSP draws per (site, state, floor) group, on the effective
-    # (wrap-around) positions the links are served at
-    groups = {}
-    for i, (st, ue) in enumerate(zip(states, ues)):
-        key = (sites[i], st.state_key, ue.floor)
-        groups.setdefault(key, []).append(i)
-    std_vectors = {}
-    for (si, skey, floor), idxs in sorted(groups.items()):
-        pos = eff[idxs, :2]
-        f_rng = substream(cfg.seed, 0, si, _STATE_ORD[skey], floor,
-                          rngmod.STAGE_LSP_FIELD)
-        vals, names = correlated_standard_normals(pos, sc, skey, f_rng)
-        for row, i in enumerate(idxs):
-            std_vectors[i] = (vals[row], names)
-
-    tasks = []
-    for i, ue in enumerate(ues):
-        si, sec = sites[i], sectors[i]
-        st = states[i]
-        g = links[i]
-        s_vec, names = std_vectors[i]
-        lsp = lsps_from_standardized(s_vec, names, g, sc, st, cfg.fc_ghz)
-        pl = path_loss(sc, g, st, cfg.fc_ghz, nlos_floor=cfg.nlos_floor)
-        pl_tw = pl_in = pen_rand = 0.0
-        if st.location == "indoor":
-            o_rng = substream(cfg.seed, 0, i, rngmod.STAGE_O2I_RANDOM)
-            pl_tw, pl_in, pen_rand = o2i_penetration(
-                reg.materials, st.o2i_model, cfg.fc_ghz, st.d2d_in, o_rng)
-        elif st.location == "car":
-            pl_tw = sc.value("car_loss", default=0.0)
-        ls = LargeScaleResult(pl_outdoor=pl, pl_tw=pl_tw, pl_in=pl_in,
-                              sf=lsp.sf_db, penetration_random=pen_rand)
-        v_rng = substream(cfg.seed, 0, i, rngmod.STAGE_VELOCITY)
-        speed_key = "ue_speed_indoor_kmh" if st.location == "indoor" \
-            else "ue_speed_outdoor_kmh"
-        speed = sc.value(speed_key) / 3.6
-        ang = v_rng.uniform(0.0, 2.0 * np.pi)
-        v_vec = speed * np.array([np.cos(ang), np.sin(ang), 0.0])
-        usage = "free"
-        if cfg.ue_sns:
-            usage = cfg.ue_usage or draw_usage(
-                cfg.sns_config(), substream(cfg.seed, 0, i, rngmod.STAGE_UE_SNS))
-        site = layout.sites[si]
-        tasks.append(LinkTask(link_id=i, ue_index=i, site_index=si,
-                              sector_index=sec, site_pos=site.position,
-                              sector=site.sectors[sec], ue_pos=eff[i], geom=g,
-                              state=st, lsp=lsp, ls=ls, v_vec=v_vec,
-                              usage=usage))
-
-    ctx = WorkerContext(cfg=cfg, sc=sc, scaling=reg.angle_scaling,
-                        masks=reg.ue_masks, cir_dir=cir_dir)
+    tasks = _link_tasks(cfg, reg, sc, layout, drop)
+    ctx = WorkerContext(cfg=cfg, sc=sc, layout=layout,
+                        scaling=reg.angle_scaling, masks=reg.ue_masks,
+                        cir_dir=cir_dir)
     if cfg.workers <= 1 or len(tasks) < 2:
         reports = [process_link(ctx, t) for t in tasks]
     else:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import LOS, NLOS, O2I, LSP_ORDER_LOS, LSP_ORDER_NLOS
+from .scenario import LOS, LSP_ORDER_LOS, LSP_ORDER_NLOS, spow
 
 C_LIGHT = 3.0e8  # m/s, free-space propagation velocity used throughout
 
@@ -51,88 +51,73 @@ def _pl1_rma(d, fc_ghz, h):
             + 0.002 * np.log10(h) * d)
 
 
-def _nlos_rma(d3d, fc_ghz, w, h, h_bs, h_ue):
-    return (161.04 - 7.1 * np.log10(w) + 7.5 * np.log10(h)
-            - (24.37 - 3.7 * (h / h_bs) ** 2) * np.log10(h_bs)
-            + (43.42 - 3.1 * np.log10(h_bs)) * (np.log10(d3d) - 3.0)
-            + 20.0 * np.log10(fc_ghz)
-            - (3.2 * (np.log10(11.75 * h_ue)) ** 2 - 4.97))
-
-
 def path_loss(sc, g, state, fc_ghz, nlos_floor=True, strict=False):
-    """Outdoor path loss in dB for one link.
+    """Outdoor path loss in dB of every link of ``g``, one evaluation of the
+    scenario's family over all of them.
 
     ``nlos_floor`` applies the max(PL_LOS, PL_NLOS) convention for NLOS
-    links.  Geometry outside the table validity range raises in strict mode
-    and warns (extrapolating) otherwise.
+    links.  Links outside the table's d2D validity range raise in strict
+    mode; otherwise they are extrapolated, with one warning per call.
     """
-    if g.d3d <= 0:
+    d2d, d3d, h_bs, h_ue = (np.asarray(v, dtype=float)
+                            for v in (g.d2d, g.d3d, g.h_bs, g.h_ue))
+    if np.any(d3d <= 0):
         raise ValueError("non-positive link distance")
     family = sc.text("pl_family")
     d_min = sc.value("pl_d2d_min", default=0.0)
     d_max = sc.value("pl_d2d_max", default=np.inf)
-    if not (d_min <= g.d2d <= d_max):
-        msg = f"{sc.name}: d2D={g.d2d:.1f} m outside validity [{d_min}, {d_max}]"
+    n_out = np.count_nonzero((d2d < d_min) | (d2d > d_max))
+    if n_out:
+        msg = (f"{sc.name}: {n_out} of {d2d.size} links have d2D outside "
+               f"[{d_min}, {d_max}] m; extrapolated")
         if strict:
             raise ValueError(msg)
         warnings.warn(msg, ValidityWarning)
-    # O2I links use the LOS/NLOS outdoor loss per their LOS draw; the state
-    # key only switches the LSP/SSP tables.
-    los = state.los == "LOS"
 
+    dbp = _scenario_breakpoint(sc, h_bs, h_ue, fc_ghz)
     if family == "rma_dual":
         h = sc.value("avg_building_height")
         w = sc.value("street_width")
-        dbp = breakpoint_distance(family, g.h_bs, g.h_ue, fc_ghz)
-        if g.d2d <= dbp:
-            pl_los = _pl1_rma(g.d3d, fc_ghz, h)
-        else:
-            pl_los = _pl1_rma(dbp, fc_ghz, h) + 40.0 * np.log10(g.d3d / dbp)
-        if los:
-            return float(pl_los)
-        pl_n = _nlos_rma(g.d3d, fc_ghz, w, h, g.h_bs, g.h_ue)
-        return float(max(pl_los, pl_n) if nlos_floor else pl_n)
-
-    if family in ("uma_dual", "umi_dual"):
-        dbp = _scenario_breakpoint(sc, g.h_bs, g.h_ue, fc_ghz)
+        pl_los = np.where(d2d <= dbp, _pl1_rma(d3d, fc_ghz, h),
+                          _pl1_rma(dbp, fc_ghz, h) + 40.0 * np.log10(d3d / dbp))
+        pl_n = (161.04 - 7.1 * np.log10(w) + 7.5 * np.log10(h)
+                - (24.37 - 3.7 * spow(h / h_bs, 2)) * np.log10(h_bs)
+                + (43.42 - 3.1 * np.log10(h_bs)) * (np.log10(d3d) - 3.0)
+                + 20.0 * np.log10(fc_ghz)
+                - (3.2 * spow(np.log10(11.75 * h_ue), 2) - 4.97))
+    elif family in ("uma_dual", "umi_dual"):
         if family == "uma_dual":
-            a, slope2, corr = 28.0, 40.0, 9.0
+            a, slope1, corr = 28.0, 22.0, 9.0
+            pl_n = 13.54 + 39.08 * np.log10(d3d) + 20.0 * np.log10(fc_ghz) \
+                - 0.6 * (h_ue - 1.5)
         else:
-            a, slope2, corr = 32.4, 40.0, 9.5
-        slope1 = 22.0 if family == "uma_dual" else 21.0
-        if g.d2d <= dbp:
-            pl_los = a + slope1 * np.log10(g.d3d) + 20.0 * np.log10(fc_ghz)
-        else:
-            pl_los = (a + slope2 * np.log10(g.d3d) + 20.0 * np.log10(fc_ghz)
-                      - corr * np.log10(dbp ** 2 + (g.h_bs - g.h_ue) ** 2))
-        if los:
-            return float(pl_los)
-        if family == "uma_dual":
-            pl_n = 13.54 + 39.08 * np.log10(g.d3d) + 20.0 * np.log10(fc_ghz) \
-                - 0.6 * (g.h_ue - 1.5)
-        else:
-            pl_n = 35.3 * np.log10(g.d3d) + 22.4 + 21.3 * np.log10(fc_ghz) \
-                - 0.3 * (g.h_ue - 1.5)
-        return float(max(pl_los, pl_n) if nlos_floor else pl_n)
-
-    if family == "inh":
-        pl_los = 32.4 + 17.3 * np.log10(g.d3d) + 20.0 * np.log10(fc_ghz)
-        if los:
-            return float(pl_los)
-        pl_n = 17.3 + 38.3 * np.log10(g.d3d) + 24.9 * np.log10(fc_ghz)
-        return float(max(pl_los, pl_n) if nlos_floor else pl_n)
-
-    raise ValueError(f"unknown path-loss family {family!r}")
+            a, slope1, corr = 32.4, 21.0, 9.5
+            pl_n = 35.3 * np.log10(d3d) + 22.4 + 21.3 * np.log10(fc_ghz) \
+                - 0.3 * (h_ue - 1.5)
+        pl_los = np.where(
+            d2d <= dbp,
+            a + slope1 * np.log10(d3d) + 20.0 * np.log10(fc_ghz),
+            a + 40.0 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
+            - corr * np.log10(spow(dbp, 2) + spow(h_bs - h_ue, 2)))
+    elif family == "inh":
+        pl_los = 32.4 + 17.3 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
+        pl_n = 17.3 + 38.3 * np.log10(d3d) + 24.9 * np.log10(fc_ghz)
+    else:
+        raise ValueError(f"unknown path-loss family {family!r}")
+    # O2I links use the LOS/NLOS outdoor loss per their LOS draw; the state
+    # key only switches the LSP/SSP tables.
+    return np.where(np.equal(state.los, "LOS"), pl_los,
+                    np.maximum(pl_los, pl_n) if nlos_floor else pl_n)
 
 
 def sf_sigma(sc, state, d2d, fc_ghz, h_bs, h_ue):
-    """Shadow-fading standard deviation, resolving dual-slope LOS tables."""
+    """Shadow-fading standard deviation per link, resolving dual-slope tables."""
     key = state.state_key
-    sigma = sc.value("sf_sigma", key)
-    if key == LOS and sc.has("sf_sigma_far", key):
-        dbp = _scenario_breakpoint(sc, h_bs, h_ue, fc_ghz)
-        if d2d > dbp:
-            sigma = sc.value("sf_sigma_far", key)
+    sigma = sc.by_state("sf_sigma", key)
+    if sc.has("sf_sigma_far", LOS):
+        far = np.equal(key, LOS) & (
+            d2d > _scenario_breakpoint(sc, h_bs, h_ue, fc_ghz))
+        sigma = np.where(far, sc.value("sf_sigma_far", LOS), sigma)
     return sigma
 
 
@@ -158,26 +143,35 @@ _O2I_SIGMA = {"low": 4.4, "high": 6.5, "low-A": 4.4}
 
 
 def o2i_penetration(materials, model, fc_ghz, d2d_in, rng):
-    """(pl_tw, pl_in, random) building penetration terms in dB."""
-    if d2d_in < 0:
+    """(pl_tw, pl_in, random) building penetration terms in dB.
+
+    ``model`` and ``d2d_in`` may hold one row per link; ``rng`` is then a
+    sequence of one generator per link, which draws that link's random term.
+    """
+    model, d2d_in = np.asarray(model), np.asarray(d2d_in, dtype=float)
+    if np.any(d2d_in < 0):
         raise ValueError("d2d_in must be non-negative")
-    if model not in _O2I_WEIGHTS:
-        raise ValueError(f"unknown O2I model {model!r}")
-    acc = sum(w * 10.0 ** (-material_loss(materials, m, fc_ghz) / 10.0)
-              for w, m in _O2I_WEIGHTS[model])
-    pl_tw = 5.0 - 10.0 * np.log10(acc)
-    pl_in = 0.5 * d2d_in
-    rand = rng.normal(0.0, _O2I_SIGMA[model])
-    return float(pl_tw), float(pl_in), float(rand)
+    uniq, inverse = np.unique(model, return_inverse=True)
+    unknown = set(uniq.tolist()) - set(_O2I_WEIGHTS)
+    if unknown:
+        raise ValueError(f"unknown O2I model {unknown.pop()!r}")
+    pl_tw = [5.0 - 10.0 * np.log10(sum(
+        w * 10.0 ** (-material_loss(materials, mat, fc_ghz) / 10.0)
+        for w, mat in _O2I_WEIGHTS[m])) for m in uniq.tolist()]
+    rand = [r.normal(0.0, _O2I_SIGMA[m]) for r, m in
+            zip([rng] if model.ndim == 0 else rng, model.ravel().tolist())]
+    return (np.array(pl_tw)[inverse].reshape(model.shape), 0.5 * d2d_in,
+            np.reshape(rand, model.shape))
 
 
 @dataclass
 class LargeScaleResult:
-    pl_outdoor: float
-    pl_tw: float = 0.0
-    pl_in: float = 0.0
-    sf: float = 0.0
-    penetration_random: float = 0.0
+    """Large-scale terms in dB; each field holds one value per link."""
+    pl_outdoor: np.ndarray
+    pl_tw: np.ndarray = 0.0
+    pl_in: np.ndarray = 0.0
+    sf: np.ndarray = 0.0
+    penetration_random: np.ndarray = 0.0
 
     @property
     def total(self):
@@ -186,13 +180,14 @@ class LargeScaleResult:
 
 @dataclass
 class LspSet:
-    ds: float          # s
-    asa: float         # deg
-    asd: float         # deg
-    zsa: float         # deg
-    zsd: float         # deg
-    sf_db: float
-    k_db: float = None  # LOS only
+    """Large-scale parameters; each field holds one value per link."""
+    ds: np.ndarray          # s
+    asa: np.ndarray         # deg
+    asd: np.ndarray         # deg
+    zsa: np.ndarray         # deg
+    zsd: np.ndarray         # deg
+    sf_db: np.ndarray
+    k_db: np.ndarray = None  # LOS links only; NaN for the others
 
 
 def matrix_sqrt_psd(c):
@@ -232,9 +227,7 @@ def correlated_standard_normals(positions, sc, state_key, rng):
     Identical positions read the same node.  Returns (values
     (n_pos, n_lsp), lsp_names).
     """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim == 1:
-        positions = positions[None, :]
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[0] < 1:
         raise ValueError("at least one position required")
     xs, ix = np.unique(positions[:, 0], return_inverse=True)
@@ -251,26 +244,29 @@ def correlated_standard_normals(positions, sc, state_key, rng):
 
 
 def lsps_from_standardized(s, lsp_names, g, sc, state, fc_ghz):
-    """Transform a cross-correlated standard-normal vector into an LspSet.
+    """Transform cross-correlated standard-normal vectors into an LspSet.
 
-    Log-normal back-transform for DS and the angular spreads (with the
-    104/52 deg caps), plain normal for SF and K.
+    ``s`` holds one row per link of ``g`` and ``state``, in ``lsp_names``
+    order.  Log-normal back-transform for DS and the angular spreads (with
+    the 104/52 deg caps), plain normal for SF and K.  K exists for LOS links
+    only and is NaN for the others.
     """
     key = state.state_key
-    by_name = dict(zip(lsp_names, s))
+    by_name = dict(zip(lsp_names, np.moveaxis(np.asarray(s, dtype=float), -1, 0)))
 
-    def normal(lsp, prefix="lg_"):
+    def normal(lsp, keys=key, prefix="lg_"):
         """mu + sigma * s of one LSP from its mu_/sigma_ table rows."""
-        return (sc.value(f"mu_{prefix}{lsp}", key, fc_ghz)
-                + sc.value(f"sigma_{prefix}{lsp}", key, fc_ghz) * by_name[lsp])
+        return (sc.by_state(f"mu_{prefix}{lsp}", keys, fc_ghz)
+                + sc.by_state(f"sigma_{prefix}{lsp}", keys, fc_ghz) * by_name[lsp])
 
+    def spread(lsp, cap=np.inf):
+        return np.minimum(spow(10.0, normal(lsp)), cap)
+
+    los = np.equal(key, LOS)
+    k_db = np.where(los, normal("k", LOS, "") if los.any() else np.nan, np.nan)
     sigma_sf = sf_sigma(sc, state, g.d2d, fc_ghz, g.h_bs, g.h_ue)
-    ds = 10.0 ** normal("ds")
-    asa = min(10.0 ** normal("asa"), AS_CAP_AZIMUTH)
-    asd = min(10.0 ** normal("asd"), AS_CAP_AZIMUTH)
-    zsa = min(10.0 ** normal("zsa"), AS_CAP_ZENITH)
-    zsd = min(10.0 ** normal("zsd"), AS_CAP_ZENITH)
-    k_db = normal("k", "") if key == LOS else None
-    return LspSet(ds=float(ds), asa=float(asa), asd=float(asd), zsa=float(zsa),
-                  zsd=float(zsd), sf_db=float(sigma_sf * by_name["sf"]), k_db=k_db)
-
+    return LspSet(ds=spread("ds"), asa=spread("asa", AS_CAP_AZIMUTH),
+                  asd=spread("asd", AS_CAP_AZIMUTH),
+                  zsa=spread("zsa", AS_CAP_ZENITH),
+                  zsd=spread("zsd", AS_CAP_ZENITH),
+                  sf_db=sigma_sf * by_name["sf"], k_db=k_db)

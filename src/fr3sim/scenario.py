@@ -130,6 +130,12 @@ class ScenarioParams:
             self._values[key] = eval_expression(self._entry(param, state).raw, fc=fc)
         return self._values[key]
 
+    def by_state(self, param, keys, fc=None):
+        """``value(param, key, fc)`` for each state key of the array ``keys``."""
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        vals = np.array([self.value(param, k, fc) for k in uniq.tolist()])
+        return vals[inverse].reshape(np.shape(keys))
+
     def cross_correlation(self, state):
         """(matrix, lsp_names); symmetric with unit diagonal."""
         names = LSP_ORDER_LOS if state == LOS else LSP_ORDER_NLOS
@@ -290,36 +296,43 @@ def save_parameter_tables(registry, outdir):
 
 # -- LOS probability -----------------------------------------------------
 
+_POW = np.frompyfunc(pow, 2, 1)
+
+
+def spow(base, exponent):
+    """``base ** exponent`` element by element with Python's float ``pow``:
+    numpy's vectorized power rounds some results differently, and a link's
+    value must not depend on whether it was computed alone or in an array."""
+    return np.asarray(_POW(base, exponent), dtype=float)
+
+
 def los_probability(sc, d2d, h_ue=1.5):
-    """Probability that a link at 2D distance ``d2d`` is line-of-sight."""
-    if d2d < 0:
+    """Probability that a link at 2D distance ``d2d`` is line-of-sight;
+    ``d2d`` and ``h_ue`` broadcast over links."""
+    d2d, h_ue = np.broadcast_arrays(np.asarray(d2d, dtype=float),
+                                    np.asarray(h_ue, dtype=float))
+    if np.any(d2d < 0):
         raise ValueError("d2d must be non-negative")
     family = sc.text("los_family")
-    if family == "sma_exp":
-        d_c = sc.value("los_critical_distance")
-        kappa = sc.value("los_decay")
-        return 1.0 if d2d <= d_c else float(np.exp(-(d2d - d_c) / kappa))
-    if family == "umi":
-        if d2d <= 18.0:
-            return 1.0
-        return 18.0 / d2d + np.exp(-d2d / 36.0) * (1.0 - 18.0 / d2d)
-    if family == "uma":
-        if d2d <= 18.0:
-            return 1.0
-        if h_ue <= 13.0:
-            c = 0.0
-        else:
-            c = ((min(h_ue, 23.0) - 13.0) / 10.0) ** 1.5
-        base = 18.0 / d2d + np.exp(-d2d / 63.0) * (1.0 - 18.0 / d2d)
-        return min(1.0, base * (1.0 + c * 1.25 * (d2d / 100.0) ** 3 * np.exp(-d2d / 150.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):   # d2d = 0 has p = 1
+        if family == "sma_exp":
+            d_c = sc.value("los_critical_distance")
+            kappa = sc.value("los_decay")
+            return np.where(d2d <= d_c, 1.0, np.exp(-(d2d - d_c) / kappa))
+        if family == "umi":
+            return np.where(d2d <= 18.0, 1.0, 18.0 / d2d + np.exp(-d2d / 36.0)
+                            * (1.0 - 18.0 / d2d))
+        if family == "uma":
+            c = spow(np.maximum(np.minimum(h_ue, 23.0) - 13.0, 0.0) / 10.0, 1.5)
+            base = 18.0 / d2d + np.exp(-d2d / 63.0) * (1.0 - 18.0 / d2d)
+            return np.where(d2d <= 18.0, 1.0, np.minimum(1.0, base * (
+                1.0 + c * 1.25 * spow(d2d / 100.0, 3) * np.exp(-d2d / 150.0))))
     if family == "rma":
-        return 1.0 if d2d <= 10.0 else float(np.exp(-(d2d - 10.0) / 1000.0))
+        return np.where(d2d <= 10.0, 1.0, np.exp(-(d2d - 10.0) / 1000.0))
     if family == "inh":
-        if d2d <= 1.2:
-            return 1.0
-        if d2d < 6.5:
-            return float(np.exp(-(d2d - 1.2) / 4.7))
-        return float(np.exp(-(d2d - 6.5) / 32.6) * 0.32)
+        return np.where(d2d <= 1.2, 1.0,
+                        np.where(d2d < 6.5, np.exp(-(d2d - 1.2) / 4.7),
+                                 np.exp(-(d2d - 6.5) / 32.6) * 0.32))
     raise ParameterError(f"unknown los_family {family!r}")
 
 
@@ -327,80 +340,61 @@ def los_probability(sc, d2d, h_ue=1.5):
 
 @dataclass
 class PropagationState:
-    los: str                      # "LOS" | "NLOS"
-    location: str                 # "outdoor" | "indoor" | "car"
-    o2i_model: str = "none"       # "low" | "high" | "low-A" | "none"
-    d2d_in: float = 0.0
+    """Propagation state of links; each field holds one value per link."""
+    los: np.ndarray               # "LOS" | "NLOS"
+    location: np.ndarray          # "outdoor" | "indoor" | "car"
+    o2i_model: np.ndarray = "none"   # "low" | "high" | "low-A" | "none"
+    d2d_in: np.ndarray = 0.0
 
     @property
     def state_key(self):
-        """Parameter-table state used for this link."""
-        if self.location == "indoor":
-            return O2I
-        return LOS if self.los == "LOS" else NLOS
+        """Parameter-table state used for each link (a str for one link)."""
+        key = np.where(np.equal(self.location, "indoor"), O2I,
+                       np.where(np.equal(self.los, "LOS"), LOS, NLOS))
+        return key if key.ndim else str(key)
 
 
 def _o2i_mix(sc, building):
     suffix = "com" if building == "commercial" else "res"
-    probs = []
-    for model in ("low", "high", "lowa"):
-        key = f"o2i_p_{model}_{suffix}"
-        probs.append(sc.value(key, default=0.0))
+    probs = [sc.value(f"o2i_p_{m}_{suffix}", default=0.0)
+             for m in ("low", "high", "lowa")]
     total = sum(probs)
-    if total <= 0:
-        return [1.0, 0.0, 0.0]
-    return [p / total for p in probs]
+    return [p / total for p in probs] if total > 0 else [1.0, 0.0, 0.0]
 
 
-def assign_states(links, sc, rng, ues=None, force_los=None, force_location=None):
-    """Assign a PropagationState to every link.
+def assign_states(links, indoor, building, sc, rng, force_los=None,
+                  force_location=None):
+    """Draw the PropagationState of every link of the LinkGeometry
+    ``links``, whose UEs the drop placed ``indoor`` in ``building``.
 
-    Per link the stream is consumed in a fixed documented order (LOS,
-    indoor, building type, d2D_in, O2I model) regardless of which draws end
-    up being used, so seeds reproduce across feature toggles.  When ``ues``
-    is given, the indoor flag and building type drawn at drop time are
-    reused and the corresponding draws discarded.
+    Per link the stream gives five uniforms in a fixed documented order
+    (LOS, indoor, building type, d2D_in, O2I model), used or not, so seeds
+    reproduce across feature toggles; the drop decides indoor and building.
     """
-    states = []
-    for idx, g in enumerate(links):
-        xi = rng.uniform()
-        u_indoor = rng.uniform()
-        u_building = rng.uniform()
-        u_d2din = rng.uniform()
-        u_o2i = rng.uniform()
+    d2d = np.asarray(links.d2d, dtype=float)
+    xi, _, _, u_d2din, u_o2i = np.moveaxis(rng.uniform(size=d2d.shape + (5,)), -1, 0)
+    los = np.where(xi < los_probability(sc, d2d, links.h_ue), "LOS", "NLOS")
+    if force_los is not None:
+        los = np.full(d2d.shape, force_los)
+    indoor = np.broadcast_to(indoor, d2d.shape)
+    outdoor = "car" if sc.value("outdoor_in_car", default=0.0) > 0 else "outdoor"
+    location = np.where(indoor, "indoor", outdoor)
+    if force_location is not None:
+        location = np.full(d2d.shape, force_location)
+        indoor = location == "indoor"
 
-        los = "LOS" if xi < los_probability(sc, g.d2d, g.h_ue) else "NLOS"
-        if force_los is not None:
-            los = force_los
-
-        if ues is not None:
-            indoor = ues[idx].indoor
-            building = ues[idx].building or "residential"
-        else:
-            indoor = u_indoor < sc.value("indoor_ratio")
-            building = "commercial" if u_building < sc.value("commercial_fraction", default=0.0) \
-                else "residential"
-
-        location = "indoor" if indoor else "outdoor"
-        if not indoor and sc.value("outdoor_in_car", default=0.0) > 0:
-            location = "car"
-        if force_location is not None:
-            location = force_location
-            indoor = location == "indoor"
-
-        o2i_model = "none"
-        d2d_in = 0.0
-        if indoor:
-            key = f"d2d_in_max_{'commercial' if building == 'commercial' else 'residential'}"
-            if not sc.has(key):
-                key = "d2d_in_max"
-            d2d_in = u_d2din * sc.value(key)
-            p_low, p_high, p_lowa = _o2i_mix(sc, building)
-            if u_o2i < p_low:
-                o2i_model = "low"
-            elif u_o2i < p_low + p_high:
-                o2i_model = "high"
-            else:
-                o2i_model = "low-A"
-        states.append(PropagationState(los, location, o2i_model, d2d_in))
-    return states
+    d2d_in = np.zeros(d2d.shape)
+    o2i_model = np.full(d2d.shape, "none", dtype="<U5")
+    commercial = np.equal(building, "commercial")
+    for btype, rows in (("residential", indoor & ~commercial),
+                        ("commercial", indoor & commercial)):
+        if not rows.any():
+            continue
+        key = f"d2d_in_max_{btype}"
+        d2d_in[rows] = u_d2din[rows] * sc.value(
+            key if sc.has(key) else "d2d_in_max")
+        p_low, p_high, _ = _o2i_mix(sc, btype)
+        u = u_o2i[rows]
+        o2i_model[rows] = np.where(u < p_low, "low",
+                                   np.where(u < p_low + p_high, "high", "low-A"))
+    return PropagationState(los, location, o2i_model, d2d_in)

@@ -3,6 +3,8 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -s` to see the
 per-criterion report.  Tolerances are fixed here, not calibrated elsewhere.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -135,15 +137,21 @@ class TestMonteCarlo:
     def test_los_fraction_and_indoor_ratio(self):
         n = 100_000
         d2d = 400.0
-        links = [geom(d2d)] * n
-        states = fr3sim.assign_states(links, SMA,
+        one = geom(d2d)
+        links = fr3sim.LinkGeometry(*(np.full(n, getattr(one, f.name))
+                                      for f in fields(one)))
+        states = fr3sim.assign_states(links, np.zeros(n, bool),
+                                      np.full(n, ""), SMA,
                                       np.random.default_rng(3))
         p = fr3sim.los_probability(SMA, d2d, 1.5)
-        phat = np.mean([s.los == "LOS" for s in states])
+        phat = np.mean(states.los == "LOS")
         half = 2.5758 * np.sqrt(p * (1 - p) / n)  # 99 percent binomial CI
         _report("LOS fraction vs probability", abs(phat - p) < half,
                 f"phat={phat:.4f} p={p:.4f} ci=±{half:.4f}")
-        indoor = np.mean([s.location == "indoor" for s in states])
+        # the drop decides indoor; one site keeps its rejection check cheap
+        drop = fr3sim.drop_ues(fr3sim.build_disc_layout(1000.0, 35.0), n,
+                               SMA, np.random.default_rng(3))
+        indoor = np.mean(drop.indoor)
         _report("SMa indoor fraction 0.80±0.01", abs(indoor - 0.80) < 0.01,
                 f"{indoor:.4f}")
 

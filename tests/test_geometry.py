@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -167,20 +169,21 @@ class TestDropUes:
     def test_outdoor_height(self):
         rng = np.random.default_rng(0)
         lay = build_hex_layout(1299.0)
-        ues = drop_ues(lay, 300, SMA, rng)
-        for ue in ues:
-            if not ue.indoor:
-                assert ue.height == 1.5
+        drop = drop_ues(lay, 300, SMA, rng)
+        assert drop.positions.shape == (300, 3)
+        assert 0 < np.count_nonzero(~drop.indoor) < 300
+        assert np.all(drop.positions[~drop.indoor, 2] == 1.5)
+        assert np.all(drop.building[~drop.indoor] == "")
+        assert np.all(drop.floor[~drop.indoor] == 0)
 
     def test_commercial_floor_heights_uniform(self):
         rng = np.random.default_rng(1)
         lay = build_hex_layout(1299.0)
-        heights = []
-        ues = drop_ues(lay, 20000, SMA, rng)
-        for ue in ues:
-            if ue.building == "commercial":
-                heights.append(ue.height)
-        heights = np.array(heights)
+        drop = drop_ues(lay, 20000, SMA, rng)
+        commercial = drop.building == "commercial"
+        assert np.all(drop.indoor[commercial])
+        heights = drop.positions[commercial, 2]
+        assert np.array_equal(heights, 1.5 + 3.0 * drop.floor[commercial])
         assert set(np.round(np.unique(heights), 6)) == {1.5, 4.5, 7.5, 10.5, 13.5}
         counts = np.array([(heights == h).sum() for h in (1.5, 4.5, 7.5, 10.5, 13.5)])
         freq = counts / counts.sum()
@@ -189,15 +192,17 @@ class TestDropUes:
     def test_count_zero(self):
         rng = np.random.default_rng(2)
         lay = build_hex_layout(1299.0)
-        assert drop_ues(lay, 0, SMA, rng) == []
+        drop = drop_ues(lay, 0, SMA, rng)
+        assert drop.positions.shape == (0, 3)
+        assert drop.indoor.size == drop.building.size == drop.floor.size == 0
 
     def test_min_distance_respected(self):
         rng = np.random.default_rng(3)
         lay = build_hex_layout(1299.0)
-        ues = drop_ues(lay, 200, SMA, rng)
+        drop = drop_ues(lay, 200, SMA, rng)
         xy = site_xy(lay)
-        for ue in ues:
-            imgs = wrap_images(ue.position, lay.wrap_vectors)[:, :2]
+        for pos in drop.positions:
+            imgs = wrap_images(pos, lay.wrap_vectors)[:, :2]
             d = np.min(np.linalg.norm(imgs[None, :, :] - xy[:, None, :], axis=2))
             assert d >= 35.0
 
@@ -207,11 +212,10 @@ class TestDropUes:
         rng = np.random.default_rng(4)
         lay = build_indoor_layout(120, 50, 1, 3)
         inh = REG.scenario("InH")
-        ues = drop_ues(lay, 100_000, inh, rng)
-        pos = np.array([u.position[:2] for u in ues])
+        pos = drop_ues(lay, 100_000, inh, rng).positions
         h, _, _ = np.histogram2d(pos[:, 0], pos[:, 1], bins=10,
                                  range=[[0, 120], [0, 50]])
-        expected = len(ues) / 100.0
+        expected = len(pos) / 100.0
         stat = np.sum((h - expected) ** 2 / expected)
         assert stat < chi2.ppf(0.99, df=99)
 
@@ -248,6 +252,20 @@ class TestLinkGeometry:
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
             link_geometry(vec3(1, 2, 3), vec3(1, 2, 3))
+        with pytest.raises(ValueError):
+            link_geometry(vec3(1, 2, 3), [vec3(4, 5, 6), vec3(1, 2, 3)])
+
+    def test_array_rows_equal_single_links(self):
+        rng = np.random.default_rng(10)
+        bs = vec3(20.0, -10.0, 25.0)
+        ue = np.column_stack([rng.uniform(-500, 500, (300, 2)),
+                              rng.uniform(1.5, 23, 300)])
+        g = link_geometry(bs, ue)
+        assert g.d2d.shape == g.h_bs.shape == (300,)
+        for u in range(300):
+            one = link_geometry(bs, ue[u])
+            for f in fields(g):
+                assert getattr(one, f.name) == getattr(g, f.name)[u], f.name
 
 
 class TestGcsLcs:

@@ -15,10 +15,10 @@ from fr3sim.cli import _build_parser, main as cli_main
 from fr3sim.coefficients import ChannelRealization
 from fr3sim.geometry import (Orientation, Site, SiteLayout, build_disc_layout,
                              build_hex_layout, build_indoor_layout,
-                             effective_ue_position, link_geometry, vec3,
-                             wrap_azimuth)
+                             effective_ue_position, vec3)
 from fr3sim.harness import (ConfigError, RunConfig, capacity, coupling_loss,
                             emit_cdf, gini, load_config, run)
+from setup_reference import serve_one
 
 
 def tiny_cfg(out_dir, **kw):
@@ -249,7 +249,7 @@ class TestRun:
 
             def drop(layout, count, sc, rng):
                 ues = real_drop(layout, count, sc, rng)
-                ues[0].position = ues[0].position + shift(layout.wrap_vectors)
+                ues.positions[0] += shift(layout.wrap_vectors)
                 return ues
 
             def field(*args):
@@ -268,22 +268,6 @@ class TestRun:
         assert len(base) == len(moved)
         for a, b in zip(base, moved):
             assert np.allclose(a, b, rtol=0.0, atol=1e-9)
-
-
-def serve_one(layout, ue_pos):
-    """Scalar oracle: the per-site serving loop that `_serve` replaced."""
-    best = None
-    for si, site in enumerate(layout.sites):
-        eff = effective_ue_position(site.position, ue_pos, layout.wrap_vectors)
-        d = np.linalg.norm(eff - site.position)
-        if best is None or d < best[0]:
-            best = (d, si, eff)
-    _, si, eff = best
-    site = layout.sites[si]
-    g = link_geometry(site.position, eff)
-    sec = int(np.argmin([abs(wrap_azimuth(g.aod_az - s.alpha))
-                         for s in site.sectors]))
-    return si, sec, eff, g
 
 
 SERVE_LAYOUTS = {
@@ -309,13 +293,14 @@ class TestServe:
         pos = np.column_stack([rng.uniform(2 * x0 - x1, 2 * x1 - x0, 60),
                                rng.uniform(2 * y0 - y1, 2 * y1 - y0, 60),
                                rng.choice([1.5, 4.5, 22.5], 60)])
-        sites, sectors, eff, links = harness._serve(layout, pos)
+        sites, sectors, eff, geom = harness._serve(layout, pos)
         assert eff.shape == (60, 3)
         for u, p in enumerate(pos):
             si, sec, e, g = serve_one(layout, p)
             assert (sites[u], sectors[u]) == (si, sec)
             assert np.array_equal(eff[u], e)
-            assert links[u] == g
+            for f in fields(g):
+                assert getattr(geom, f.name)[u] == getattr(g, f.name), f.name
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
     def test_equidistant_sites_first_wins(self, order):
@@ -324,7 +309,7 @@ class TestServe:
         layout = SiteLayout([Site(vec3(*xs[i], 10.0), sector) for i in order],
                             0.0)
         sites, *_ = harness._serve(layout, np.array([vec3(0.0, 50.0, 1.5)]))
-        assert sites == [min(order.index(0), order.index(1))]
+        assert sites.tolist() == [min(order.index(0), order.index(1))]
 
     def test_one_wrap_call_per_run(self, tmp_path, monkeypatch):
         calls = []

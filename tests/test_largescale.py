@@ -6,7 +6,8 @@ from fr3sim.largescale import (C_LIGHT, LargeScaleResult, _pl1_rma,
                                breakpoint_distance,
                                correlated_standard_normals,
                                lsps_from_standardized, material_loss,
-                               matrix_sqrt_psd, o2i_penetration, path_loss)
+                               ValidityWarning, matrix_sqrt_psd,
+                               o2i_penetration, path_loss)
 from fr3sim.scenario import PropagationState, load_parameter_tables
 
 REG = load_parameter_tables()
@@ -85,9 +86,31 @@ class TestPathLoss:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             path_loss(SMA, g, LOS_STATE, 7.0)
-        assert any("validity" in str(w.message) for w in rec)
-        with pytest.raises(ValueError):
+        assert [str(w.message) for w in rec] == [
+            "SMa: 1 of 1 links have d2D outside [10.0, 5000.0] m; extrapolated"]
+        with pytest.raises(ValueError, match="1 of 1 links"):
             path_loss(SMA, g, LOS_STATE, 7.0, strict=True)
+
+    def test_one_validity_warning_per_call(self):
+        import warnings
+        inh = REG.scenario("InH")
+        d2d = np.concatenate([np.linspace(0.1, 0.9, 16),
+                              np.linspace(1.0, 150.0, 44)])
+        g = LinkGeometry(d2d=d2d, d3d=np.hypot(d2d, 1.5), h_bs=np.full(60, 3.0),
+                         h_ue=np.full(60, 1.5), aod_az=np.zeros(60),
+                         aoa_az=np.zeros(60), zod=np.zeros(60),
+                         zoa=np.zeros(60))
+        state = PropagationState(np.full(60, "LOS"), np.full(60, "outdoor"))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            pl = path_loss(inh, g, state, 7.0)
+        assert pl.shape == (60,)
+        msg = "InH: 16 of 60 links have d2D outside [1.0, 150.0] m; extrapolated"
+        assert [(w.category, str(w.message)) for w in rec] == \
+            [(ValidityWarning, msg)]
+        with pytest.raises(ValueError) as exc:
+            path_loss(inh, g, state, 7.0, strict=True)
+        assert str(exc.value) == msg
 
     def test_nonpositive_distance(self):
         g = LinkGeometry(d2d=0, d3d=0, h_bs=35, h_ue=1.5, aod_az=0,

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pathlib
 import pytest
 
 from fr3sim import harness, scenario
-from fr3sim.geometry import LinkGeometry
+from fr3sim.geometry import LinkGeometry, build_hex_layout, drop_ues
 from fr3sim.scenario import (Entry, ParameterError, ScenarioParams,
                              assign_states, eval_expression,
                              load_parameter_tables, los_probability,
@@ -13,10 +15,24 @@ REG = load_parameter_tables()
 SMA = REG.scenario("SMa")
 
 
-def make_link(d2d, h_bs=35.0, h_ue=1.5):
-    d3d = float(np.hypot(d2d, h_bs - h_ue))
-    return LinkGeometry(d2d=d2d, d3d=d3d, h_bs=h_bs, h_ue=h_ue,
-                        aod_az=0, aoa_az=180, zod=100, zoa=80)
+def make_links(d2d, n=None, h_bs=35.0, h_ue=1.5):
+    """LinkGeometry columns of links at 2D distances ``d2d`` (``n`` copies
+    of one distance when given)."""
+    d2d = np.full(n, d2d) if n is not None else np.asarray(d2d, dtype=float)
+    h_bs, h_ue = np.full(d2d.shape, h_bs), np.full(d2d.shape, h_ue)
+    return LinkGeometry(d2d=d2d, d3d=np.hypot(d2d, h_bs - h_ue), h_bs=h_bs,
+                        h_ue=h_ue, aod_az=np.zeros(d2d.shape),
+                        aoa_az=np.full(d2d.shape, 180.0),
+                        zod=np.full(d2d.shape, 100.0),
+                        zoa=np.full(d2d.shape, 80.0))
+
+
+def sma_indoor(n, rng):
+    """Indoor flags and building types with SMa's drop fractions."""
+    indoor = rng.uniform(size=n) < SMA.value("indoor_ratio")
+    commercial = rng.uniform(size=n) < SMA.value("commercial_fraction")
+    return indoor, np.where(~indoor, "", np.where(commercial, "commercial",
+                                                   "residential"))
 
 
 def with_overrides(sc, **raw_by_param):
@@ -185,44 +201,72 @@ class TestAssignStates:
     def test_indoor_ratio_zero(self):
         sc = with_overrides(SMA, indoor_ratio="0")
         rng = np.random.default_rng(0)
-        links = [make_link(d) for d in np.linspace(40, 2000, 400)]
-        states = assign_states(links, sc, rng)
-        assert all(s.location != "indoor" for s in states)
-        assert all(s.d2d_in == 0.0 for s in states)
+        drop = drop_ues(build_hex_layout(1299.0), 400, sc, rng)
+        assert not drop.indoor.any() and np.all(drop.building == "")
+        states = assign_states(make_links(np.linspace(40, 2000, 400)),
+                               drop.indoor, drop.building, sc, rng)
+        assert np.all(states.location != "indoor")
+        assert np.all(states.d2d_in == 0.0)
+        assert np.all(states.o2i_model == "none")
 
     def test_indoor_fraction(self):
+        # the drop decides indoor; the states take it over link by link
         rng = np.random.default_rng(1)
-        links = [make_link(500.0)] * 20000
-        states = assign_states(links, SMA, rng)
-        frac = np.mean([s.location == "indoor" for s in states])
-        assert abs(frac - 0.80) < 0.02
+        drop = drop_ues(build_hex_layout(1299.0), 20000, SMA, rng)
+        states = assign_states(make_links(500.0, 20000), drop.indoor,
+                               drop.building, SMA, rng)
+        assert np.array_equal(states.location == "indoor", drop.indoor)
+        assert abs(np.mean(states.location == "indoor") - 0.80) < 0.02
 
     def test_residential_d2d_in_mean(self):
         rng = np.random.default_rng(2)
-        links = [make_link(500.0)] * 30000
-        states = assign_states(links, SMA, rng)
-        vals = [s.d2d_in for s in states if s.location == "indoor"]
+        indoor, building = sma_indoor(30000, rng)
+        states = assign_states(make_links(500.0, 30000), indoor, building,
+                               SMA, rng)
+        vals = states.d2d_in[states.location == "indoor"]
         # residential dominates at 90 percent; oracle mean of the mixture:
         # 0.9 * 5 + 0.1 * 12.5
         assert np.mean(vals) == pytest.approx(0.9 * 5.0 + 0.1 * 12.5, rel=0.05)
+        assert vals.max() <= 25.0
+        com = building[states.location == "indoor"] == "commercial"
+        assert vals[~com].max() <= 10.0 < vals[com].max()
 
     def test_outdoor_sma_is_in_car(self):
         rng = np.random.default_rng(3)
-        links = [make_link(100.0)] * 200
-        states = assign_states(links, SMA, rng)
-        assert all(s.location in ("indoor", "car") for s in states)
+        states = assign_states(make_links(100.0, 200), *sma_indoor(200, rng),
+                               SMA, rng)
+        assert set(states.location.tolist()) == {"indoor", "car"}
 
     def test_force_flags(self):
         rng = np.random.default_rng(4)
-        links = [make_link(3000.0)] * 50
-        states = assign_states(links, SMA, rng, force_los="LOS",
+        states = assign_states(make_links(3000.0, 50), *sma_indoor(50, rng),
+                               SMA, rng, force_los="LOS",
                                force_location="outdoor")
-        assert all(s.los == "LOS" and s.location == "outdoor" for s in states)
+        assert np.all((states.los == "LOS") & (states.location == "outdoor"))
+        assert np.all(states.state_key == "los")
+        states = assign_states(make_links(3000.0, 50), np.zeros(50, bool),
+                               np.full(50, ""), SMA, rng,
+                               force_location="indoor")
+        assert np.all(states.state_key == "o2i") and np.all(states.d2d_in > 0)
 
     def test_o2i_model_membership(self):
         rng = np.random.default_rng(5)
-        links = [make_link(500.0)] * 2000
-        states = assign_states(links, SMA, rng)
-        models = {s.o2i_model for s in states if s.location == "indoor"}
+        states = assign_states(make_links(500.0, 2000), *sma_indoor(2000, rng),
+                               SMA, rng)
+        models = set(states.o2i_model[states.location == "indoor"].tolist())
         assert models <= {"low", "high", "low-A"}
         assert "low-A" in models
+
+    def test_one_link_is_the_one_row_case(self):
+        indoor, building = sma_indoor(40, np.random.default_rng(6))
+        links = make_links(np.linspace(20.0, 3000.0, 40))
+        states = assign_states(links, indoor, building, SMA,
+                               np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        for u in range(40):
+            one = assign_states(
+                LinkGeometry(*(getattr(links, f.name)[u] for f in fields(links))),
+                indoor[u], building[u], SMA, rng)
+            assert one.state_key == states.state_key[u]
+            for f in fields(one):
+                assert getattr(one, f.name) == getattr(states, f.name)[u]
