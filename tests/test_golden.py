@@ -1,4 +1,4 @@
-"""Golden outputs: five small runs must keep writing the `links.csv` files
+"""Golden outputs: six small runs must keep writing the `links.csv` files
 checked in under ``tests/data``, and one small run with ``emit_cir`` the
 CIR files whose sha256 values are in ``tests/data/golden_cir_umi-disc.sha256``.
 
@@ -39,6 +39,10 @@ CASES = {
     "uma-hex": (None, {"scenario": "UMa", "n_ues": 8, "seed": 3}),
     # RMa's dual-slope path loss and in-car UEs, LOS and NLOS
     "rma-hex": (None, {"scenario": "RMa", "n_ues": 8, "seed": 2}),
+    # the 12-site InH hall of build_indoor_layout, 7 of its ceiling sites
+    # serving
+    "inh-hall": (None, {"scenario": "InH", "layout": "indoor", "n_ues": 8,
+                        "seed": 3}),
 }
 EXACT = {"link_id", "ue", "site", "sector", "state", "n_clusters", "m_rays"}
 
