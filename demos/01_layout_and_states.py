@@ -16,18 +16,18 @@ sma = reg.scenario("SMa")
 
 # 19-site hexagonal grid at the geometrically derived ISD (750 m cell radius)
 layout = build_hex_layout(isd=1299.0, h_bs=35.0)
-print(f"sites: {layout.n_sites}, ISD = {layout.isd} m")
-ring1 = [s for s in layout.sites
-         if abs(np.linalg.norm(s.position[:2]) - 1299.0) < 1e-6]
-print(f"first ring: {len(ring1)} sites at exactly one ISD")
+print(f"sites: {len(layout.positions)}, ISD = {layout.isd} m")
+# the layout is columns: site positions (S, 3) and the sectors all sites share
+ring1 = np.abs(np.linalg.norm(layout.positions[:, :2], axis=1) - 1299.0) < 1e-6
+print(f"first ring: {ring1.sum()} sites at exactly one ISD; sector "
+      f"boresights {[float(s.alpha) for s in layout.sectors]} deg")
 print(f"wrap translations: {len(layout.wrap_vectors)}, "
       f"|t| = {np.linalg.norm(layout.wrap_vectors[0][:2]):.1f} m "
       f"(= ISD * sqrt(19))")
 
 # a UE far outside the central cluster maps back to a nearby image
 far_ue = np.array([5000.0, 1000.0, 1.5])
-eff = effective_ue_position(layout.sites[0].position, far_ue,
-                            layout.wrap_vectors)
+eff = effective_ue_position(layout.positions[0], far_ue, layout.wrap_vectors)
 print(f"\nUE at {far_ue[:2]} wraps to {np.round(eff[:2], 1)} "
       f"-> distance {np.linalg.norm(eff[:2]):.1f} m")
 
@@ -47,10 +47,10 @@ for btype in ("residential", "commercial"):
 # propagation states: LOS draw, O2I model, and indoor depth per link; every
 # UE sees its nearest wrap image of the central site.  Each call covers all
 # links at once and returns columns again.
-site = layout.sites[0]
-eff = effective_ue_position(site.position, drop.positions, layout.wrap_vectors)
-near = link_geometry(site.position, eff).d2d < 750.0
-links = link_geometry(site.position, eff[near])
+site = layout.positions[0]
+eff = effective_ue_position(site, drop.positions, layout.wrap_vectors)
+near = link_geometry(site, eff).d2d < 750.0
+links = link_geometry(site, eff[near])
 states = assign_states(links, drop.indoor[near], drop.building[near], sma,
                        np.random.default_rng(7))
 print(f"\nstates for {near.sum()} links within one cell radius: "

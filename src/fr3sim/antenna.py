@@ -1,7 +1,7 @@
 """Element patterns, planar arrays, and UE device antenna placement."""
 
+import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -128,15 +128,16 @@ def element_grid(a, wavelength):
     return y, z, np.tile(row, a.p), np.tile(col, a.p)
 
 
-def element_positions(a, wavelength):
+def element_positions(a, wavelength, grid=None):
     """Element offsets in the array frame (boresight +x, columns along +y,
     rows along +z), centered on the array's geometric center.
 
     Returns (positions (K, 3) in meters, pol_index (K,)).  Ordering is
     polarization-major, then panel row, panel column, element row, element
-    column; co-located dual-polarized pairs share a position.
+    column; co-located dual-polarized pairs share a position.  ``grid`` is
+    the array's ``element_grid``, when the caller already has it.
     """
-    y, z, row, col = element_grid(a, wavelength)
+    y, z, row, col = grid if grid is not None else element_grid(a, wavelength)
     pos = np.stack([np.zeros(row.size), y[col], z[row]], axis=1)
     return pos, np.repeat(np.arange(a.p), row.size // a.p)
 
@@ -213,6 +214,9 @@ class MountedArray:
     candidate_index: maps elements to device candidate locations (UE masks);
     -1 when not applicable.
     grid: the PlanarGrid of a uniform planar array, None otherwise.
+
+    The field groups, group index and element sites are derived from the
+    element data once, at construction, and ``placed_at`` copies share them.
     """
     reference: np.ndarray
     offsets: np.ndarray
@@ -222,6 +226,31 @@ class MountedArray:
     candidate_index: np.ndarray
     grid: PlanarGrid = None
 
+    def __post_init__(self):
+        # field_groups: (orientation, slant, element indices), one per distinct
+        # (orientation, slant) pair in order of first appearance; group_index
+        # (K,): each element's field group
+        groups = {}
+        for k, key in enumerate(zip(self.orientations, self.slants.tolist())):
+            groups.setdefault(key, []).append(k)
+        self.field_groups = [(ori, s, np.array(idx))
+                             for (ori, s), idx in groups.items()]
+        self.group_index = np.empty(self.size, dtype=int)
+        for g, (_ori, _slant, idx) in enumerate(self.field_groups):
+            self.group_index[idx] = g
+        # sites (first (P,), index (K,)): site p sits at offsets[first[p]]
+        # and element k at site index[k]; co-located elements (a dual-
+        # polarized pair) share a site, and a grid numbers them row-major
+        if self.grid is None:
+            _, first, index = np.unique(self.offsets, axis=0, return_index=True,
+                                        return_inverse=True)
+            self.sites = first, index.ravel()
+        else:
+            index = self.grid.row * self.grid.y.size + self.grid.col
+            first = np.empty(index.max() + 1, dtype=int)
+            first[index[::-1]] = np.arange(self.size)[::-1]
+            self.sites = first, index
+
     @property
     def size(self):
         return self.offsets.shape[0]
@@ -229,74 +258,42 @@ class MountedArray:
     def positions(self):
         return self.reference[None, :] + self.offsets
 
-    @cached_property
-    def field_groups(self):
-        """(orientation, slant, element indices) of each field group, one
-        per distinct (orientation, slant) pair, in order of first appearance."""
-        groups = {}
-        for k, key in enumerate(zip(self.orientations, self.slants.tolist())):
-            groups.setdefault(key, []).append(k)
-        return [(ori, s, np.array(idx)) for (ori, s), idx in groups.items()]
-
-    @cached_property
-    def group_index(self):
-        """(K,) index into ``field_groups`` of each element."""
-        out = np.empty(self.size, dtype=int)
-        for g, (_ori, _slant, idx) in enumerate(self.field_groups):
-            out[idx] = g
+    def placed_at(self, reference):
+        """This array with its reference point at ``reference``: a shallow
+        copy that shares the element data and the derived field groups,
+        group index and sites."""
+        out = copy.copy(self)
+        out.reference = np.asarray(reference, dtype=float)
         return out
-
-    @cached_property
-    def sites(self):
-        """Distinct element positions: (first (P,), index (K,)).
-
-        Site p sits at ``offsets[first[p]]`` and element k at site
-        ``index[k]``; co-located elements (the slants of a dual-polarized
-        pair) share a site.  A grid numbers its sites row-major.
-        """
-        if self.grid is None:
-            _, first, index = np.unique(self.offsets, axis=0, return_index=True,
-                                        return_inverse=True)
-            return first, index.ravel()
-        index = self.grid.row * self.grid.y.size + self.grid.col
-        first = np.empty(index.max() + 1, dtype=int)
-        first[index[::-1]] = np.arange(self.size)[::-1]
-        return first, index
 
 
 def mount_bs_array(array, site_position, sector_orientation, wavelength):
     """Place a PanelArray at a site, boresight along the sector bearing."""
-    pos_lcs, pol = element_positions(array, wavelength)
+    y, z, row, col = grid = element_grid(array, wavelength)
+    pos_lcs, pol = element_positions(array, wavelength, grid)
     rot = sector_orientation.rotation()
     offsets = pos_lcs @ rot.T
     slants = np.array([array.slants()[i] for i in pol])
     orientations = [sector_orientation] * offsets.shape[0]
-    y, z, row, col = element_grid(array, wavelength)
     return MountedArray(np.asarray(site_position, dtype=float), offsets,
                         orientations, slants, array.element,
                         np.full(offsets.shape[0], -1, dtype=int),
                         PlanarGrid(y, z, row, col, rot[:, 1:]))
 
 
-def mount_ue_device(device, ue_position, dual_polarized=True, pattern=None,
+def mount_ue_device(device, ue_position, dual_polarized=True,
                     device_orientation=Orientation(0, 0, 0)):
     """Place all candidate antennas of a UE device (dual-polarized pairs by
-    default) around the UE position.  Device orientation defaults to the
-    identity (GCS == device frame)."""
-    pat = pattern if pattern is not None else ElementPattern.isotropic()
-    rot = device_orientation.rotation()
+    default, slant-major) around the UE position.  Device orientation
+    defaults to the identity (GCS == device frame)."""
+    d, rot = device_orientation, device_orientation.rotation()
     cands = ue_candidate_locations(device)
-    slant_set = (0.0, 90.0) if dual_polarized else (0.0,)
-    offsets, orientations, slants, cidx = [], [], [], []
-    for slant in slant_set:
-        for i, (off, ori) in enumerate(cands):
-            offsets.append(rot @ off)
-            orientations.append(Orientation(
-                ori.alpha + device_orientation.alpha,
-                ori.beta + device_orientation.beta,
-                ori.gamma + device_orientation.gamma))
-            slants.append(slant)
-            cidx.append(i)
+    slants = (0.0, 90.0) if dual_polarized else (0.0,)
+    offsets = [rot @ off for off, _ori in cands]
+    orientations = [Orientation(o.alpha + d.alpha, o.beta + d.beta,
+                                o.gamma + d.gamma) for _off, o in cands]
+    n = len(slants)
     return MountedArray(np.asarray(ue_position, dtype=float),
-                        np.array(offsets), orientations, np.array(slants),
-                        pat, np.array(cidx, dtype=int))
+                        np.array(offsets * n), orientations * n,
+                        np.repeat(slants, len(cands)), ElementPattern.isotropic(),
+                        np.tile(np.arange(len(cands)), n))

@@ -108,21 +108,15 @@ def lcs_to_gcs(orientation, zenith_deg, azimuth_deg):
 
 
 @dataclass
-class Site:
-    position: np.ndarray
-    sectors: tuple  # tuple of Orientation, one per sector
-
-
-@dataclass
 class SiteLayout:
-    sites: list
+    """BS sites as columns: ``positions`` (S, 3) in meters, one row per
+    site, and the ``sectors`` (Orientation per sector) that every site
+    shares."""
+    positions: np.ndarray
+    sectors: tuple
     isd: float
     wrap_vectors: list = field(default_factory=list)  # excludes the identity
     drop_region: tuple = ("rect", -1.0, 1.0, -1.0, 1.0)
-
-    @property
-    def n_sites(self):
-        return len(self.sites)
 
 
 def build_hex_layout(isd, n_rings=2, h_bs=35.0, sector_offset_deg=30.0,
@@ -144,9 +138,9 @@ def build_hex_layout(isd, n_rings=2, h_bs=35.0, sector_offset_deg=30.0,
     for i in range(-n_rings, n_rings + 1):
         for j in range(max(-n_rings, -i - n_rings), min(n_rings, -i + n_rings) + 1):
             p = i * a1 + j * a2
-            sites.append(Site(vec3(p[0], p[1], h_bs), sectors))
-    sites.sort(key=lambda s: (np.hypot(s.position[0], s.position[1]).round(6),
-                              np.degrees(np.arctan2(s.position[1], s.position[0])).round(6)))
+            sites.append(vec3(p[0], p[1], h_bs))
+    sites.sort(key=lambda s: (np.hypot(s[0], s[1]).round(6),
+                              np.degrees(np.arctan2(s[1], s[0])).round(6)))
     # cluster translation (i, j) = (n_rings + 1, n_rings): covers 1 + 3 n (n+1) sites
     t0 = (n_rings + 1) * a1 + n_rings * a2
     wraps = []
@@ -157,7 +151,8 @@ def build_hex_layout(isd, n_rings=2, h_bs=35.0, sector_offset_deg=30.0,
         wraps.append(vec3(t[0], t[1], 0.0))
         t = rot @ t
     half = n_rings * isd + isd / np.sqrt(3.0)
-    return SiteLayout(sites, isd, wraps, ("rect", -half, half, -half, half))
+    return SiteLayout(np.array(sites), sectors, isd, wraps,
+                      ("rect", -half, half, -half, half))
 
 
 def build_indoor_layout(width, depth, n_bs, h_bs):
@@ -187,23 +182,22 @@ def build_indoor_layout(width, depth, n_bs, h_bs):
     else:
         rows = 2
         row_counts = [int(np.ceil(n_bs / 2)), n_bs // 2]
-    sectors = (Orientation(0.0, 90.0, 0.0),)
     sites = []
     dy = depth / rows
     for r, cnt in enumerate(row_counts):
         dx = width / cnt
         y = dy * (r + 0.5)
         for k in range(cnt):
-            sites.append(Site(vec3(dx * (k + 0.5), y, h_bs), sectors))
-    return SiteLayout(sites, 0.0, [], ("rect", 0.0, width, 0.0, depth))
+            sites.append(vec3(dx * (k + 0.5), y, h_bs))
+    return SiteLayout(np.array(sites), (Orientation(0.0, 90.0, 0.0),), 0.0,
+                      [], ("rect", 0.0, width, 0.0, depth))
 
 
-def build_disc_layout(radius, h_bs, sector_orientation=None):
+def build_disc_layout(radius, h_bs, sector_orientation=Orientation(0.0, 0.0, 0.0)):
     """Single site at the origin with a disc drop region (paper-style
     single-cell deployments)."""
-    sec = sector_orientation if sector_orientation is not None else Orientation(0.0, 0.0, 0.0)
-    site = Site(vec3(0.0, 0.0, h_bs), (sec,))
-    return SiteLayout([site], 0.0, [], ("disc", 0.0, 0.0, float(radius)))
+    return SiteLayout(np.array([vec3(0.0, 0.0, h_bs)]), (sector_orientation,),
+                      0.0, [], ("disc", 0.0, 0.0, float(radius)))
 
 
 # lattice offsets of the 3 x 3 candidate images around the rounded
@@ -260,7 +254,7 @@ def drop_ues(layout, count, sc, rng):
     indoor_ratio = sc.value("indoor_ratio")
     commercial = sc.value("commercial_fraction", default=0.0)
     region = layout.drop_region
-    site_pos = np.array([s.position for s in layout.sites])
+    site_pos = layout.positions
     rows = []   # (x, y, indoor, building, floor) per UE
     attempts_budget = 1000 * count + 1000
     while len(rows) < count:

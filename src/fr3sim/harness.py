@@ -86,14 +86,14 @@ class RunConfig:
     t_step_s: float = 1e-3
     # outputs
     emit_cir: bool = False
-    # SNS numeric parameters (placeholders; see SnsConfig)
-    sns_pr_mu: float = 0.5
-    sns_pr_sigma: float = _key(0.2, gt=0.0)
-    sns_vp_a: float = 0.7
-    sns_vp_r_db: float = _key(10.0, gt=0.0)
-    sns_vp_b: float = 0.3
-    sns_vp_sigma: float = _key(0.05, ge=0.0)
-    sns_rolloff: float = _key(4.0, ge=0.0)
+    # SNS numeric parameters, defaulting to SnsConfig's placeholders
+    sns_pr_mu: float = SnsConfig.pr_mu
+    sns_pr_sigma: float = _key(SnsConfig.pr_sigma, gt=0.0)
+    sns_vp_a: float = SnsConfig.vp_a
+    sns_vp_r_db: float = _key(SnsConfig.vp_r_db, gt=0.0)
+    sns_vp_b: float = SnsConfig.vp_b
+    sns_vp_sigma: float = _key(SnsConfig.vp_sigma, ge=0.0)
+    sns_rolloff: float = _key(SnsConfig.rolloff, ge=0.0)
 
     def sns_config(self):
         return SnsConfig(pr_mu=self.sns_pr_mu, pr_sigma=self.sns_pr_sigma,
@@ -330,19 +330,17 @@ def report_row(r):
 
 @dataclass
 class WorkerContext:
+    """What every link of a run reads, built once in set-up."""
     cfg: RunConfig
     sc: object
     layout: object
     scaling: dict
     masks: dict
+    bs_arrays: tuple     # one MountedArray per layout sector, at the origin
+    ue_device: object    # the UE's MountedArray, at the origin
+    sns: SnsConfig
+    t_samples: np.ndarray
     cir_dir: str = ""
-    bs_arrays: dict = field(default_factory=dict)  # (site, sector) -> mounted
-
-
-def _build_bs_array(cfg):
-    pat = ElementPattern.directional() if cfg.bs_pattern == "directional" \
-        else ElementPattern.isotropic()
-    return PanelArray(m=cfg.bs_rows, n=cfg.bs_cols, p=cfg.bs_pol, element=pat)
 
 
 def _link_rng(cfg, link_id, stage):
@@ -357,15 +355,11 @@ def process_link(ctx, task):
     los = state.state_key == LOS
     lid = task.link_id
 
-    rngs = {
-        "count": _link_rng(cfg, lid, rngmod.STAGE_CLUSTER_COUNT),
-        "delays": _link_rng(cfg, lid, rngmod.STAGE_DELAYS),
-        "powers": _link_rng(cfg, lid, rngmod.STAGE_POWERS),
-        "angles": _link_rng(cfg, lid, rngmod.STAGE_ANGLES),
-        "coupling": _link_rng(cfg, lid, rngmod.STAGE_COUPLING),
-        "xpr": _link_rng(cfg, lid, rngmod.STAGE_XPR),
-        "pol": _link_rng(cfg, lid, rngmod.STAGE_POL_WEIGHTS),
-    }
+    rngs = {name: _link_rng(cfg, lid, stage) for name, stage in (
+        ("count", rngmod.STAGE_CLUSTER_COUNT), ("delays", rngmod.STAGE_DELAYS),
+        ("powers", rngmod.STAGE_POWERS), ("angles", rngmod.STAGE_ANGLES),
+        ("coupling", rngmod.STAGE_COUPLING), ("xpr", rngmod.STAGE_XPR),
+        ("pol", rngmod.STAGE_POL_WEIGHTS))}
     los_angles = (geom.aoa_az, geom.aod_az, geom.zoa, geom.zod)
     cs = build_cluster_set(sc, state, lsp, los_angles, cfg.fc_ghz, rngs,
                            ctx.scaling,
@@ -391,29 +385,22 @@ def process_link(ctx, task):
                               cfg.nf_alpha, cfg.nf_beta,
                               _link_rng(cfg, lid, rngmod.STAGE_NEARFIELD))
 
-    site = ctx.layout.sites[task.site_index]
-    sector = site.sectors[task.sector_index]
-    bs_key = (task.site_index, task.sector_index)
-    bs = ctx.bs_arrays.get(bs_key)
-    if bs is None:
-        bs = ctx.bs_arrays[bs_key] = mount_bs_array(
-            _build_bs_array(cfg), site.position, sector, lam0)
-    ue = mount_ue_device(UEDevice(cfg.ue_device), task.ue_pos,
-                         dual_polarized=cfg.ue_dual_pol)
+    bs = ctx.bs_arrays[task.sector_index].placed_at(
+        ctx.layout.positions[task.site_index])
+    ue = ctx.ue_device.placed_at(task.ue_pos)
 
     alpha = None
     if cfg.sns == "stochastic":
-        rot = sector.rotation()
+        rot = ctx.layout.sectors[task.sector_index].rotation()
         yz = (bs.offsets @ rot)[:, 1:3]
-        alpha = stochastic_attenuation(10.0 * np.log10(cs.p), cfg.sns_config(),
+        alpha = stochastic_attenuation(10.0 * np.log10(cs.p), ctx.sns,
                                        yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
     beta = None
     if cfg.ue_sns:
         beta = ue_sns_mask(ctx.masks, task.usage, cfg.fc_ghz, ue.candidate_index)
 
-    t = np.arange(cfg.t_count) * cfg.t_step_s
     h = synthesize(geom, cs, phases, bs, ue, lam0, k_db=lsp.k_db, los=los,
-                   v_vec=task.v_vec, t_samples=t, near_field=nf,
+                   v_vec=task.v_vec, t_samples=ctx.t_samples, near_field=nf,
                    nf_angles=cfg.nf_angles, sns_alpha=alpha, sns_beta=beta,
                    base_delay=base_delay)
 
@@ -454,7 +441,7 @@ def _tap_powers(cs, base_delay):
 
 
 # the WorkerContext of a pool worker process, set once by _init_worker, so
-# that its scenario memo and mounted BS arrays last for the worker's life
+# that it and its scenario memo last for the worker's life
 _worker_ctx = None
 
 
@@ -483,20 +470,28 @@ def _build_layout(cfg, sc):
                              Orientation(0.0, cfg.bs_downtilt_deg, 0.0))
 
 
+# UEs per broadcast call of _serve: it holds (block, S, 9, 2) candidate
+# images at a time, not (U, S, 9, 2)
+SERVE_BLOCK = 1024
+
+
 def _serve(layout, positions):
-    """Serve every UE of ``positions`` (U, 3) in one broadcast call: the
-    site whose nearest wrap image of the UE is closest in 3D (the first
-    such site on a tie), that image, and the sector best aligned with the
-    direction to it (the first on a tie).  Returns (sites, sectors,
-    effective positions (U, 3), LinkGeometry of the served links)."""
-    site_pos = np.array([s.position for s in layout.sites])
-    eff = effective_ue_position(site_pos, positions[:, None, :],
-                                layout.wrap_vectors)
-    sites = np.argmin(np.linalg.norm(eff - site_pos, axis=-1), axis=1)
-    eff = eff[np.arange(len(sites)), sites]
+    """Serve every UE of ``positions`` (U, 3), one broadcast call per block
+    of SERVE_BLOCK UEs: the site whose nearest wrap image of the UE is
+    closest in 3D (the first such site on a tie), that image, and the
+    sector best aligned with the direction to it (the first on a tie).
+    Returns (sites, sectors, effective positions (U, 3), LinkGeometry of
+    the served links)."""
+    site_pos = layout.positions
+    sites, eff = np.empty(len(positions), dtype=int), np.empty(positions.shape)
+    for lo in range(0, len(positions), SERVE_BLOCK):
+        b = slice(lo, lo + SERVE_BLOCK)
+        cand = effective_ue_position(site_pos, positions[b, None, :],
+                                     layout.wrap_vectors)
+        sites[b] = np.argmin(np.linalg.norm(cand - site_pos, axis=-1), axis=1)
+        eff[b] = cand[np.arange(len(cand)), sites[b]]
     geom = link_geometry(site_pos[sites], eff)
-    boresights = np.array([[s.alpha for s in site.sectors]
-                           for site in layout.sites])[sites]
+    boresights = np.array([s.alpha for s in layout.sectors])
     sectors = np.argmin(np.abs(wrap_azimuth(geom.aod_az[:, None] - boresights)),
                         axis=1)
     return sites, sectors, eff, geom
@@ -528,12 +523,12 @@ def _standardized_lsps(cfg, sc, sites, keys, floor, eff):
     return std
 
 
-def _link_tasks(cfg, reg, sc, layout, drop):
-    """The LinkTask of every dropped UE.  Serving, states, LSPs and the
-    large-scale terms are each computed once over all links, as columns
-    with one row per UE, and a task holds its link's rows.  Only the
-    per-UE substreams (O2I random term, velocity, usage) are drawn UE by
-    UE."""
+def _link_tasks(cfg, reg, sc, layout, drop, arr):
+    """The LinkTask of every dropped UE, served by BS arrays of PanelArray
+    ``arr``.  Serving, states, LSPs and the large-scale terms are each
+    computed once over all links, as columns with one row per UE, and a
+    task holds its link's rows.  Only the per-UE substreams (O2I random
+    term, velocity, usage) are drawn UE by UE."""
     n = len(drop.positions)
     sites, sectors, eff, geom = _serve(layout, drop.positions)
     states = assign_states(geom, drop.indoor, drop.building, sc,
@@ -565,14 +560,15 @@ def _link_tasks(cfg, reg, sc, layout, drop):
                     .uniform(0.0, 2.0 * np.pi) for i in range(n)])
     v_vec = speed[:, None] * np.column_stack([np.cos(ang), np.sin(ang),
                                               np.zeros(n)])
-    usage = [(cfg.ue_usage or draw_usage(cfg.sns_config(), substream(
+    sns = cfg.sns_config()
+    usage = [(cfg.ue_usage or draw_usage(sns, substream(
         cfg.seed, 0, i, rngmod.STAGE_UE_SNS))) if cfg.ue_sns else "free"
         for i in range(n)]
 
     # the ray count depends only on the config and the state
     m_rays = {}
     if cfg.ray_count_scaling:
-        lam0, arr = cfg.wavelength(), _build_bs_array(cfg)
+        lam0 = cfg.wavelength()
         d_h, d_v = (arr.n - 1) * arr.d_h * lam0, (arr.m - 1) * arr.d_v * lam0
         for key in np.unique(keys).tolist():
             ssp = sc.ssp(key, cfg.fc_ghz)
@@ -609,10 +605,21 @@ def run(cfg, registry=None):
         cir_dir = str(out / "cir")
         pathlib.Path(cir_dir).mkdir(exist_ok=True)
 
-    tasks = _link_tasks(cfg, reg, sc, layout, drop)
-    ctx = WorkerContext(cfg=cfg, sc=sc, layout=layout,
-                        scaling=reg.angle_scaling, masks=reg.ue_masks,
-                        cir_dir=cir_dir)
+    panel = PanelArray(m=cfg.bs_rows, n=cfg.bs_cols, p=cfg.bs_pol, element=(
+        ElementPattern.isotropic() if cfg.bs_pattern == "isotropic"
+        else ElementPattern.directional()))
+    tasks = _link_tasks(cfg, reg, sc, layout, drop, panel)
+    # one BS array per sector and one UE device, mounted at the origin:
+    # each link places them at its site and UE position
+    origin = np.zeros(3)
+    ctx = WorkerContext(
+        cfg=cfg, sc=sc, layout=layout, scaling=reg.angle_scaling,
+        masks=reg.ue_masks, cir_dir=cir_dir,
+        bs_arrays=tuple(mount_bs_array(panel, origin, s, cfg.wavelength())
+                        for s in layout.sectors),
+        ue_device=mount_ue_device(UEDevice(cfg.ue_device), origin,
+                                  dual_polarized=cfg.ue_dual_pol),
+        sns=cfg.sns_config(), t_samples=np.arange(cfg.t_count) * cfg.t_step_s)
     if cfg.workers <= 1 or len(tasks) < 2:
         reports = [process_link(ctx, t) for t in tasks]
     else:

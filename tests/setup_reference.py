@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 
 from fr3sim import rng as rngmod
+from fr3sim.antenna import PanelArray
 from fr3sim.coefficients import RayCountConfig, ray_count
-from fr3sim.harness import _build_bs_array
 from fr3sim.geometry import (LinkGeometry, effective_ue_position,
                              unit_to_angles, wrap_azimuth)
 from fr3sim.largescale import (AS_CAP_AZIMUTH, AS_CAP_ZENITH, C_LIGHT,
@@ -47,16 +47,15 @@ def serve_one(layout, ue_pos):
     """The per-site serving loop: best site, its wrap image of the UE, the
     best-aligned sector and the link geometry."""
     best = None
-    for si, site in enumerate(layout.sites):
-        eff = effective_ue_position(site.position, ue_pos, layout.wrap_vectors)
-        d = np.linalg.norm(eff - site.position)
+    for si, site in enumerate(layout.positions):
+        eff = effective_ue_position(site, ue_pos, layout.wrap_vectors)
+        d = np.linalg.norm(eff - site)
         if best is None or d < best[0]:
             best = (d, si, eff)
     _, si, eff = best
-    site = layout.sites[si]
-    g = link_geometry(site.position, eff)
+    g = link_geometry(layout.positions[si], eff)
     sec = int(np.argmin([abs(wrap_azimuth(g.aod_az - s.alpha))
-                         for s in site.sectors]))
+                         for s in layout.sectors]))
     return si, sec, eff, g
 
 
@@ -257,7 +256,7 @@ def rays_per_cluster(cfg, sc, state):
         return None
     lam0 = cfg.wavelength()
     ssp = sc.ssp(state.state_key, cfg.fc_ghz)
-    bs_arr = _build_bs_array(cfg)
+    bs_arr = PanelArray(m=cfg.bs_rows, n=cfg.bs_cols)
     rc = RayCountConfig(bandwidth_hz=cfg.bandwidth_hz,
                         d_h=(bs_arr.n - 1) * bs_arr.d_h * lam0,
                         d_v=(bs_arr.m - 1) * bs_arr.d_v * lam0,

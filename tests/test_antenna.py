@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fr3sim import antenna
 from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
-                            element_positions, element_power_pattern,
-                            field_pattern,
-                            mount_ue_device, ue_candidate_locations)
+                            element_grid, element_positions,
+                            element_power_pattern, field_pattern,
+                            mount_bs_array, mount_ue_device,
+                            ue_candidate_locations)
 from fr3sim.geometry import Orientation, gcs_to_lcs
 
 
@@ -169,3 +171,70 @@ class TestUeDevice:
         assert set(arr.slants.tolist()) == {0.0, 90.0}
         assert np.allclose(arr.positions()[0] - arr.offsets[0], [1, 2, 1.5])
         assert sorted(set(arr.candidate_index.tolist())) == list(range(8))
+
+    @pytest.mark.parametrize("kind", ["handheld", "CPE"])
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_element_order_slant_major(self, kind, dual):
+        # oracle: one element per (slant, candidate), slant-major
+        dev = Orientation(20.0, 5.0, -3.0)
+        arr = mount_ue_device(UEDevice(kind), np.zeros(3), dual_polarized=dual,
+                              device_orientation=dev)
+        want = [(dev.rotation() @ off, Orientation(
+                    ori.alpha + dev.alpha, ori.beta + dev.beta,
+                    ori.gamma + dev.gamma), slant, i)
+                for slant in ((0.0, 90.0) if dual else (0.0,))
+                for i, (off, ori) in enumerate(
+                    ue_candidate_locations(UEDevice(kind)))]
+        offs, oris, slants, cidx = zip(*want)
+        assert np.array_equal(arr.offsets, np.array(offs))
+        assert arr.orientations == list(oris)
+        assert arr.slants.tolist() == list(slants)
+        assert arr.candidate_index.tolist() == list(cidx)
+
+
+class TestPlacement:
+    LAM = 3e8 / 7e9
+
+    def arrays(self):
+        sector = Orientation(150.0, 10.0, 0.0)
+        panel = PanelArray(m=4, n=2, p=2)
+        return [(mount_bs_array(panel, np.zeros(3), sector, self.LAM),
+                 lambda pos: mount_bs_array(panel, pos, sector, self.LAM)),
+                (mount_ue_device(UEDevice("CPE"), np.zeros(3)),
+                 lambda pos: mount_ue_device(UEDevice("CPE"), pos))]
+
+    def test_placed_copy_shares_element_and_derived_data(self):
+        pos = np.array([120.0, -35.0, 25.0])
+        for arr, mount in self.arrays():
+            placed = arr.placed_at(pos)
+            assert np.array_equal(placed.reference, pos)
+            assert np.array_equal(arr.reference, np.zeros(3))
+            for name in ("offsets", "orientations", "slants", "pattern",
+                         "candidate_index", "grid", "field_groups",
+                         "group_index", "sites"):
+                assert getattr(placed, name) is getattr(arr, name), name
+            fresh = mount(pos)
+            assert np.array_equal(placed.positions(), fresh.positions())
+            assert np.array_equal(placed.group_index, fresh.group_index)
+            for a, b in zip(placed.sites, fresh.sites):
+                assert np.array_equal(a, b)
+
+    def test_one_element_grid_call_per_mount(self, monkeypatch):
+        calls = []
+        real = antenna.element_grid
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(antenna, "element_grid", counted)
+        sector = Orientation(-90.0, 6.0, 0.0)
+        panel = PanelArray(mg=2, ng=1, m=4, n=3, p=2)
+        arr = mount_bs_array(panel, np.zeros(3), sector, self.LAM)
+        assert len(calls) == 1
+        pos, _pol = element_positions(panel, self.LAM)
+        assert np.array_equal(arr.offsets, pos @ sector.rotation().T)
+        y, z, row, col = element_grid(panel, self.LAM)
+        g = arr.grid
+        for got, want in ((g.y, y), (g.z, z), (g.row, row), (g.col, col)):
+            assert np.array_equal(got, want)

@@ -16,7 +16,7 @@ HEX_ISDS = (1299.0, 500.0, 200.0, 1732.0)
 
 
 def site_xy(layout):
-    return np.array([s.position[:2] for s in layout.sites])
+    return layout.positions[:, :2]
 
 
 def wrap_images(point, wrap_vectors, reach=1):
@@ -44,7 +44,7 @@ def wrap_images(point, wrap_vectors, reach=1):
 class TestHexLayout:
     def test_site_count_and_first_ring(self):
         lay = build_hex_layout(1299.0)
-        assert lay.n_sites == 19
+        assert len(lay.positions) == 19
         d = np.linalg.norm(site_xy(lay), axis=1)
         assert d[0] == pytest.approx(0.0, abs=1e-9)
         assert np.sum(np.isclose(d, 1299.0)) == 6
@@ -61,7 +61,8 @@ class TestHexLayout:
 
     def test_sector_boresights(self):
         lay = build_hex_layout(1299.0)
-        assert [s.alpha for s in lay.sites[0].sectors] == [30.0, 150.0, -90.0]
+        assert [s.alpha for s in lay.sectors] == [30.0, 150.0, -90.0]
+        assert lay.positions.shape == (19, 3)
 
     def test_wrap_invariance(self):
         # displacing a UE by any full cluster translation leaves the
@@ -72,11 +73,11 @@ class TestHexLayout:
         for _ in range(20):
             p = vec3(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000), 1.5)
             t = lay.wrap_vectors[rng.integers(len(lay.wrap_vectors))]
-            for site in lay.sites[:5]:
+            for site in lay.positions[:5]:
                 d0 = np.linalg.norm(effective_ue_position(
-                    site.position, p, lay.wrap_vectors)[:2] - site.position[:2])
+                    site, p, lay.wrap_vectors)[:2] - site[:2])
                 d1 = np.linalg.norm(effective_ue_position(
-                    site.position, p + t, lay.wrap_vectors)[:2] - site.position[:2])
+                    site, p + t, lay.wrap_vectors)[:2] - site[:2])
                 assert d0 == pytest.approx(d1, rel=1e-9)
 
     def test_effective_position_matches_brute_force(self):
@@ -84,17 +85,17 @@ class TestHexLayout:
         rng = np.random.default_rng(7)
         for _ in range(50):
             p = vec3(rng.uniform(-4000, 4000), rng.uniform(-4000, 4000), 1.5)
-            site = lay.sites[rng.integers(19)]
-            eff = effective_ue_position(site.position, p, lay.wrap_vectors)
+            site = lay.positions[rng.integers(19)]
+            eff = effective_ue_position(site, p, lay.wrap_vectors)
             imgs = wrap_images(p, lay.wrap_vectors, reach=3)
-            d_eff = np.linalg.norm(eff[:2] - site.position[:2])
-            d_brute = np.min(np.linalg.norm(imgs[:, :2] - site.position[:2], axis=1))
+            d_eff = np.linalg.norm(eff[:2] - site[:2])
+            d_brute = np.min(np.linalg.norm(imgs[:, :2] - site[:2], axis=1))
             assert d_eff == pytest.approx(d_brute, rel=1e-12)
 
     @pytest.mark.parametrize("isd", HEX_ISDS)
     def test_broadcast_matches_scalar_calls(self, isd):
         lay = build_hex_layout(isd)
-        sites = np.array([s.position for s in lay.sites])
+        sites = lay.positions
         rng = np.random.default_rng(int(isd))
         half = lay.drop_region[2]
         ues = np.column_stack([rng.uniform(-3 * half, 3 * half, (40, 2)),
@@ -110,7 +111,7 @@ class TestHexLayout:
     def test_shapes(self, wrap):
         lay = build_hex_layout(500.0)
         wraps = lay.wrap_vectors if wrap else []
-        sites = np.array([s.position for s in lay.sites])
+        sites = lay.positions
         ues = np.array([vec3(900.0, -40.0, 1.5), vec3(-2000.0, 700.0, 7.5)])
         assert effective_ue_position(sites[3], ues[0], wraps).shape == (3,)
         per_site = effective_ue_position(sites, ues[1], wraps)
@@ -127,7 +128,7 @@ class TestHexLayout:
         # halfway along a lattice vector, the UE and its image one lattice
         # vector back are equally near the site; the UE itself comes first
         lay = build_hex_layout(1299.0)
-        site = lay.sites[0].position
+        site = lay.positions[0]
         ue = site + 0.5 * lay.wrap_vectors[0] + vec3(0.0, 0.0, -33.5)
         back = ue - lay.wrap_vectors[0]
         assert np.hypot(*(ue - site)[:2]) == np.hypot(*(back - site)[:2])
@@ -142,15 +143,17 @@ class TestHexLayout:
 class TestIndoorLayout:
     def test_reference_hall(self):
         lay = build_indoor_layout(120, 50, 12, 3)
-        assert lay.n_sites == 12
+        assert len(lay.positions) == 12
         xy = site_xy(lay)
         assert sorted(set(np.round(xy[:, 0], 6))) == [10, 30, 50, 70, 90, 110]
         assert sorted(set(np.round(xy[:, 1], 6))) == [12.5, 37.5]
-        assert all(s.position[2] == 3 for s in lay.sites)
+        assert lay.positions.shape == (12, 3)
+        assert np.all(lay.positions[:, 2] == 3)
+        assert lay.sectors == (Orientation(0.0, 90.0, 0.0),)
 
     def test_single_bs_centered(self):
         lay = build_indoor_layout(120, 50, 1, 3)
-        assert np.allclose(lay.sites[0].position, [60, 25, 3])
+        assert np.allclose(lay.positions, [[60, 25, 3]])
 
     def test_square_grid(self):
         lay = build_indoor_layout(40, 40, 4, 3)
@@ -160,7 +163,7 @@ class TestIndoorLayout:
     def test_prime_count_falls_back_to_two_rows(self):
         # 1 x 7 does not fit a square hall, so the two-row fallback applies
         lay = build_indoor_layout(40, 40, 7, 3)
-        assert lay.n_sites == 7
+        assert len(lay.positions) == 7
         ys = sorted(set(np.round(site_xy(lay)[:, 1], 6)))
         assert len(ys) == 2
 

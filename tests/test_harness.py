@@ -1,5 +1,6 @@
 import argparse
 import configparser
+import functools
 import hashlib
 import numpy as np
 import os
@@ -13,7 +14,8 @@ import pytest
 from fr3sim import cli, harness
 from fr3sim.cli import _build_parser, main as cli_main
 from fr3sim.coefficients import ChannelRealization
-from fr3sim.geometry import (Orientation, Site, SiteLayout, build_disc_layout,
+from fr3sim.antenna import MountedArray
+from fr3sim.geometry import (Orientation, SiteLayout, build_disc_layout,
                              build_hex_layout, build_indoor_layout,
                              effective_ue_position, vec3)
 from fr3sim.harness import (ConfigError, RunConfig, capacity, coupling_loss,
@@ -186,24 +188,74 @@ class TestRun:
             (tmp_path / "w2" / "links.csv").read_bytes()
 
     def test_pool_workers_keep_their_context(self, tmp_path, monkeypatch):
-        # the forked workers log each BS array they mount: a context that
-        # lives for the worker's life mounts each (site, sector) at most
-        # once per worker, where a context per chunk would mount at least
-        # once in each of the 8 chunks
-        log = tmp_path / "mounts.log"
-        real = harness.mount_bs_array
+        # each pool worker gets the run's WorkerContext once, through the
+        # pool initializer, and keeps it for its life: no worker unpickles a
+        # context twice, where a context sent with each of the 8 chunks
+        # would be unpickled 8 times over the 2 workers
+        log = tmp_path / "context.log"
 
-        def logged(*args):
+        def logged(event):
             with open(log, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            return real(*args)
+                f.write(f"{event} {os.getpid()}\n")
 
-        monkeypatch.setattr(harness, "mount_bs_array", logged)
-        reports = run(tiny_cfg(tmp_path / "out", workers=2, n_ues=16))
-        keys = {(r.site, r.sector) for r in reports}
-        pids = log.read_text().split()
-        assert os.getpid() not in map(int, pids)
-        assert len(pids) <= 2 * len(keys) < 8
+        def setstate(ctx, state):
+            logged("unpickle")
+            ctx.__dict__.update(state)
+
+        def log_calls(name, event):
+            # the pool pickles the submitted function by its module name
+            real = getattr(harness, name)
+
+            @functools.wraps(real)
+            def wrapper(arg):
+                logged(event)
+                return real(arg)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        monkeypatch.setattr(harness.WorkerContext, "__setstate__", setstate,
+                            raising=False)
+        log_calls("_init_worker", "init")
+        log_calls("_worker_chunk", "chunk")
+        run(tiny_cfg(tmp_path / "out", workers=2, n_ues=16))
+        events = {}
+        for line in log.read_text().splitlines():
+            event, pid = line.split()
+            events.setdefault(event, []).append(int(pid))
+        assert len(events["chunk"]) == 8
+        assert os.getpid() not in events["chunk"]
+        assert sorted(events["init"]) == sorted(set(events["chunk"]))
+        unpickled = events.get("unpickle", [])
+        assert len(unpickled) == len(set(unpickled)) <= 2
+
+    @pytest.mark.parametrize("workers, n_ues", [(1, 1), (1, 9), (2, 2), (2, 9)])
+    def test_arrays_mounted_once_per_run(self, tmp_path, monkeypatch,
+                                         workers, n_ues):
+        # set-up mounts one BS array per layout sector and one UE device,
+        # and derives their field groups and sites; a link places copies,
+        # so no link, in any process, mounts or derives again
+        log = tmp_path / "mounts.log"
+
+        def log_calls(owner, name):
+            real = getattr(owner, name)
+
+            def logged(*args, **kwargs):
+                with open(log, "a") as f:
+                    f.write(f"{name} {os.getpid()}\n")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, logged)
+
+        log_calls(harness, "mount_bs_array")
+        log_calls(harness, "mount_ue_device")
+        log_calls(MountedArray, "__post_init__")
+        reports = run(RunConfig(n_ues=n_ues, seed=4, bs_rows=2, bs_cols=2,
+                                workers=workers, out_dir=str(tmp_path / "out")))
+        assert len(reports) == n_ues
+        pid = os.getpid()
+        assert sorted(log.read_text().splitlines()) == sorted(
+            [f"mount_bs_array {pid}"] * 3 + [f"mount_ue_device {pid}"]
+            + [f"__post_init__ {pid}"] * 4)
 
     def test_emit_cir(self, tmp_path):
         run(tiny_cfg(tmp_path / "c", emit_cir=True, n_ues=2))
@@ -305,11 +357,34 @@ class TestServe:
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
     def test_equidistant_sites_first_wins(self, order):
         xs = [(-100.0, 0.0), (100.0, 0.0), (900.0, 0.0)]
-        sector = (Orientation(0.0, 0.0, 0.0),)
-        layout = SiteLayout([Site(vec3(*xs[i], 10.0), sector) for i in order],
-                            0.0)
+        layout = SiteLayout(np.array([vec3(*xs[i], 10.0) for i in order]),
+                            (Orientation(0.0, 0.0, 0.0),), 0.0)
         sites, *_ = harness._serve(layout, np.array([vec3(0.0, 50.0, 1.5)]))
         assert sites.tolist() == [min(order.index(0), order.index(1))]
+
+    def test_blocks_match_one_call(self, monkeypatch):
+        # serving in blocks of 7 UEs gives the bits of one broadcast call
+        # over all 60, with one wrap call per block
+        layout = SERVE_LAYOUTS["hex-500"]
+        rng = np.random.default_rng(3)
+        pos = np.column_stack([rng.uniform(-3000.0, 3000.0, (60, 2)),
+                               rng.choice([1.5, 4.5, 22.5], 60)])
+        whole = harness._serve(layout, pos)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return effective_ue_position(*args)
+
+        monkeypatch.setattr(harness, "SERVE_BLOCK", 7)
+        monkeypatch.setattr(harness, "effective_ue_position", counted)
+        blocks = harness._serve(layout, pos)
+        assert len(calls) == 9
+        for a, b in zip(whole[:3], blocks[:3]):
+            assert np.array_equal(a, b)
+        for f in fields(whole[3]):
+            assert np.array_equal(getattr(whole[3], f.name),
+                                  getattr(blocks[3], f.name)), f.name
 
     def test_one_wrap_call_per_run(self, tmp_path, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,11 +155,11 @@ class TestFeatureIsolation:
         cs.aod = rng.uniform(-180, 180, (4, 20))
         cs.zod = rng.uniform(20, 160, (4, 20))
         ph = draw_phases(4, 20, np.random.default_rng(8))
-        bs = iso_element((0.0, 0.0, 10.0))
-        bs.offsets = np.array([[0, 0, 0], [0, LAM / 2, 0], [0, LAM, 0]])
-        bs.orientations = bs.orientations * 3
-        bs.slants = np.zeros(3)
-        bs.candidate_index = np.full(3, -1)
+        one = iso_element((0.0, 0.0, 10.0))
+        bs = replace(one, offsets=np.array([[0, 0, 0], [0, LAM / 2, 0],
+                                            [0, LAM, 0]]),
+                     orientations=one.orientations * 3, slants=np.zeros(3),
+                     candidate_index=np.full(3, -1))
         ue = iso_element((30.0, 0.0, 1.5))
         nf = None
         if near:

@@ -11,6 +11,7 @@ import pytest
 
 import setup_reference as ref
 from fr3sim import harness, rng as rngmod
+from fr3sim.antenna import PanelArray
 from fr3sim.geometry import LinkGeometry, drop_ues
 from fr3sim.harness import load_config
 from fr3sim.largescale import lsps_from_standardized, path_loss
@@ -63,7 +64,8 @@ def check_run(overrides):
                     substream(cfg.seed, 0, rngmod.STAGE_DROP))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tasks = harness._link_tasks(cfg, REG, sc, layout, drop)
+        tasks = harness._link_tasks(cfg, REG, sc, layout, drop,
+                                    PanelArray(m=cfg.bs_rows, n=cfg.bs_cols))
     want = ref.link_setup(cfg, REG, sc, layout, drop)
     assert len(tasks) == len(want) == cfg.n_ues
     for task, w in zip(tasks, want):
