@@ -19,9 +19,9 @@ class ValidityWarning(UserWarning):
 
 def __getattr__(name):
     """Resolve ``fftconvolve`` on first access only.  It is unused here, but
-    perfbench/tracing.py counts LSP field cells through this name, and an
-    eager ``scipy.signal`` import would pull ``scipy.stats`` into every
-    ``import fr3sim``."""
+    perfbench/tracing.py counts LSP field cells through this name.  Here
+    and only here fr3sim touches scipy: ``import fr3sim`` and a run make
+    no scipy import of any kind."""
     if name == "fftconvolve":
         from scipy.signal import fftconvolve
         return fftconvolve

@@ -7,7 +7,7 @@ so a fixed master seed reproduces bit-identical results across worker counts
 and across feature toggles that do not consume the stream in question.
 """
 
-import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 # Root constant mixed into every seed sequence so fr3sim streams do not
 # collide with user-created generators seeded from the same integer.
@@ -41,4 +41,4 @@ def substream(master_seed, *path):
     same stream regardless of how many other streams were consumed.
     """
     entropy = (STREAM_ROOT, int(master_seed)) + tuple(int(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return default_rng(SeedSequence(entropy))

@@ -2,11 +2,12 @@
 coupling, XPR, and polarization power weights."""
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .geometry import wrap_azimuth, wrap_zenith
+from .normal import ndtri
 from .scenario import LOS, ParameterError
 
 # Ray offset angle basis for M = 20 (unit RMS, zero sum, +/- pairs).
@@ -31,11 +32,14 @@ def ray_offset_basis(m):
     M = 20 returns the tabulated basis.  Other counts use standard-normal
     quantile midpoints rescaled to unit RMS, preserving the tabulated
     basis's symmetry, zero sum, and unit power.  M = 1 is one ray at the
-    cluster centre, offset 0.
+    cluster centre, offset 0.  Each count is computed once.
     """
-    if m == 20:
-        return RAY_OFFSETS_20.copy()
-    q = ndtri((np.arange(1, m + 1) - 0.5) / m)
+    return (RAY_OFFSETS_20 if m == 20 else _quantile_basis(int(m))).copy()
+
+
+@lru_cache(maxsize=None)
+def _quantile_basis(m):
+    q = np.array([ndtri((k - 0.5) / m) for k in range(1, m + 1)])
     rms = np.sqrt(np.mean(q ** 2))
     return q / rms if rms > 0 else q
 

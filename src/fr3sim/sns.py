@@ -5,7 +5,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
+
+from .normal import log_ndtr, ndtri_exp
 
 USAGES = ("one-hand", "two-hand", "head-hand", "free")
 MASK_BANDS = (("lt1", 0.0, 1.0), ("1to8p4", 1.0, 8.4), ("14p5to15p5", 14.5, 15.5))
@@ -45,8 +46,11 @@ def _truncnorm_ppf(q, a, b):
     """Inverse CDF at ``q`` of the standard normal truncated to [a, b].
 
     Works in log space and inverts through the lighter of the two tails at
-    the result, so that deep-tail intervals keep full precision.
+    the result, so that deep-tail intervals keep full precision.  ``q = 0``
+    gives ``a``.
     """
+    if q == 0.0:
+        return a
     log_a, log_b = log_ndtr(a), log_ndtr(b)        # log Phi at the ends
     log_ua, log_ub = log_ndtr(-a), log_ndtr(-b)    # log (1 - Phi) at the ends
     if a + b < 0:                                  # log(Phi(b) - Phi(a))

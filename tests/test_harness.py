@@ -567,6 +567,38 @@ def test_import_leaves_scipy_stats_and_signal_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+def _run_python(code, *argv):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    res = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+def test_import_loads_numpy_random():
+    # numpy loads np.random lazily; fr3sim.rng imports it up front, so the
+    # first substream of a run does not pay for that import
+    assert _run_python("import sys, fr3sim; "
+                       "print('numpy.random' in sys.modules)") == "True"
+
+
+def test_run_loads_no_scipy(tmp_path):
+    # stochastic SNS draws Pr_sns through the truncated-normal quantile and
+    # M = 24 rays take the quantile offset basis: the two users of
+    # fr3sim.normal, which stands in for scipy.special
+    code = (
+        "import sys, fr3sim\n"
+        "from fr3sim.harness import RunConfig, run\n"
+        "run(RunConfig(scenario='UMi', layout='disc', deploy_radius=60.0,\n"
+        "              n_ues=3, seed=5, bs_rows=4, bs_cols=2,\n"
+        "              sns='stochastic', ray_count_scaling=True, m_min=24,\n"
+        "              m_max=24, out_dir=sys.argv[1]))\n"
+        "print(fr3sim.smallscale._quantile_basis.cache_info().misses,\n"
+        "      sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    assert _run_python(code, str(tmp_path / "out")) == "1 []"
+
+
 # RunConfig fields the extreme-value sweep leaves alone: out_dir is where its
 # runs write, workers would start that many processes, and n_ues, bs_rows,
 # bs_cols and t_count would allocate memory in proportion to their values

@@ -136,6 +136,11 @@ class TestRayOffsets:
     def test_single_ray_at_cluster_centre(self):
         assert np.array_equal(ray_offset_basis(1), [0.0])
 
+    def test_memoized_basis_is_returned_as_a_copy(self):
+        b = ray_offset_basis(24)
+        b[:] = 0.0
+        assert np.all(ray_offset_basis(24) != 0.0)
+
 
 class TestAngles:
     def _angles(self, los, seed=0, n=15, m=20):
