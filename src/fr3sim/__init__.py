@@ -5,13 +5,13 @@ non-stationarity, SMa support, and the revised ray-count rule."""
 from .geometry import (Orientation, SiteLayout, LinkGeometry, Drop, vec3,
                        build_hex_layout, build_indoor_layout,
                        build_disc_layout, drop_ues, link_geometry,
-                       gcs_to_lcs, lcs_to_gcs)
+                       gcs_to_lcs)
 from .antenna import (ElementPattern, PanelArray, UEDevice, MountedArray,
                       element_power_pattern, field_pattern, element_positions,
                       ue_candidate_locations, mount_bs_array, mount_ue_device)
 from .scenario import (ScenarioParams, Registry, PropagationState,
                        ParameterError, load_parameter_tables,
-                       save_parameter_tables, los_probability, assign_states)
+                       los_probability, assign_states)
 from .largescale import (C_LIGHT, LargeScaleResult, LspSet, path_loss,
                          material_loss, o2i_penetration,
                          correlated_standard_normals, lsps_from_standardized,

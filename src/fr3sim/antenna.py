@@ -96,9 +96,6 @@ class PanelArray:
     element: ElementPattern = field(default_factory=ElementPattern)
     pol_slants: tuple = (45.0, -45.0)
 
-    def n_elements(self):
-        return self.mg * self.ng * self.m * self.n * self.p
-
     def slants(self):
         return (0.0,) if self.p == 1 else self.pol_slants[: self.p]
 

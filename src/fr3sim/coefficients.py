@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import field_pattern
-from .geometry import sph_unit, unit_to_angles
+from .geometry import sph_unit
 from .largescale import C_LIGHT
-from .nearfield import los_element_phase, nlos_element_phase, unit_phase
+from .nearfield import (element_wise_angles, los_element_phase,
+                        nlos_element_phase, unit_phase)
 from .scenario import NLOS
 
 
@@ -66,7 +67,6 @@ def draw_absolute_excess(sc, rng, l_bound=None):
 @dataclass
 class ChannelRealization:
     fc_ghz: float
-    lam0: float
     delays: np.ndarray            # (n_taps,) seconds, non-decreasing
     gains: np.ndarray             # (n_taps, U, S, T) complex
 
@@ -161,12 +161,12 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     if elementwise:
         # per-element departure angles toward each ray's spherical source
         src = bs.reference[None, :] + d1[:, None] * r_tx
-        zod, aod = unit_to_angles(src[None, :, :] - bs.positions()[:, None, :])
+        aod, zod = element_wise_angles(src, bs.positions()[:, None, :])
     if los:
         # the LOS direction is one more angle column of the field evaluation
         zoa, aoa = np.append(zoa, geom.zoa), np.append(aoa, geom.aoa_az)
         if elementwise:
-            z_e, a_e = unit_to_angles(ue.reference[None, :] - bs.positions())
+            a_e, z_e = element_wise_angles(ue.reference, bs.positions())
             zod, aod = np.append(zod, z_e[:, None], 1), np.append(aod, a_e[:, None], 1)
         else:
             zod, aod = np.append(zod, geom.zod), np.append(aod, geom.aod_az)
@@ -256,7 +256,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
         i0 = int(np.argmin(np.abs(delays - base_delay)))
         gains[i0] += h_los
 
-    return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9, lam0=lam0,
+    return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9,
                               delays=delays, gains=gains)
 
 
@@ -334,6 +334,6 @@ def read_cir(path):
     taps = np.frombuffer(raw, [("delay", "<f8"), ("g", "<f4", (u, s, t, 2))],
                          count=n_taps, offset=_CIR_HEADER.size)
     g = taps["g"]
-    return ChannelRealization(fc_ghz=fc_hz / 1e9, lam0=C_LIGHT / fc_hz,
+    return ChannelRealization(fc_ghz=fc_hz / 1e9,
                               delays=taps["delay"].astype(float),
                               gains=g[..., 0] + 1j * g[..., 1])

@@ -100,13 +100,6 @@ def gcs_to_lcs(orientation, zenith_deg, azimuth_deg):
     return zen_l, az_l, psi
 
 
-def lcs_to_gcs(orientation, zenith_deg, azimuth_deg):
-    """Inverse transform of gcs_to_lcs (direction only)."""
-    r = orientation.rotation()
-    v = sph_unit(zenith_deg, azimuth_deg) @ r.T
-    return unit_to_angles(v)
-
-
 @dataclass
 class SiteLayout:
     """BS sites as columns: ``positions`` (S, 3) in meters, one row per

@@ -600,6 +600,10 @@ def run(cfg, registry=None):
         raise ConfigError(f"cannot drop {cfg.n_ues} UEs: {exc}") from None
     out = pathlib.Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a previous run's outputs: its manifest first, then its CIR files
+    (out / "manifest.txt").unlink(missing_ok=True)
+    for stale in out.glob("cir/link_*.cir"):
+        stale.unlink()
     cir_dir = ""
     if cfg.emit_cir:
         cir_dir = str(out / "cir")
@@ -645,9 +649,9 @@ _CDFS = {"coupling_loss": "coupling_loss_db", "capacity": "capacity_bps_hz",
 
 def _write_outputs(out, cfg, reg, reports):
     """Write links.csv, the CDFs and the manifest under ``.tmp-`` names,
-    then rename them into place, the manifest last and only after any old
-    one is deleted, so a run that fails part-way never leaves a manifest
-    beside a links.csv it does not describe."""
+    then rename them into place, the manifest last.  ``run`` deleted any
+    old manifest before its link pass, so a run that fails part-way never
+    leaves a manifest beside outputs it does not describe."""
     def tmp(name):
         return out / f".tmp-{name}"
 
@@ -662,6 +666,5 @@ def _write_outputs(out, cfg, reg, reports):
     links_hash = hashlib.sha256(tmp("links.csv").read_bytes()).hexdigest()
     lines.append(f"output links.csv sha256 {links_hash}")
     tmp("manifest.txt").write_text("\n".join(lines) + "\n")
-    (out / "manifest.txt").unlink(missing_ok=True)
     for name in ["links.csv", *(f"cdf_{n}.csv" for n in _CDFS), "manifest.txt"]:
         os.replace(tmp(name), out / name)

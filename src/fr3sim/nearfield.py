@@ -91,17 +91,15 @@ def unit_phase(phase_rad):
     return out
 
 
-def element_wise_angles(source_point, element_positions):
-    """(azimuth, zenith) of each element-to-source direction in degrees."""
-    src = np.asarray(source_point, dtype=float)
-    pos = np.atleast_2d(np.asarray(element_positions, dtype=float))
-    dirs = src[None, :] - pos
-    if np.any(np.linalg.norm(dirs, axis=-1) == 0):
+def element_wise_angles(sources, element_positions):
+    """(azimuth, zenith) in degrees of each element-to-source direction.
+
+    Broadcasts over (..., 3): (K, 3) elements against one (3,) source give
+    (K,) angles; (K, 1, 3) elements against (R, 3) sources give (K, R).
+    Raises ValueError for a source on an element (unit_to_angles' 0/0 NaN).
+    """
+    with np.errstate(invalid="ignore"):
+        zen, az = unit_to_angles(np.subtract(sources, element_positions))
+    if np.isnan(zen).any():
         raise ValueError("source point coincides with an element")
-    zen, az = unit_to_angles(dirs)
     return az, zen
-
-
-def far_field_phase_error_bound(aperture, lam0, distance):
-    """Fresnel bound pi A^2 / (4 lam d) on the max plane-wave phase error."""
-    return np.pi * aperture ** 2 / (4.0 * lam0 * distance)

@@ -276,24 +276,6 @@ def _canonical_name(name):
     return {"sma": "SMa", "uma": "UMa", "umi": "UMi", "rma": "RMa", "inh": "InH"}.get(name, name)
 
 
-def save_parameter_tables(registry, outdir):
-    """Write the registry back out in canonical (sorted) form.
-
-    A save/load round trip reproduces the tables bit-for-bit because raw
-    value strings are preserved verbatim.
-    """
-    import pathlib
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, sc in registry.scenarios.items():
-        lines = ["# fr3sim scenario parameter table",
-                 "# parameter\tstate\tvalue\tunits\tprovenance"]
-        for (param, state) in sorted(sc.entries):
-            e = sc.entries[(param, state)]
-            lines.append("\t".join([e.param, e.state, e.raw, e.units, e.provenance]))
-        (outdir / f"{name.lower()}.params").write_text("\n".join(lines) + "\n")
-
-
 # -- LOS probability -----------------------------------------------------
 
 _POW = np.frompyfunc(pow, 2, 1)

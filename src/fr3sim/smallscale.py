@@ -87,10 +87,6 @@ class ClusterSet:
     subclusters: list = field(default_factory=list)  # ray-index groups
     c_ds: float = 0.0                  # intra-cluster delay spread [s]
 
-    @property
-    def tap_delays(self):
-        return self.tau_scaled
-
     def taps(self, base_delay=0.0):
         """Delay taps in cluster order as (delay, flat ray indices, power).
 
@@ -100,7 +96,7 @@ class ClusterSet:
         """
         out = []
         for ci in range(self.n):
-            base = base_delay + self.tap_delays[ci]
+            base = base_delay + self.tau_scaled[ci]
             rays = np.arange(ci * self.m, (ci + 1) * self.m)
             if ci not in self.strongest:
                 out.append((base, rays, self.p[ci]))

@@ -218,11 +218,11 @@ class TestNearFieldProperties:
             nf = fr3sim.source_distances(cs, 300.0, 1e-8, 0, 2.0, 2.0,
                                          np.random.default_rng([8, seed]))
             total = np.where(np.arange(n)[:, None] < 0, 0, nf.d1 + nf.d2)
-            tau_ray = np.repeat(cs.tap_delays[:, None], m, axis=1)
+            tau_ray = np.repeat(cs.tau_scaled[:, None], m, axis=1)
             from fr3sim.smallscale import SUBCLUSTER_DELAY_FACTORS
             for ci in cs.strongest:
                 for gi, grp in enumerate(cs.subclusters):
-                    tau_ray[ci, grp] = cs.tap_delays[ci] + \
+                    tau_ray[ci, grp] = cs.tau_scaled[ci] + \
                         SUBCLUSTER_DELAY_FACTORS[gi] * cs.c_ds
             expect = 300.0 + tau_ray * C_LIGHT + 1e-8 * C_LIGHT
             worst = max(worst, np.max(np.abs(total / expect - 1.0)))

@@ -5,8 +5,8 @@ import pytest
 
 from fr3sim.geometry import (Orientation, build_hex_layout,
                              build_indoor_layout, drop_ues,
-                             effective_ue_position, gcs_to_lcs, lcs_to_gcs,
-                             link_geometry, vec3)
+                             effective_ue_position, gcs_to_lcs,
+                             link_geometry, sph_unit, unit_to_angles, vec3)
 from fr3sim.scenario import load_parameter_tables
 
 REG = load_parameter_tables()
@@ -302,6 +302,7 @@ class TestGcsLcs:
             zen = rng.uniform(1, 179)
             az = rng.uniform(-179, 179)
             zl, al, _ = gcs_to_lcs(o, zen, az)
-            zg, ag = lcs_to_gcs(o, zl, al)
+            # the inverse rotation R^T takes the LCS direction back
+            zg, ag = unit_to_angles(sph_unit(zl, al) @ o.rotation().T)
             assert abs(zg - zen) < 1e-12 * 180
             assert abs((ag - az + 180) % 360 - 180) < 1e-10

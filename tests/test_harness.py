@@ -33,7 +33,7 @@ def tiny_cfg(out_dir, **kw):
 
 def siso_channel(amp=1.0):
     g = np.full((1, 1, 1, 1), amp, dtype=complex)    # (n_taps, U, S, T)
-    return ChannelRealization(fc_ghz=7.0, lam0=3e8 / 7e9,
+    return ChannelRealization(fc_ghz=7.0,
                               delays=np.array([0.0]), gains=g)
 
 
@@ -264,6 +264,21 @@ class TestRun:
         from fr3sim.coefficients import read_cir
         h = read_cir(cirs[0])
         assert h.n_taps >= 1
+
+    def test_no_stale_cir_files(self, tmp_path):
+        # a 2-UE run after a 4-UE one, then a run without CIR output, in
+        # one out_dir: no CIR file of an earlier run is left behind
+        def cir_files():
+            return sorted(p.name for p in (tmp_path / "cir").iterdir())
+
+        run(tiny_cfg(tmp_path, emit_cir=True, n_ues=4))
+        assert cir_files() == [f"link_{i:06d}.cir" for i in range(4)]
+        run(tiny_cfg(tmp_path, emit_cir=True, n_ues=2))
+        assert cir_files() == [f"link_{i:06d}.cir" for i in range(2)]
+        run(tiny_cfg(tmp_path, n_ues=2))
+        assert cir_files() == []
+        assert "config emit_cir = False" in (
+            tmp_path / "manifest.txt").read_text().splitlines()
 
     def test_failed_run_leaves_no_stale_manifest(self, tmp_path, monkeypatch):
         def manifest_matches():

