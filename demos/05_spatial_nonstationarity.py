@@ -1,5 +1,5 @@
-"""Spatial non-stationarity: visibility regions on the array plane, the
-knife-edge blocker model, UE grip masks, and the coupling-loss shift.
+"""Spatial non-stationarity: visibility regions on the array plane, UE grip
+masks, and the coupling-loss shift.
 
 Run:  python3 demos/05_spatial_nonstationarity.py
 """
@@ -9,14 +9,11 @@ import tempfile
 
 import numpy as np
 
-from fr3sim import (Blocker, SnsConfig, blocker_attenuation,
-                    element_attenuation, load_parameter_tables, ue_sns_mask,
-                    visibility_region)
+from fr3sim import (SnsConfig, element_attenuation, load_parameter_tables,
+                    ue_sns_mask, visibility_region)
 from fr3sim.harness import RunConfig, run
-from fr3sim.largescale import C_LIGHT
 
 reg = load_parameter_tables()
-lam = C_LIGHT / 7e9
 cfg = SnsConfig()
 
 # visibility region for a weak cluster on a 0.32 m x 1.35 m array
@@ -29,15 +26,6 @@ zs = np.linspace(-0.675, 0.675, 9)
 alpha = element_attenuation(vr, cfg, np.stack([np.zeros(9), zs], axis=1))
 print("alpha along the central column:",
       " ".join(f"{a:.2f}" for a in alpha))
-
-# knife-edge blocker between the array and a scatterer: one call gives the
-# loss of every element's path (end points broadcast over the leading axes)
-blk = Blocker(center=np.array([8.0, 0.0, 1.5]), width=1.5, height=1.8)
-ys = np.array([0.0, 1.0, 3.0])
-elements = np.stack([np.zeros(3), ys, np.full(3, 1.5)], axis=1)
-losses = blocker_attenuation(blk, elements, np.array([25.0, 0.0, 1.5]), lam)
-for y, l_db in zip(ys, losses):
-    print(f"element offset y = {y:3.1f} m: knife-edge loss {l_db:5.1f} dB")
 
 # UE-side masks: per-candidate attenuation by usage and band
 print("\nUE self-blockage masks, 1-8.4 GHz band [dB]:")

@@ -27,9 +27,8 @@ from .coefficients import (RayCountConfig, ChannelRealization, ray_count,
 from .nearfield import (NearFieldGeometry, source_distances,
                         los_element_phase, nlos_element_phase,
                         element_wise_angles)
-from .sns import (SnsConfig, VisibilityRegion, Blocker, draw_sns_status,
-                  visibility_region, element_attenuation,
-                  blocker_attenuation, knife_edge_loss_db, ue_sns_mask)
+from .sns import (SnsConfig, VisibilityRegion, draw_sns_status,
+                  visibility_region, element_attenuation, ue_sns_mask)
 from .harness import (RunConfig, LinkReport, load_config, run, capacity,
                       coupling_loss, gini, emit_cdf)
 

@@ -50,7 +50,7 @@ class RunConfig:
     deploy_radius: float = _key(100.0, gt=0.0)  # disc layout only
     isd: float = _key(0.0, ge=0.0)              # 0 -> scenario default
     snr_db: float = 10.0
-    workers: int = _key(1, ge=1)
+    workers: int = _key(1, ge=1, le=256)
     out_dir: str = "out"
     # feature flags
     near_field: bool = False
@@ -627,13 +627,16 @@ def run(cfg, registry=None):
     if cfg.workers <= 1 or len(tasks) < 2:
         reports = [process_link(ctx, t) for t in tasks]
     else:
-        chunks = np.array_split(np.arange(len(tasks)), cfg.workers * 4)
+        chunks = [ch for ch in np.array_split(np.arange(len(tasks)),
+                                              cfg.workers * 4) if ch.size]
         reports = []
-        with ProcessPoolExecutor(max_workers=cfg.workers,
+        # the pool starts all its workers at the first submit, so it gets
+        # no more of them than there are chunks
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(chunks)),
                                  initializer=_init_worker,
                                  initargs=(ctx,)) as ex:
             futures = [ex.submit(_worker_chunk, [tasks[i] for i in ch])
-                       for ch in chunks if ch.size]
+                       for ch in chunks]
             for fut in futures:
                 reports.extend(fut.result())
     reports.sort(key=lambda r: r.link_id)

@@ -51,13 +51,13 @@ def _pl1_rma(d, fc_ghz, h):
             + 0.002 * np.log10(h) * d)
 
 
-def path_loss(sc, g, state, fc_ghz, nlos_floor=True, strict=False):
+def path_loss(sc, g, state, fc_ghz, nlos_floor=True):
     """Outdoor path loss in dB of every link of ``g``, one evaluation of the
     scenario's family over all of them.
 
     ``nlos_floor`` applies the max(PL_LOS, PL_NLOS) convention for NLOS
-    links.  Links outside the table's d2D validity range raise in strict
-    mode; otherwise they are extrapolated, with one warning per call.
+    links.  Links outside the table's d2D validity range are extrapolated,
+    with one ``ValidityWarning`` per call.
     """
     d2d, d3d, h_bs, h_ue = (np.asarray(v, dtype=float)
                             for v in (g.d2d, g.d3d, g.h_bs, g.h_ue))
@@ -68,11 +68,9 @@ def path_loss(sc, g, state, fc_ghz, nlos_floor=True, strict=False):
     d_max = sc.value("pl_d2d_max", default=np.inf)
     n_out = np.count_nonzero((d2d < d_min) | (d2d > d_max))
     if n_out:
-        msg = (f"{sc.name}: {n_out} of {d2d.size} links have d2D outside "
-               f"[{d_min}, {d_max}] m; extrapolated")
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, ValidityWarning)
+        warnings.warn(f"{sc.name}: {n_out} of {d2d.size} links have d2D "
+                      f"outside [{d_min}, {d_max}] m; extrapolated",
+                      ValidityWarning)
 
     dbp = _scenario_breakpoint(sc, h_bs, h_ue, fc_ghz)
     if family == "rma_dual":

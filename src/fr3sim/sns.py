@@ -1,5 +1,5 @@
-"""Spatial non-stationarity: BS-side visibility regions and knife-edge
-blockers, UE-side grip/head masks."""
+"""Spatial non-stationarity: BS-side visibility regions, UE-side grip/head
+masks."""
 
 import warnings
 from dataclasses import dataclass
@@ -129,73 +129,6 @@ def stochastic_attenuation(cluster_p_db, cfg, element_yz, rng):
         vr = visibility_region(cluster_p_db[n], max_p, cfg, width, height, rng)
         alpha[:, n] = element_attenuation(vr, cfg, yz)
     return alpha
-
-
-@dataclass
-class Blocker:
-    """Vertical rectangular screen for the knife-edge model."""
-    center: np.ndarray   # (3,)
-    width: float         # horizontal extent [m]
-    height: float        # vertical extent [m]
-
-
-def blocker_attenuation(blocker, p_tx, p_rx, lam0, l_max_db=40.0):
-    """Knife-edge diffraction loss in dB past one blocker, per path.
-
-    ``p_tx`` and ``p_rx`` are (..., 3) end points that broadcast against
-    each other, so (S, 1, 3) elements and (1, R, 3) sources give (S, R)
-    losses.  L = -20 log10(1 - (F_h1 + F_h2)(F_w1 + F_w2)) with edge terms
-    from the top/bottom and side screen edges, each signed by the side of
-    its edge that the path crosses (TR 38.901 blockage model B), so that
-    L >= 0 and a path beside the screen loses little.  A path has 0 dB
-    when its closest approach to the screen center lies outside the segment
-    between its end points, or when it is vertical; a non-positive log
-    argument clamps at ``l_max_db``.
-    """
-    tx, rx = np.broadcast_arrays(np.asarray(p_tx, dtype=float),
-                                 np.asarray(p_rx, dtype=float))
-    c = np.asarray(blocker.center, dtype=float)
-    link = rx - tx
-    r2 = np.sum(link * link, axis=-1)
-    r = np.sqrt(r2)
-    # the screen's horizontal axis is orthogonal to the path (none when the
-    # path is vertical); the path is blocked where its closest approach to
-    # the screen center lies between the end points
-    flat = np.hypot(link[..., 0], link[..., 1])
-    ok = flat > 1e-12 * r
-    flat, r2 = np.where(ok, flat, 1.0), np.where(ok, r2, 1.0)
-    horiz = np.stack([link[..., 1], -link[..., 0], np.zeros_like(r)],
-                     axis=-1) / flat[..., None]
-    tpar = np.sum((c - tx) * link, axis=-1) / r2
-    hit = ok & (tpar > 0.0) & (tpar < 1.0)
-    # an edge term is positive when the crossing point lies on the screen's
-    # side of that edge (shadowed by it) and negative beyond it, so a path
-    # beside the screen gets F_near < F_far and a small positive sum
-    cross = tx + tpar[..., None] * link
-    x_h = np.sum((cross - c) * horiz, axis=-1)
-    x_v = cross[..., 2] - c[2]
-    hh, hw = blocker.height / 2.0, blocker.width / 2.0
-    up = np.array([0.0, 0.0, hh])
-    side = horiz * hw
-    edges = np.stack(np.broadcast_arrays(c + up, c - up, c - side, c + side))
-    excess = np.maximum(np.linalg.norm(edges - tx, axis=-1)
-                        + np.linalg.norm(rx - edges, axis=-1) - r, 0.0)
-    shadowed = np.stack([x_v <= hh, x_v >= -hh, x_h >= -hw, x_h <= hw])
-    sign = np.where(shadowed, 1.0, -1.0)
-    f = np.arctan(sign * 0.5 * np.pi * np.sqrt(np.pi * excess / lam0)) / np.pi
-    product = np.where(hit, (f[0] + f[1]) * (f[2] + f[3]), 0.0)
-    return np.where(hit, knife_edge_loss_db(product, l_max_db), 0.0)[()]
-
-
-def knife_edge_loss_db(fresnel_product, l_max_db=40.0):
-    """L = -20 log10(1 - product) per element, clamped at l_max_db where the
-    argument of the logarithm is non-positive (one warning per call)."""
-    arg = 1.0 - np.asarray(fresnel_product, dtype=float)
-    clamped = arg <= 0.0
-    if np.any(clamped):
-        warnings.warn("knife-edge Fresnel product >= 1; loss clamped")
-    loss = -20.0 * np.log10(np.where(clamped, 1.0, arg))
-    return np.where(clamped, l_max_db, np.minimum(loss, l_max_db))[()]
 
 
 def draw_usage(cfg, rng):

@@ -10,8 +10,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fr3sim"
 # names no other line of the package refers to, with the reason each stays
 ALLOWED = {
     "coefficients.read_cir": "the public reader of the CIR files a run writes",
-    "sns.Blocker": "the knife-edge blocker; ROADMAP item 3 decides its fate",
-    "sns.blocker_attenuation": "the knife-edge blocker; see sns.Blocker",
     "cli._Parser.error": "argparse calls it on a bad command line",
 }
 

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import configparser
 import functools
 import hashlib
@@ -186,6 +187,36 @@ class TestRun:
         run(tiny_cfg(tmp_path / "w2", workers=2, n_ues=8))
         assert (tmp_path / "w1" / "links.csv").read_bytes() == \
             (tmp_path / "w2" / "links.csv").read_bytes()
+
+    def test_pool_no_larger_than_its_chunks(self, tmp_path, monkeypatch):
+        # a process pool starts all its workers at the first submit; this
+        # in-process stand-in records how many a 3-link run with 8 workers
+        # asks for, and runs the chunks itself
+        started = []
+
+        class InProcessPool:
+            def __init__(self, *, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, arg):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(arg))
+                return fut
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_worker_ctx", None)
+        run(tiny_cfg(tmp_path / "w8", workers=8, n_ues=3))
+        run(tiny_cfg(tmp_path / "w1", workers=1, n_ues=3))
+        assert started == [3]
+        assert (tmp_path / "w8" / "links.csv").read_bytes() == \
+            (tmp_path / "w1" / "links.csv").read_bytes()
 
     def test_pool_workers_keep_their_context(self, tmp_path, monkeypatch):
         # each pool worker gets the run's WorkerContext once, through the
@@ -565,6 +596,15 @@ class TestConfigAndCli:
                        f"out_dir = {tmp_path / 'x'}\n")
         assert cli_main(["run", "--config", str(cfg)]) == 3
 
+    def test_workers_bounded(self, tmp_path):
+        # checked before any run, so no test starts a pool this large
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(overrides={"workers": 257})
+        assert load_config(overrides={"workers": 256}).workers == 256
+        out = tmp_path / "x"
+        assert cli_main(["run", "--workers", "257", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_config_file_overridden_by_cli(self, tmp_path):
         f = tmp_path / "c.ini"
         f.write_text("[run]\nseed = 3\nn_ues = 4\n")
@@ -615,9 +655,10 @@ def test_run_loads_no_scipy(tmp_path):
 
 
 # RunConfig fields the extreme-value sweep leaves alone: out_dir is where its
-# runs write, workers would start that many processes, and n_ues, bs_rows,
-# bs_cols and t_count would allocate memory in proportion to their values
-SWEEP_SKIP = {"out_dir", "workers", "n_ues", "bs_rows", "bs_cols", "t_count"}
+# runs write, and n_ues, bs_rows, bs_cols and t_count would allocate memory
+# in proportion to their values.  workers is swept: none of its sweep values
+# passes validation, so no pool starts
+SWEEP_SKIP = {"out_dir", "n_ues", "bs_rows", "bs_cols", "t_count"}
 ALL_FEATURES = ["--near-field", "--nf-angles", "--sns", "stochastic",
                 "--ue-sns", "--absolute-delay", "--ray-count-scaling",
                 "--pol-variability", "--t-count", "2", "--emit-cir"]
