@@ -83,12 +83,13 @@ def _site_phases(arr, first, r_hat, lam0, d=None, grid=None):
     """Array phases (P, R) at the sites ``arr.offsets[first]``: plane-wave
     exp(j 2 pi r_hat . d_bar / lam), or spherical-wave toward per-ray
     sources at distances ``d``.  Plane-wave phases on a PlanarGrid are the
-    products of one row and one column factor per ray."""
+    products of one row and one column factor per ray.  The phases go to
+    ``unit_phase`` in turns, path lengths over lam, in cache-sized blocks."""
     if d is not None:
         return nlos_element_phase(d, r_hat, arr.offsets[first], lam0)
     if grid is None:
-        return unit_phase(2.0 * np.pi * (arr.offsets[first] @ r_hat.T) / lam0)
-    proj = (2.0 * np.pi / lam0) * (r_hat @ grid.axes)        # (R, 2)
+        return unit_phase((arr.offsets[first] @ r_hat.T) / lam0)
+    proj = (r_hat @ grid.axes) / lam0                        # (R, 2) turns
     cols = unit_phase(grid.y[:, None] * proj[None, :, 0])
     rows = unit_phase(grid.z[:, None] * proj[None, :, 1])
     return (rows[:, None, :] * cols[None, :, :]).reshape(-1, r_hat.shape[0])
@@ -220,7 +221,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     # Doppler per (t, ray) on the left when there is one sample; otherwise
     # it and sqrt(alpha) scale the right factors tap by tap
     v = np.zeros(3) if v_vec is None else np.asarray(v_vec, dtype=float)
-    dop = np.exp(2j * np.pi * ((r_rx @ v) / lam0)[None, :] * t[:, None])
+    dop = unit_phase(((r_rx @ v) / lam0)[None, :] * t[:, None])
     if n_t == 1:
         left = [x * dop for x in left]
 
@@ -241,7 +242,10 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
         for a, b in zip(left[1:], tap_right[1:]):
             h += a[:, lo:hi] @ b.T
         h = h.reshape(u_cnt, -1, n_t)
-        gains[i] = h if perm is None else h[:, perm]
+        if perm is None:
+            gains[i] = h
+        else:   # "clip": every index is valid, and "raise" buffers ``out``
+            np.take(h, perm, axis=1, out=gains[i], mode="clip")
     delays = np.array([tp[0] for tp in taps])
 
     if los:
@@ -275,10 +279,9 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
     if sns_alpha is not None:
         w_tx *= np.sqrt(np.asarray(sns_alpha, dtype=float).reshape(bs.size, -1)[:, 0])
     if not near_field:
-        w_rx *= (np.exp(-2j * np.pi * geom.d3d / lam0)
-                 * np.exp(2j * np.pi * (ue.offsets @ r_rx) / lam0))
-        w_tx *= np.exp(2j * np.pi * (bs.offsets @ sph_unit(geom.zod, geom.aod_az))
-                       / lam0)
+        w_rx *= (unit_phase(-geom.d3d / lam0)
+                 * unit_phase((ue.offsets @ r_rx) / lam0))
+        w_tx *= unit_phase((bs.offsets @ sph_unit(geom.zod, geom.aod_az)) / lam0)
     # polarization matrix [[1, 0], [0, -1]]
     h = (np.outer(f_rx[0] * w_rx, f_tx[0] * w_tx)
          - np.outer(f_rx[1] * w_rx, f_tx[1] * w_tx))
@@ -287,7 +290,7 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
         pair = np.linalg.norm(ue.positions()[ue_first][:, None, :]
                               - bs.positions()[bs_first][None, :, :], axis=-1)
         h *= los_element_phase(pair, lam0)[ue_site][:, bs_site]
-    return h[:, :, None] * np.exp(2j * np.pi * ((r_rx @ v) / lam0) * t)
+    return h[:, :, None] * unit_phase(((r_rx @ v) / lam0) * t)
 
 
 def apply_large_scale(h, ls):

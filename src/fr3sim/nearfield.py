@@ -12,6 +12,11 @@ import numpy as np
 from .geometry import unit_to_angles
 from .largescale import C_LIGHT
 
+TABLE_SIZE = 64   # exp(j 2 pi k / 64) rotates the reduced phase
+BLOCK = 8192      # elements per block, so that the scratch stays in cache
+_ANGLES = np.arange(TABLE_SIZE) * (2.0 * np.pi / TABLE_SIZE)
+_TWIDDLE = np.cos(_ANGLES) + 1j * np.sin(_ANGLES)
+
 
 @dataclass
 class NearFieldGeometry:
@@ -49,8 +54,7 @@ def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
 def los_element_phase(pair_distance, lam0):
     """Direct-path element phase exp(-j 2 pi |r| / lam) from exact
     element-pair distances |r|."""
-    pair = np.asarray(pair_distance, dtype=float)
-    return np.exp(-2j * np.pi * pair / lam0)
+    return unit_phase(-np.asarray(pair_distance, dtype=float) / lam0)
 
 
 def nlos_element_phase(d, r_hat, d_bar, lam0):
@@ -61,34 +65,74 @@ def nlos_element_phase(d, r_hat, d_bar, lam0):
 
     The excess d - ||d r_hat - d_bar|| is evaluated in the cancellation-free
     form (2 d (r_hat . d_bar) - |d_bar|^2) / (d + dist), which is both exact
-    and avoids (K, R, 3) temporaries.  The (K, R) steps run in place.
+    and avoids (K, R, 3) temporaries.  It is divided by lam into turns for
+    ``unit_phase``'s kernel, over blocks of rows of about BLOCK elements,
+    so that no float temporary is larger than one block.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("source distance must be positive")
     d_bar = np.asarray(d_bar, dtype=float)
-    proj = d_bar @ np.asarray(r_hat, dtype=float).T          # (K, R)
+    r_t = np.asarray(r_hat, dtype=float).T
     sq = np.sum(d_bar ** 2, axis=1)[:, None]
-    proj *= 2.0 * d[None, :]                                 # 2 d proj
-    dist = d[None, :] ** 2 - proj
-    dist += sq
-    np.maximum(dist, 0.0, out=dist)
-    np.sqrt(dist, out=dist)
-    dist += d[None, :]                                       # d + dist
-    proj -= sq
-    proj /= dist                                             # the excess
-    proj *= 2.0 * np.pi
-    proj /= lam0
-    return unit_phase(proj)
-
-
-def unit_phase(phase_rad):
-    """exp(j phase) assembled from cos/sin (faster than complex exp)."""
-    phase_rad = np.asarray(phase_rad, dtype=float)
-    out = np.empty(phase_rad.shape, dtype=complex)
-    out.real = np.cos(phase_rad)
-    out.imag = np.sin(phase_rad)
+    n_k, n_r = d_bar.shape[0], d.shape[0]
+    out = np.empty((n_k, n_r), dtype=complex)
+    rows = max(1, BLOCK // max(n_r, 1))
+    proj_ws, dist_ws = np.empty((2, min(rows, n_k), n_r))
+    ws = _workspace(proj_ws.size)
+    for lo in range(0, n_k, rows):
+        hi = min(lo + rows, n_k)
+        proj = np.matmul(d_bar[lo:hi], r_t, out=proj_ws[:hi - lo])
+        proj *= 2.0 * d                                      # 2 d proj
+        dist = np.subtract(d ** 2, proj, out=dist_ws[:hi - lo])
+        dist += sq[lo:hi]
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        dist += d                                            # d + dist
+        proj -= sq[lo:hi]
+        proj /= dist                                         # the excess
+        proj /= lam0
+        _phase_into(proj.reshape(-1), out[lo:hi].reshape(-1), ws)
     return out
+
+
+def unit_phase(turns):
+    """exp(j 2 pi t) of phases t given in turns, of any shape.
+
+    With k = rint(64 t), the reduced turn u = t - k/64 is exact (Sterbenz)
+    and |2 pi u| <= pi/64, so cos and sin take their fast path on it; the
+    result is rotated by the table entry exp(j 2 pi (k mod 64) / 64).
+    Integer turns give exactly 1.
+    """
+    t = np.asarray(turns, dtype=float)
+    out = np.empty(t.shape, dtype=complex)
+    _phase_into(t.reshape(-1), out.reshape(-1), _workspace(t.size))
+    return out
+
+
+def _workspace(n):
+    """Scratch of ``_phase_into`` for inputs of up to n elements."""
+    b = min(n, BLOCK)
+    return (*np.empty((2, b), dtype=complex), np.empty(b, dtype=np.intp))
+
+
+def _phase_into(t, out, ws):
+    """out = exp(j 2 pi t) for flat turns t, BLOCK elements at a time; u
+    and k live in the output block until the last product overwrites it."""
+    for lo in range(0, t.size, BLOCK):
+        x, o = t[lo:lo + BLOCK], out[lo:lo + BLOCK]
+        z, w, i = (a[:x.size] for a in ws)
+        u, k = o.view(float).reshape(2, -1)
+        np.multiply(x, TABLE_SIZE, out=u)                    # exact
+        np.rint(u, out=k)
+        u -= k                                               # 64 t - k, exact
+        u *= 2.0 * np.pi / TABLE_SIZE                        # 2 pi (t - k/64)
+        np.cos(u, out=z.real)
+        np.sin(u, out=z.imag)
+        np.copyto(i, k, casting="unsafe")
+        i &= TABLE_SIZE - 1
+        _TWIDDLE.take(i, out=w, mode="clip")                 # i is in range
+        np.multiply(z, w, out=o)
 
 
 def element_wise_angles(sources, element_positions):

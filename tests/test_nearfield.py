@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,13 +9,35 @@ from fr3sim.antenna import PanelArray, element_positions
 from fr3sim.coefficients import draw_phases
 from fr3sim.geometry import sph_unit
 from fr3sim.largescale import C_LIGHT
+from fr3sim import nearfield
 from fr3sim.nearfield import (element_wise_angles, los_element_phase,
-                              nlos_element_phase, source_distances)
+                              nlos_element_phase, source_distances,
+                              unit_phase)
 
 from test_coefficients import geom_for, iso_element, simple_cs
 from test_synthesis_reference import synthesize_with_rays
 
 LAM = C_LIGHT / 7e9
+
+
+def exact_unit_phase(turns):
+    """exp(j 2 pi t) from the turn reduced exactly: t - rint(t) has no
+    rounding error in float64, so only cos and sin round."""
+    u = 2.0 * np.pi * (turns - np.rint(turns))
+    return np.cos(u) + 1j * np.sin(u)
+
+
+def bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def nlos_case(k, r, seed=0):
+    """(d, r_hat, d_bar) of k element offsets on a 7 GHz half-wavelength
+    grid and r rays with sources 2-60 m away."""
+    rng = np.random.default_rng(seed)
+    r_hat = sph_unit(rng.uniform(10.0, 170.0, r), rng.uniform(-180.0, 180.0, r))
+    d_bar = (LAM / 2) * np.column_stack([np.zeros(k), rng.integers(-16, 16, (k, 2))])
+    return rng.uniform(2.0, 60.0, r), r_hat, d_bar
 
 
 class TestSourceDistances:
@@ -77,8 +100,69 @@ class TestLosPhase:
         d3d, delta = 40.0, 0.7
         pair = np.hypot(d3d, delta)
         ph = los_element_phase(pair, LAM)
-        assert np.angle(ph * np.exp(2j * np.pi * pair / LAM)) == \
+        assert np.angle(ph / exact_unit_phase(-pair / LAM)) == \
             pytest.approx(0.0, abs=1e-12)
+
+
+class TestUnitPhase:
+    def test_accuracy(self):
+        rng = np.random.default_rng(20)
+        grid = rng.integers(-128 * 10**4, 128 * 10**4, 20_000) / 128.0
+        near_grid = grid + rng.integers(-4, 5, grid.size) * np.spacing(grid)
+        cases = {"uniform": rng.uniform(-1e4, 1e4, 200_000),
+                 "near k/64 and k/128": near_grid,
+                 "tiny": np.append(rng.uniform(-1e-300, 1e-300, 1000),
+                                   [0.0, -0.0, 5e-324, -5e-324])}
+        for name, t in cases.items():
+            err = np.abs(unit_phase(t) - exact_unit_phase(t)).max()
+            assert err <= 2e-15, name
+
+    def test_integers_give_exactly_one(self):
+        n = np.concatenate([np.arange(-3000.0, 3000.0), [2.0**40, -2.0**52]])
+        assert np.all(unit_phase(n) == 1.0)
+
+    def test_whole_turns_do_not_change_bits(self):
+        rng = np.random.default_rng(21)
+        t = rng.integers(-2**20, 2**20, 10_000) * 2.0**-20
+        n = rng.integers(-2**20, 2**20 + 1, t.size).astype(float)
+        assert np.array_equal(bits(unit_phase(t + n)), bits(unit_phase(t)))
+
+    def test_shapes(self):
+        t = np.random.default_rng(22).uniform(-50.0, 50.0, (30, 700))
+        flat = unit_phase(t.reshape(-1))
+        assert flat.shape == (21_000,)
+        assert np.array_equal(bits(unit_phase(t)), bits(flat.reshape(30, 700)))
+        assert not t.T.flags.c_contiguous
+        assert np.array_equal(bits(unit_phase(t.T)), bits(unit_phase(t).T))
+        zero_d = unit_phase(t[3, 5])
+        assert zero_d.shape == () and zero_d == flat[3 * 700 + 5]
+        assert unit_phase(np.empty((0, 4))).shape == (0, 4)
+
+    def test_block_invariance(self, monkeypatch):
+        # 100 x 240 spans several blocks of 8,192 elements (34 rows of 240),
+        # with a ragged last one; one-element blocks can take other numpy
+        # inner loops
+        d, r_hat, d_bar = nlos_case(100, 240)
+        t = np.random.default_rng(23).uniform(-300.0, 300.0, 24_001)
+        runs = []
+        for block in (1, 240, nearfield.BLOCK, 100 * 240):
+            monkeypatch.setattr(nearfield, "BLOCK", block)
+            runs.append((bits(nlos_element_phase(d, r_hat, d_bar, LAM)),
+                         bits(unit_phase(t))))
+        for nlos, flat in runs[1:]:
+            assert np.array_equal(nlos, runs[0][0])
+            assert np.array_equal(flat, runs[0][1])
+
+    def test_memory_bound(self):
+        # only the output and block-sized scratch: no (K, R) temporary
+        d, r_hat, d_bar = nlos_case(1024, 240)
+        tracemalloc.start()
+        try:
+            out = nlos_element_phase(d, r_hat, d_bar, LAM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2**20
 
 
 class TestNlosPhase:
