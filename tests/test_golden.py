@@ -1,4 +1,4 @@
-"""Golden outputs: six small runs must keep writing the `links.csv` files
+"""Golden outputs: eight small runs must keep writing the `links.csv` files
 checked in under ``tests/data``, and one small run with ``emit_cir`` the
 CIR files whose sha256 values are in ``tests/data/golden_cir_umi-disc.sha256``.
 
@@ -43,6 +43,10 @@ CASES = {
     # serving
     "inh-hall": (None, {"scenario": "InH", "layout": "indoor", "n_ues": 8,
                         "seed": 3}),
+    # the stochastic SNS draw of Pr_sns, with UE-side grip masks
+    "umi-sns": ("umi-sns", {"n_ues": 6, "ue_sns": True}),
+    # M = 8 rays per cluster: the standard-normal quantile offset basis
+    "uma-raycount-6": ("uma-raycount-6", {"n_ues": 6}),
 }
 EXACT = {"link_id", "ue", "site", "sector", "state", "n_clusters", "m_rays"}
 
