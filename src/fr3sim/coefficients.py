@@ -321,7 +321,7 @@ def write_cir(path, h):
 
 def read_cir(path):
     """Inverse of write_cir; returns a ChannelRealization with f32-rounded
-    gains.  Raises ValueError unless the file holds exactly the header and
+    complex128 gains.  Raises ValueError unless the file holds exactly the header and
     the n_taps tap records it declares."""
     with open(path, "rb") as f:
         raw = f.read()
@@ -336,7 +336,6 @@ def read_cir(path):
                          f"{u}x{s}x{t} gains need {n_taps * tap_bytes}")
     taps = np.frombuffer(raw, [("delay", "<f8"), ("g", "<f4", (u, s, t, 2))],
                          count=n_taps, offset=_CIR_HEADER.size)
-    g = taps["g"]
     return ChannelRealization(fc_ghz=fc_hz / 1e9,
                               delays=taps["delay"].astype(float),
-                              gains=g[..., 0] + 1j * g[..., 1])
+                              gains=taps["g"].astype(float).view(complex)[..., 0])

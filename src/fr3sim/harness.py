@@ -186,6 +186,9 @@ def _validate(cfg):
     if cfg.ue_sns and cfg.ue_device == "CPE":
         raise ConfigError("ue_sns masks cover the 8 handheld candidates, "
                           "not the 9 CPE ones")
+    if cfg.nf_angles and not cfg.near_field:
+        raise ConfigError("nf_angles evaluates element-wise angles toward "
+                          "near-field sources; it needs near_field")
     if cfg.m_min > cfg.m_max:
         raise ConfigError("m_min must not exceed m_max")
 

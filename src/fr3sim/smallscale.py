@@ -7,7 +7,6 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import wrap_azimuth, wrap_zenith
-from .normal import ndtri
 from .scenario import LOS, ParameterError
 
 # Ray offset angle basis for M = 20 (unit RMS, zero sum, +/- pairs).
@@ -39,7 +38,9 @@ def ray_offset_basis(m):
 
 @lru_cache(maxsize=None)
 def _quantile_basis(m):
-    q = np.array([ndtri((k - 0.5) / m) for k in range(1, m + 1)])
+    from statistics import NormalDist    # not loaded by `import fr3sim`
+    inv_cdf = NormalDist().inv_cdf
+    q = np.array([inv_cdf((k - 0.5) / m) for k in range(1, m + 1)])
     rms = np.sqrt(np.mean(q ** 2))
     return q / rms if rms > 0 else q
 

@@ -1,15 +1,16 @@
 """Spatial non-stationarity: BS-side visibility regions, UE-side grip/head
 masks."""
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .normal import log_ndtr, ndtri_exp
-
 USAGES = ("one-hand", "two-hand", "head-hand", "free")
 MASK_BANDS = (("lt1", 0.0, 1.0), ("1to8p4", 1.0, 8.4), ("14p5to15p5", 14.5, 15.5))
+HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+LOG_NDTR_SERIES_BELOW = -37.0    # Phi(x) stays a normal double above it
 
 
 @dataclass
@@ -42,6 +43,44 @@ class VisibilityRegion:
         return float(np.hypot(self.width, self.height))
 
 
+def log_ndtr(x):
+    """log Phi(x)."""
+    t = x / math.sqrt(2.0)
+    if x > 0.0:
+        return math.log1p(-math.erfc(t) / 2.0)
+    if x > LOG_NDTR_SERIES_BELOW:
+        return math.log(math.erfc(-t) / 2.0)
+    # Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...)
+    r, term, acc, k = 1.0 / (x * x), 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * r
+        acc += term
+        k += 1
+    return -0.5 * x * x - math.log(-x) - HALF_LOG_2PI + math.log(acc)
+
+
+def _ndtri_exp(y):
+    """x with log Phi(x) = y, for y <= log(1/2).
+
+    Newton steps on the concave log_ndtr, from the quantile of exp(y) while
+    that is a normal double and from -sqrt(-2 y) below.  The slope
+    phi / Phi comes from log_ndtr too, except where x * x leaves it no
+    bits; there it is -x to within 1 / x^2.  The farthest start, 3e-3
+    relative off near y = -700, converges in three steps.
+    """
+    from statistics import NormalDist    # not loaded by `import fr3sim`
+    if y == -math.inf:
+        return -math.inf
+    x = NormalDist().inv_cdf(math.exp(y)) if y > -700.0 \
+        else -math.sqrt(2.0) * math.sqrt(-y)
+    for _ in range(4):
+        log_p = log_ndtr(x)
+        slope = math.exp(-log_p - 0.5 * x * x - HALF_LOG_2PI) \
+            if x > -1e4 else -x
+        x -= (log_p - y) / slope
+    return x
+
+
 def _truncnorm_ppf(q, a, b):
     """Inverse CDF at ``q`` of the standard normal truncated to [a, b].
 
@@ -59,7 +98,7 @@ def _truncnorm_ppf(q, a, b):
         log_mass = log_ua + np.log1p(-np.exp(log_ub - log_ua))
     lower = np.logaddexp(log_a, np.log(q) + log_mass)       # log Phi(x)
     upper = np.logaddexp(log_ub, np.log1p(-q) + log_mass)   # log(1 - Phi(x))
-    return ndtri_exp(lower) if lower < upper else -ndtri_exp(upper)
+    return _ndtri_exp(lower) if lower < upper else -_ndtri_exp(upper)
 
 
 def draw_sns_status(n, cfg, rng):

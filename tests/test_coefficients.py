@@ -365,6 +365,16 @@ class TestCirFormat:
         assert np.array_equal(h2.delays, h.delays)
         assert np.array_equal(h2.gains, h.gains.astype(np.complex64))
 
+    def test_read_gains_are_f32_rounded_complex128(self, tmp_path):
+        h = self._los_link()
+        path = tmp_path / "x.cir"
+        write_cir(path, h)
+        g = read_cir(path).gains
+        assert g.dtype == np.complex128 and g.shape == h.gains.shape
+        assert np.array_equal(g, h.gains.astype(np.complex64).astype(complex))
+        # (re, im) pairs along the last axis, as write_cir lays them out
+        assert np.array_equal(g.view(float), h.gains.view(float).astype("f4"))
+
     @pytest.mark.parametrize("keep", [12, -1, -8, -2 * 16 * 8 * 8],
                              ids=["header", "byte", "pair", "rows"])
     def test_truncated_file_rejected(self, tmp_path, keep):

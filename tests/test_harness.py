@@ -455,6 +455,8 @@ BAD_VALUES = {
     "ue_device": "[run]\nue_device = tablet\n",
     "ue_usage": "[run]\nue_usage = pocket\n",
     "ue_sns": "[run]\nue_device = CPE\nue_sns = true\n",
+    # element-wise angles exist only toward near-field sources
+    "nf_angles": "[run]\nnf_angles = true\n",
     "field_cell_m": "[run]\nfield_cell_m = 1.0\n",
     "method_name_key": "[run]\nwavelength = 1\n",
     "non_numeric_int": "[run]\nn_ues = many\n",
@@ -641,17 +643,18 @@ def test_import_loads_numpy_random():
 def test_run_loads_no_scipy(tmp_path):
     # stochastic SNS draws Pr_sns through the truncated-normal quantile and
     # M = 24 rays take the quantile offset basis: the two users of
-    # fr3sim.normal, which stands in for scipy.special
+    # statistics.NormalDist, which `import fr3sim` leaves unloaded
     code = (
         "import sys, fr3sim\n"
         "from fr3sim.harness import RunConfig, run\n"
+        "print('statistics' in sys.modules, end=' ')\n"
         "run(RunConfig(scenario='UMi', layout='disc', deploy_radius=60.0,\n"
         "              n_ues=3, seed=5, bs_rows=4, bs_cols=2,\n"
         "              sns='stochastic', ray_count_scaling=True, m_min=24,\n"
         "              m_max=24, out_dir=sys.argv[1]))\n"
         "print(fr3sim.smallscale._quantile_basis.cache_info().misses,\n"
         "      sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    assert _run_python(code, str(tmp_path / "out")) == "1 []"
+    assert _run_python(code, str(tmp_path / "out")) == "False 1 []"
 
 
 # RunConfig fields the extreme-value sweep leaves alone: out_dir is where its
