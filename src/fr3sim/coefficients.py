@@ -321,8 +321,8 @@ def write_cir(path, h):
 
 def read_cir(path):
     """Inverse of write_cir; returns a ChannelRealization with f32-rounded
-    complex128 gains.  Raises ValueError unless the file holds exactly the header and
-    the n_taps tap records it declares."""
+    complex128 gains.  Raises ValueError unless the file holds exactly the
+    header and the n_taps tap records it declares."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != CIR_MAGIC:
