@@ -6,8 +6,8 @@ Run:  python3 demos/06_ray_count_and_variability.py
 
 import numpy as np
 
-from fr3sim import (RayCountConfig, draw_cluster_count, generate_xpr,
-                    load_parameter_tables, polarization_weights, ray_count)
+from fr3sim import (draw_cluster_count, generate_xpr, load_parameter_tables,
+                    polarization_weights, ray_count)
 from fr3sim.largescale import C_LIGHT
 
 reg = load_parameter_tables()
@@ -18,11 +18,10 @@ print("UMa, 0.13 m x 1.49 m aperture, B = 200 MHz, M_min = 3:")
 print("  fc [GHz]   M_t  M_AOD  M_ZOD      M")
 for fc in (6.0, 9.0, 24.0):
     ssp = uma.ssp("los", fc)
-    cfg = RayCountConfig(bandwidth_hz=2e8, d_h=0.13, d_v=1.49,
-                         c_ds=ssp["c_ds"], c_asd=ssp["c_asd"],
-                         c_zsd=ssp["c_zsd"], wavelength=C_LIGHT / (fc * 1e9),
-                         m_min=3, m_max=40)
-    m, mt, maod, mzod = ray_count(cfg)
+    m, mt, maod, mzod = ray_count(
+        bandwidth_hz=2e8, d_h=0.13, d_v=1.49, c_ds=ssp["c_ds"],
+        c_asd=ssp["c_asd"], c_zsd=ssp["c_zsd"],
+        wavelength=C_LIGHT / (fc * 1e9), m_min=3, m_max=40)
     print(f"  {fc:8.0f}   {mt:3d}  {maod:5d}  {mzod:5d}   {m:4d}")
 print("with the legacy fixed floor of 20 every row would read M = 20, "
       "hiding the sparsity difference between bands")

@@ -21,12 +21,11 @@ from .smallscale import (ClusterSet, draw_cluster_count, generate_delays,
                          generate_xpr, polarization_weights,
                          build_cluster_set, ray_offset_basis,
                          subcluster_groups)
-from .coefficients import (RayCountConfig, ChannelRealization, ray_count,
-                           draw_phases, synthesize, apply_large_scale,
+from .coefficients import (ChannelRealization, ray_count, draw_phases,
+                           synthesize, apply_large_scale,
                            draw_absolute_excess, write_cir, read_cir)
 from .nearfield import (NearFieldGeometry, source_distances,
-                        los_element_phase, nlos_element_phase,
-                        element_wise_angles)
+                        nlos_element_phase, element_wise_angles)
 from .sns import (SnsConfig, VisibilityRegion, draw_sns_status,
                   visibility_region, element_attenuation, ue_sns_mask)
 from .harness import (RunConfig, LinkReport, load_config, run, capacity,

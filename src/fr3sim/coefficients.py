@@ -10,41 +10,27 @@ import numpy as np
 from .antenna import field_pattern
 from .geometry import sph_unit
 from .largescale import C_LIGHT
-from .nearfield import (element_wise_angles, los_element_phase,
-                        nlos_element_phase, unit_phase)
+from .nearfield import element_wise_angles, nlos_element_phase, unit_phase
 from .scenario import NLOS
 
 
-@dataclass
-class RayCountConfig:
-    bandwidth_hz: float
-    d_h: float            # horizontal array size [m]
-    d_v: float            # vertical array size [m]
-    c_ds: float           # cluster delay spread [s]
-    c_asd: float          # cluster departure azimuth spread [deg]
-    c_zsd: float          # cluster departure zenith spread [deg]
-    wavelength: float     # [m]
-    k: float = 0.5
-    m_min: int = 20
-    m_max: int = 40
-
-
-def ray_count(cfg):
+def ray_count(bandwidth_hz, d_h, d_v, c_ds, c_asd, c_zsd, wavelength,
+              m_min=20, m_max=40, k=0.5):
     """Resolvable ray count for large bandwidth / large arrays.
 
-    Returns (M, M_t, M_AOD, M_ZOD) with
-    M = min(max(M_t * M_AOD * M_ZOD, M_min), M_max).
+    bandwidth_hz [Hz]; d_h / d_v the horizontal / vertical array size [m];
+    c_ds the cluster delay spread [s]; c_asd / c_zsd the cluster departure
+    azimuth / zenith spreads [deg]; wavelength [m].  Returns
+    (M, M_t, M_AOD, M_ZOD) with M = min(max(M_t * M_AOD * M_ZOD, M_min), M_max).
     """
-    if cfg.bandwidth_hz <= 0:
+    if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    if cfg.m_min > cfg.m_max:
+    if m_min > m_max:
         raise ValueError("m_min must not exceed m_max")
-    m_t = int(np.ceil(4.0 * cfg.k * cfg.c_ds * cfg.bandwidth_hz))
-    m_aod = int(np.ceil(4.0 * cfg.k * cfg.c_asd * np.pi * cfg.d_h
-                        / (180.0 * cfg.wavelength)))
-    m_zod = int(np.ceil(4.0 * cfg.k * cfg.c_zsd * np.pi * cfg.d_v
-                        / (180.0 * cfg.wavelength)))
-    m = min(max(m_t * m_aod * m_zod, cfg.m_min), cfg.m_max)
+    m_t = int(np.ceil(4.0 * k * c_ds * bandwidth_hz))
+    m_aod = int(np.ceil(4.0 * k * c_asd * np.pi * d_h / (180.0 * wavelength)))
+    m_zod = int(np.ceil(4.0 * k * c_zsd * np.pi * d_v / (180.0 * wavelength)))
+    m = min(max(m_t * m_aod * m_zod, m_min), m_max)
     return m, m_t, m_aod, m_zod
 
 
@@ -122,9 +108,10 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
 
     bs / ue are MountedArray instances (tx and rx side).  ``near_field``
     carries per-ray spherical source distances; None selects plane-wave
-    array phases.  ``sns_alpha`` is a (S, N) or (S, N, M) BS-side power
-    attenuation, ``sns_beta`` a (U,) UE-side one.  ``base_delay`` shifts all
-    taps (absolute time of arrival); the LOS specular term lands exactly at
+    array phases.  ``sns_alpha`` is a (P, N) BS-side power attenuation with
+    one row per element site of ``bs.sites`` and one column per cluster,
+    ``sns_beta`` a (U,) UE-side one.  ``base_delay`` shifts all taps
+    (absolute time of arrival); the LOS specular term lands exactly at
     ``base_delay``.  The two strongest clusters expand into three delay
     taps; taps are emitted in non-decreasing delay order.
 
@@ -133,11 +120,10 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     H[u, s] = sum_r G_g(s)[u, r] A[site(s), r], with
     G_g = Ga_theta F_theta,g + Ga_phi F_phi,g per group and the array
     phases A per distinct element site.  The ray amplitude and sqrt(beta)
-    live in G, sqrt(alpha) in A (elements that share a site but not their
-    alpha get a site each), and the Doppler factor in G, or in A when there
-    are several time samples.  With ``nf_angles`` in near-field mode the BS
-    fields differ per element and do not factor: the product then runs
-    over the two field components with per-element columns
+    live in G, sqrt(alpha) in A, and the Doppler factor in G, or in A when
+    there are several time samples.  With ``nf_angles`` in near-field mode
+    the BS fields differ per element and do not factor: the product then
+    runs over the two field components with per-element columns
     F_b[s, r] A[site(s), r].
     """
     n, m = cs.n, cs.m
@@ -174,19 +160,18 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     frx_t, frx_p = array_fields(ue, zoa, aoa)
     ftx_t, ftx_p = array_fields(bs, zod, aod, per_group=True)
 
-    # BS sites, and sqrt(alpha) per site and alpha column (cluster or ray)
+    # BS sites, and sqrt(alpha) per site (per element with nf_angles)
     first, site = bs.sites
-    grid = bs.grid
     sqrt_al = None
     if sns_alpha is not None:
-        al = np.asarray(sns_alpha, dtype=float).reshape(s_cnt, -1)
-        if not np.array_equal(al[first][site], al):
-            first, site, grid = np.arange(s_cnt), np.arange(s_cnt), None
-        sqrt_al = np.sqrt(al[first] if not elementwise else al)
-        al_col = order // m if al.shape[1] == n else order
+        al = np.asarray(sns_alpha, dtype=float)
+        if al.shape != (first.size, n):
+            raise ValueError(f"sns_alpha must be (sites, clusters) = "
+                             f"{(first.size, n)}, not {al.shape}")
+        sqrt_al = np.sqrt(al[site] if elementwise else al)
     ue_first, ue_site = ue.sites
     a_rx = _site_phases(ue, ue_first, r_rx, lam0, d2)[ue_site]
-    a_tx = _site_phases(bs, first, r_tx, lam0, d1, grid)
+    a_tx = _site_phases(bs, first, r_tx, lam0, d1, bs.grid)
 
     # polarization matrix entries per ray
     ph = phases.reshape(-1, 4)[order]
@@ -228,7 +213,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     def right_factors(lo, hi):
         out = [x[:, lo:hi] for x in right]
         if sqrt_al is not None:
-            w = np.take(sqrt_al, al_col[lo:hi], axis=1)
+            w = np.take(sqrt_al, order[lo:hi] // m, axis=1)
             out = [x * w for x in out]
         if n_t > 1:
             out = [(x[:, None, :] * dop[:, lo:hi]).reshape(-1, hi - lo)
@@ -268,16 +253,17 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
                    sns_alpha, sns_beta, p_los):
     """Deterministic specular term with weight sqrt(K_R / (K_R + 1)) folded
     into p_los.  ``f_rx`` / ``f_tx`` are the (F_theta, F_phi) fields of
-    each UE / BS element toward the LOS direction.  Near-field mode uses
-    exact element-pair distances; the plane-wave mode uses first-order
-    array phases."""
+    each UE / BS element toward the LOS direction; the LOS term takes the
+    first cluster's column of the (P, N) per-site ``sns_alpha``.  Near-field
+    mode uses exact element-pair distances; the plane-wave mode uses
+    first-order array phases."""
     r_rx = sph_unit(geom.zoa, geom.aoa_az)
     w_rx = np.full(ue.size, np.sqrt(p_los), dtype=complex)
     w_tx = np.ones(bs.size, dtype=complex)
     if sns_beta is not None:
         w_rx *= np.sqrt(np.asarray(sns_beta))
     if sns_alpha is not None:
-        w_tx *= np.sqrt(np.asarray(sns_alpha, dtype=float).reshape(bs.size, -1)[:, 0])
+        w_tx *= np.sqrt(np.asarray(sns_alpha, dtype=float)[bs.sites[1], 0])
     if not near_field:
         w_rx *= (unit_phase(-geom.d3d / lam0)
                  * unit_phase((ue.offsets @ r_rx) / lam0))
@@ -289,7 +275,7 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
         (ue_first, ue_site), (bs_first, bs_site) = ue.sites, bs.sites
         pair = np.linalg.norm(ue.positions()[ue_first][:, None, :]
                               - bs.positions()[bs_first][None, :, :], axis=-1)
-        h *= los_element_phase(pair, lam0)[ue_site][:, bs_site]
+        h *= unit_phase(-pair / lam0)[ue_site][:, bs_site]
     return h[:, :, None] * unit_phase(((r_rx @ v) / lam0) * t)
 
 

@@ -16,9 +16,8 @@ from . import rng as rngmod
 from .rng import substream
 from .antenna import (ElementPattern, PanelArray, UEDevice, mount_bs_array,
                       mount_ue_device)
-from .coefficients import (RayCountConfig, apply_large_scale,
-                           draw_absolute_excess, draw_phases, ray_count,
-                           synthesize, write_cir)
+from .coefficients import (apply_large_scale, draw_absolute_excess,
+                           draw_phases, ray_count, synthesize, write_cir)
 from .geometry import (Orientation, build_disc_layout, build_hex_layout,
                        build_indoor_layout, drop_ues, effective_ue_position,
                        link_geometry, wrap_azimuth)
@@ -395,7 +394,7 @@ def process_link(ctx, task):
     alpha = None
     if cfg.sns == "stochastic":
         rot = ctx.layout.sectors[task.sector_index].rotation()
-        yz = (bs.offsets @ rot)[:, 1:3]
+        yz = (bs.offsets[bs.sites[0]] @ rot)[:, 1:3]   # one row per site
         alpha = stochastic_attenuation(10.0 * np.log10(cs.p), ctx.sns,
                                        yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
     beta = None
@@ -575,9 +574,9 @@ def _link_tasks(cfg, reg, sc, layout, drop, arr):
         d_h, d_v = (arr.n - 1) * arr.d_h * lam0, (arr.m - 1) * arr.d_v * lam0
         for key in np.unique(keys).tolist():
             ssp = sc.ssp(key, cfg.fc_ghz)
-            m_rays[key] = ray_count(RayCountConfig(
+            m_rays[key] = ray_count(
                 cfg.bandwidth_hz, d_h, d_v, ssp["c_ds"], ssp["c_asd"],
-                ssp["c_zsd"], lam0, m_min=cfg.m_min, m_max=cfg.m_max))[0]
+                ssp["c_zsd"], lam0, m_min=cfg.m_min, m_max=cfg.m_max)[0]
     return [LinkTask(link_id=i, ue_index=i, site_index=si, sector_index=sec,
                      ue_pos=eff[i], geom=g, state=st, lsp=lp, ls=l,
                      v_vec=v_vec[i], usage=usage[i], ray_count=m_rays.get(k))

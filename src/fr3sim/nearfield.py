@@ -51,12 +51,6 @@ def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
     return NearFieldGeometry(s_bs=s_bs, d1=d1, d2=d2)
 
 
-def los_element_phase(pair_distance, lam0):
-    """Direct-path element phase exp(-j 2 pi |r| / lam) from exact
-    element-pair distances |r|."""
-    return unit_phase(-np.asarray(pair_distance, dtype=float) / lam0)
-
-
 def nlos_element_phase(d, r_hat, d_bar, lam0):
     """Spherical-wave element phase exp(j 2 pi (d - ||d r_hat - d_bar||) / lam).
 

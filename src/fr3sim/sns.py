@@ -151,7 +151,8 @@ def element_attenuation(vr, cfg, element_yz):
 
 
 def stochastic_attenuation(cluster_p_db, cfg, element_yz, rng):
-    """alpha[s, n] for all clusters of a link (stochastic model).
+    """alpha[p, n] for all clusters n of a link (stochastic model), with one
+    row per BS element site p of ``element_yz``, as ``synthesize`` takes it.
 
     Stationary clusters contribute unity.  Draw order per link: SNS status,
     then per non-stationary cluster (VP noise, width, center).

@@ -13,7 +13,7 @@ import numpy as np
 
 from fr3sim import rng as rngmod
 from fr3sim.antenna import PanelArray
-from fr3sim.coefficients import RayCountConfig, ray_count
+from fr3sim.coefficients import ray_count
 from fr3sim.geometry import (LinkGeometry, effective_ue_position,
                              unit_to_angles, wrap_azimuth)
 from fr3sim.largescale import (AS_CAP_AZIMUTH, AS_CAP_ZENITH, C_LIGHT,
@@ -257,13 +257,12 @@ def rays_per_cluster(cfg, sc, state):
     lam0 = cfg.wavelength()
     ssp = sc.ssp(state.state_key, cfg.fc_ghz)
     bs_arr = PanelArray(m=cfg.bs_rows, n=cfg.bs_cols)
-    rc = RayCountConfig(bandwidth_hz=cfg.bandwidth_hz,
-                        d_h=(bs_arr.n - 1) * bs_arr.d_h * lam0,
-                        d_v=(bs_arr.m - 1) * bs_arr.d_v * lam0,
-                        c_ds=ssp["c_ds"], c_asd=ssp["c_asd"],
-                        c_zsd=ssp["c_zsd"], wavelength=lam0,
-                        m_min=cfg.m_min, m_max=cfg.m_max)
-    return ray_count(rc)[0]
+    return ray_count(bandwidth_hz=cfg.bandwidth_hz,
+                     d_h=(bs_arr.n - 1) * bs_arr.d_h * lam0,
+                     d_v=(bs_arr.m - 1) * bs_arr.d_v * lam0,
+                     c_ds=ssp["c_ds"], c_asd=ssp["c_asd"],
+                     c_zsd=ssp["c_zsd"], wavelength=lam0,
+                     m_min=cfg.m_min, m_max=cfg.m_max)[0]
 
 
 def link_setup(cfg, reg, sc, layout, drop):

@@ -349,7 +349,7 @@ class TestSnsProperties:
 
 class TestRayCountRule:
     def test_integer_formulas_20_case_grid(self):
-        from fr3sim.coefficients import RayCountConfig, ray_count
+        from fr3sim.coefficients import ray_count
         rng = np.random.default_rng(11)
         ok = True
         for _ in range(20):
@@ -360,10 +360,9 @@ class TestRayCountRule:
             casd = rng.uniform(1.0, 15.0)
             czsd = rng.uniform(0.5, 10.0)
             lam = rng.uniform(0.0125, 0.06)
-            cfg = RayCountConfig(bandwidth_hz=b, d_h=dh, d_v=dv, c_ds=cds,
-                                 c_asd=casd, c_zsd=czsd, wavelength=lam,
-                                 m_min=1, m_max=10_000)
-            m, mt, maod, mzod = ray_count(cfg)
+            m, mt, maod, mzod = ray_count(
+                bandwidth_hz=b, d_h=dh, d_v=dv, c_ds=cds, c_asd=casd,
+                c_zsd=czsd, wavelength=lam, m_min=1, m_max=10_000)
             # independent oracle, transcribed from the ceiling formulas
             o_mt = int(np.ceil(4 * 0.5 * cds * b))
             o_aod = int(np.ceil(4 * 0.5 * casd * np.pi * dh / (180 * lam)))
@@ -373,27 +372,25 @@ class TestRayCountRule:
         _report("ray-count integer formulas (20-case grid)", ok, "")
 
     def test_clamping(self):
-        from fr3sim.coefficients import RayCountConfig, ray_count
-        tiny = RayCountConfig(bandwidth_hz=1e6, d_h=0.01, d_v=0.01,
-                              c_ds=0.5e-9, c_asd=1, c_zsd=1, wavelength=0.05)
-        big = RayCountConfig(bandwidth_hz=4e9, d_h=2, d_v=2, c_ds=50e-9,
-                             c_asd=15, c_zsd=15, wavelength=0.0125,
-                             m_min=3, m_max=40)
-        ok = ray_count(tiny)[0] == 20 and ray_count(big)[0] == 40
+        from fr3sim.coefficients import ray_count
+        tiny = dict(bandwidth_hz=1e6, d_h=0.01, d_v=0.01, c_ds=0.5e-9,
+                    c_asd=1, c_zsd=1, wavelength=0.05)
+        big = dict(bandwidth_hz=4e9, d_h=2, d_v=2, c_ds=50e-9, c_asd=15,
+                   c_zsd=15, wavelength=0.0125, m_min=3, m_max=40)
+        ok = ray_count(**tiny)[0] == 20 and ray_count(**big)[0] == 40
         _report("ray-count clamps at M_min / M_max (default M_min=20)", ok, "")
 
     def test_frequency_ordering_fixed_aperture(self):
-        from fr3sim.coefficients import RayCountConfig, ray_count
+        from fr3sim.coefficients import ray_count
         uma = REG.scenario("UMa")
         ms = []
         for fc in (6.0, 9.0, 24.0):
             ssp = uma.ssp("los", fc)
             lam = C_LIGHT / (fc * 1e9)
-            cfg = RayCountConfig(bandwidth_hz=2e8, d_h=0.13, d_v=1.49,
-                                 c_ds=ssp["c_ds"], c_asd=ssp["c_asd"],
-                                 c_zsd=ssp["c_zsd"], wavelength=lam,
-                                 m_min=3, m_max=40)
-            ms.append(ray_count(cfg)[0])
+            ms.append(ray_count(bandwidth_hz=2e8, d_h=0.13, d_v=1.49,
+                                c_ds=ssp["c_ds"], c_asd=ssp["c_asd"],
+                                c_zsd=ssp["c_zsd"], wavelength=lam,
+                                m_min=3, m_max=40)[0])
         ok = ms[0] <= ms[1] <= ms[2]
         _report("M non-decreasing 6 -> 24 GHz at fixed aperture", ok,
                 f"M = {ms} (paper's 4/6/16 relies on unpublished spreads)")

@@ -5,10 +5,9 @@ import pytest
 
 from fr3sim.antenna import (ElementPattern, MountedArray, PanelArray, UEDevice,
                             field_pattern, mount_bs_array, mount_ue_device)
-from fr3sim.coefficients import (RayCountConfig, apply_large_scale,
-                                 array_fields, draw_absolute_excess,
-                                 draw_phases, ray_count, read_cir, synthesize,
-                                 write_cir)
+from fr3sim.coefficients import (apply_large_scale, array_fields,
+                                 draw_absolute_excess, draw_phases, ray_count,
+                                 read_cir, synthesize, write_cir)
 from fr3sim.geometry import LinkGeometry, Orientation, vec3
 from fr3sim.largescale import C_LIGHT, LargeScaleResult
 from fr3sim.scenario import load_parameter_tables
@@ -63,29 +62,27 @@ class TestPhases:
 
 class TestRayCount:
     def test_mt_reference(self):
-        cfg = RayCountConfig(bandwidth_hz=400e6, d_h=0.0, d_v=0.0,
-                             c_ds=10e-9, c_asd=5, c_zsd=3, wavelength=LAM,
-                             m_min=1, m_max=1000)
-        _m, m_t, _a, _z = ray_count(cfg)
+        _m, m_t, _a, _z = ray_count(bandwidth_hz=400e6, d_h=0.0, d_v=0.0,
+                                    c_ds=10e-9, c_asd=5, c_zsd=3,
+                                    wavelength=LAM, m_min=1, m_max=1000)
         assert m_t == 8
 
     def test_clamping_low(self):
-        cfg = RayCountConfig(bandwidth_hz=1e6, d_h=0.01, d_v=0.01,
-                             c_ds=1e-9, c_asd=1, c_zsd=1, wavelength=LAM)
-        m, *_ = ray_count(cfg)
-        assert m == cfg.m_min == 20
+        # the default M_min is 20
+        m, *_ = ray_count(bandwidth_hz=1e6, d_h=0.01, d_v=0.01, c_ds=1e-9,
+                          c_asd=1, c_zsd=1, wavelength=LAM)
+        assert m == 20
 
     def test_clamping_high(self):
-        cfg = RayCountConfig(bandwidth_hz=4e9, d_h=2.0, d_v=2.0,
-                             c_ds=30e-9, c_asd=10, c_zsd=10, wavelength=LAM,
-                             m_min=3, m_max=40)
-        m, *_ = ray_count(cfg)
+        m, *_ = ray_count(bandwidth_hz=4e9, d_h=2.0, d_v=2.0, c_ds=30e-9,
+                          c_asd=10, c_zsd=10, wavelength=LAM, m_min=3,
+                          m_max=40)
         assert m == 40
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            ray_count(RayCountConfig(bandwidth_hz=0, d_h=1, d_v=1, c_ds=1e-9,
-                                     c_asd=1, c_zsd=1, wavelength=LAM))
+            ray_count(bandwidth_hz=0, d_h=1, d_v=1, c_ds=1e-9, c_asd=1,
+                      c_zsd=1, wavelength=LAM)
 
 
 class TestSynthesize:

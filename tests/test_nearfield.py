@@ -10,9 +10,8 @@ from fr3sim.coefficients import draw_phases
 from fr3sim.geometry import sph_unit
 from fr3sim.largescale import C_LIGHT
 from fr3sim import nearfield
-from fr3sim.nearfield import (element_wise_angles, los_element_phase,
-                              nlos_element_phase, source_distances,
-                              unit_phase)
+from fr3sim.nearfield import (element_wise_angles, nlos_element_phase,
+                              source_distances, unit_phase)
 
 from test_coefficients import geom_for, iso_element, simple_cs
 from test_synthesis_reference import synthesize_with_rays
@@ -83,25 +82,6 @@ class TestSourceDistances:
         with pytest.raises(ValueError):
             source_distances(cs, 10.0, 0.0, 0, -1.0, 2.0,
                              np.random.default_rng(0))
-
-
-class TestLosPhase:
-    def test_reference_element(self):
-        ph = los_element_phase(100.0, LAM)
-        assert ph == pytest.approx(np.exp(-2j * np.pi * 100.0 / LAM), rel=1e-12)
-
-    def test_unit_magnitude(self):
-        rng = np.random.default_rng(4)
-        d = rng.uniform(1, 500, 100)
-        pair = d + rng.uniform(-0.5, 0.5, 100)
-        assert np.allclose(np.abs(los_element_phase(pair, LAM)), 1.0)
-
-    def test_broadside_pair(self):
-        d3d, delta = 40.0, 0.7
-        pair = np.hypot(d3d, delta)
-        ph = los_element_phase(pair, LAM)
-        assert np.angle(ph / exact_unit_phase(-pair / LAM)) == \
-            pytest.approx(0.0, abs=1e-12)
 
 
 class TestUnitPhase:

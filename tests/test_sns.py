@@ -107,6 +107,27 @@ class TestElementAttenuation:
         assert a.shape == (64, 4)
         assert np.all((a > 0) & (a <= 1))
 
+    def test_site_rows_match_element_rows(self):
+        # a dual-polarized array's element sites give exactly the rows that
+        # the same draw over all its elements gives at each site's element
+        from fr3sim.antenna import PanelArray, mount_bs_array
+        from fr3sim.geometry import Orientation
+        sector = Orientation(30.0, 10.0, 0.0)
+        bs = mount_bs_array(PanelArray(m=16, n=8, p=2), np.zeros(3), sector,
+                            0.04)
+        first, site = bs.sites
+        assert first.size == bs.size // 2
+        p_db = np.array([-1.0, -4.0, -9.0, -20.0])
+        cfg = SnsConfig(pr_mu=0.9, pr_sigma=0.05)
+        yz = (bs.offsets @ sector.rotation())[:, 1:3]
+        per_element = stochastic_attenuation(p_db, cfg, yz,
+                                             np.random.default_rng(8))
+        per_site = stochastic_attenuation(p_db, cfg, yz[first],
+                                          np.random.default_rng(8))
+        assert (per_site < 1.0).any()
+        assert np.array_equal(per_site, per_element[first])
+        assert np.array_equal(per_site[site], per_element)
+
 
 class TestUeMasks:
     def test_free_space_all_ones(self):

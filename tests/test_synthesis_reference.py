@@ -83,10 +83,11 @@ def reference(geom, cs, ph, bs, ue, los=False, v=None, t=(0.0,), nf=None,
     if beta is not None:
         a_rx = a_rx * np.sqrt(beta)[:, None]
     if alpha is not None:
-        al = alpha.reshape(bs.size, -1)
-        if al.shape[1] == n:
-            al = np.repeat(al, m, axis=1)
-        a_tx = a_tx * np.sqrt(al)
+        # alpha has one row per site of bs.sites[0]; each element takes the
+        # row of the site at its own offset
+        row = {o.tobytes(): p for p, o in enumerate(bs.offsets[bs.sites[0]])}
+        alpha = alpha[[row[o.tobytes()] for o in bs.offsets]]
+        a_tx = a_tx * np.sqrt(np.repeat(alpha, m, axis=1))
     x = np.empty((n * m, 2, 2), dtype=complex)     # polarization matrices
     eta, kap = cs.eta.reshape(-1, 4), cs.kappa.reshape(-1)
     e = np.exp(1j * ph.reshape(-1, 4))
@@ -127,7 +128,7 @@ def reference(geom, cs, ph, bs, ue, los=False, v=None, t=(0.0,), nf=None,
         if beta is not None:
             h = h * np.sqrt(beta)[:, None]
         if alpha is not None:
-            h = h * np.sqrt(alpha.reshape(bs.size, -1)[:, 0])[None, :]
+            h = h * np.sqrt(alpha[:, 0])[None, :]
         h = h[:, :, None] * np.exp(2j * np.pi * (unit(geom.zoa, geom.aoa_az) @ v)
                                    / LAM * t)
         i0 = int(np.argmin(np.abs(delays - base_delay)))
@@ -173,18 +174,11 @@ def link(case, rng):
     if case.get("near_field"):
         kw["nf"] = source_distances(cs, geom.d3d, 0.0, 1, 2.0, 2.0, rng)
     kw["nf_angles"] = case.get("nf_angles", False)
-    alpha = case.get("alpha")
-    if alpha == "sns":
-        yz = (bs.offsets @ sector.rotation())[:, 1:3]
+    if case.get("alpha"):
+        # one row per element site, as process_link draws it
+        yz = (bs.offsets[bs.sites[0]] @ sector.rotation())[:, 1:3]
         cfg = SnsConfig(pr_mu=0.9, pr_sigma=0.05)   # most clusters SNS
         kw["alpha"] = stochastic_attenuation(10 * np.log10(cs.p), cfg, yz, rng)
-    elif alpha == "per-ray":
-        # one value per position, shared by co-located elements
-        _, site = np.unique(bs.offsets, axis=0, return_inverse=True)
-        site = site.ravel()
-        kw["alpha"] = rng.uniform(0.05, 1.0, (site.max() + 1, cs.n, cs.m))[site]
-    elif alpha == "per-element":
-        kw["alpha"] = rng.uniform(0.05, 1.0, (bs.size, cs.n))
     if case.get("beta"):
         kw["beta"] = rng.uniform(0.1, 1.0, ue.size)
     args = (geom, cs, ph, bs, ue)
@@ -196,9 +190,9 @@ def link(case, rng):
 
 
 # inh-nf: the 2048-element near-field LOS workload; umi-sns: 2048-element
-# plane-wave LOS with alpha (S, N), UE beta and 3 time samples; sma-default:
-# the default 8x8x2 array; alpha-per-ray: alpha (S, N, M); alpha-not-shared:
-# co-located elements with different alpha, which cannot share a site
+# plane-wave LOS with alpha per element site, UE beta and 3 time samples;
+# sma-default: the default 8x8x2 array; nf-angles: per-element fields and
+# alpha; multi-panel-near: alpha on sites that no planar grid numbers
 CASES = {
     "inh-nf": dict(
         array=PanelArray(m=64, n=16, p=2, element=DIRECTIONAL),
@@ -206,11 +200,12 @@ CASES = {
         sector=Orientation(0.0, 90.0, 0.0), near_field=True, los=True),
     "umi-sns": dict(
         array=PanelArray(m=64, n=16, p=2, element=DIRECTIONAL),
-        alpha="sns", beta=True, t_count=3, los=True),
+        alpha=True, beta=True, t_count=3, los=True),
     "sma-default": dict(array=PanelArray(m=8, n=8, p=2, element=DIRECTIONAL)),
     "nf-angles": dict(array=PanelArray(m=8, n=4, p=2, element=DIRECTIONAL),
                       bs_pos=(0.0, 0.0, 3.0), ue_pos=(2.0, 1.0, 1.5),
-                      near_field=True, nf_angles=True, los=True, t_count=2),
+                      near_field=True, nf_angles=True, los=True, t_count=2,
+                      alpha=True),
     "single-pol": dict(array=PanelArray(m=8, n=4, p=1, element=DIRECTIONAL),
                        los=True, t_count=2),
     "multi-panel-plane": dict(
@@ -219,12 +214,7 @@ CASES = {
     "multi-panel-near": dict(
         array=PanelArray(mg=2, ng=2, m=4, n=3, p=2, element=DIRECTIONAL,
                          d_gh=2.0, d_gv=2.5),
-        near_field=True, ue_pos=(6.0, 2.0, 1.5)),
-    "alpha-per-ray": dict(array=PanelArray(m=8, n=4, p=2, element=DIRECTIONAL),
-                          alpha="per-ray", los=True, t_count=2),
-    "alpha-not-shared": dict(
-        array=PanelArray(m=8, n=4, p=2, element=DIRECTIONAL),
-        alpha="per-element", los=True, near_field=True),
+        near_field=True, ue_pos=(6.0, 2.0, 1.5), alpha=True),
 }
 
 
@@ -269,7 +259,7 @@ def test_taps_match_naive_reference(name):
 
 
 @pytest.mark.parametrize("name", ["nf-angles", "multi-panel-plane",
-                                  "alpha-per-ray"])
+                                  "umi-sns"])
 def test_reference_rays_sum_to_taps(name):
     # the per-ray gains, the LOS ray included, add up to synthesize's taps
     h, (_delays, _gains, ray_gains) = run_case(name)
@@ -290,3 +280,21 @@ def test_one_field_pattern_call_per_array(name, monkeypatch):
     args, got_kw, _ref_kw = link(CASES[name], np.random.default_rng(3))
     synthesize(*args, LAM, **got_kw)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, rejected", [
+    ("sma-default", True), ("nf-angles", True), ("single-pol", False)])
+def test_alpha_has_one_row_per_site(name, rejected):
+    # an (S, N) alpha with one row per element is the site layout only when
+    # no two elements share a site: a single-polarized array runs, and a
+    # dual-polarized one is rejected on the plane-wave and nf_angles paths
+    args, got_kw, ref_kw = link(CASES[name], np.random.default_rng(5))
+    cs, bs = args[1], args[3]
+    alpha = np.random.default_rng(6).uniform(0.05, 1.0, (bs.size, cs.n))
+    got_kw["sns_alpha"] = ref_kw["alpha"] = alpha
+    if rejected:
+        with pytest.raises(ValueError, match="sns_alpha"):
+            synthesize(*args, LAM, **got_kw)
+    else:
+        h = synthesize(*args, LAM, **got_kw)
+        assert_taps_close(h.gains, reference(*args, **ref_kw)[1])
