@@ -623,6 +623,12 @@ def _run_python(code, *argv):
     return res.stdout.strip()
 
 
+def test_import_leaves_scipy_stats_and_signal_unloaded():
+    assert _run_python("import sys, fr3sim; print(sorted(m for m in "
+                       "sys.modules if m.startswith(('scipy.stats', "
+                       "'scipy.signal'))))") == "[]"
+
+
 def test_import_loads_numpy_random():
     # numpy loads np.random lazily; fr3sim.rng imports it up front, so the
     # first substream of a run does not pay for that import
