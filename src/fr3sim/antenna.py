@@ -78,51 +78,34 @@ def field_pattern(p, orientations, slants_deg, zenith_deg, azimuth_deg):
 
 @dataclass(frozen=True)
 class PanelArray:
-    """Uniform planar array of Mg x Ng panels, each M x N elements.
+    """Uniform planar array of M x N element sites.
 
-    Spacings are in wavelengths; panel spacings default to M/2 and N/2
-    (i.e. M lambda/2 and N lambda/2).  P=2 places co-located +/-45 deg
-    slanted element pairs; a single-polarized panel has slant 0.
+    Spacings are in wavelengths.  P=2 places co-located +/-45 deg slanted
+    element pairs at each site; a single-polarized array has slant 0.
     """
-    mg: int = 1
-    ng: int = 1
-    m: int = 1            # vertical elements per panel
-    n: int = 1            # horizontal elements per panel
+    m: int = 1            # vertical elements (rows)
+    n: int = 1            # horizontal elements (columns)
     p: int = 1            # polarizations (1 or 2)
     d_v: float = 0.5
     d_h: float = 0.5
-    d_gv: float = 0.0     # 0 -> default M * d_v
-    d_gh: float = 0.0     # 0 -> default N * d_h
     element: ElementPattern = field(default_factory=ElementPattern)
-    pol_slants: tuple = (45.0, -45.0)
 
     def slants(self):
-        return (0.0,) if self.p == 1 else self.pol_slants[: self.p]
+        return (0.0,) if self.p == 1 else (45.0, -45.0)
 
 
 def element_grid(a, wavelength):
-    """The element sites of ``a`` as a rows x columns grid.
+    """The element sites of ``a`` as an M x N grid.
 
-    Returns (y (n_cols,), z (n_rows,), row (K,), col (K,)): the array-frame
-    column and row coordinates in meters, exactly as element_positions
-    places its elements, and each element's row and column in that order.
+    Returns (y (N,), z (M,)): the array-frame column and row coordinates in
+    meters, exactly as element_positions places its elements.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    d_gv = a.d_gv if a.d_gv > 0 else a.m * a.d_v
-    d_gh = a.d_gh if a.d_gh > 0 else a.n * a.d_h
-    gv, gh, r, c = (g.ravel() for g in np.meshgrid(
-        np.arange(a.mg), np.arange(a.ng), np.arange(a.m), np.arange(a.n),
-        indexing="ij"))
-    ys = (gh * d_gh + c * a.d_h) * wavelength
-    zs = (gv * d_gv + r * a.d_v) * wavelength
-    ys -= ys.mean()
-    zs -= zs.mean()
-    row, col = gv * a.m + r, gh * a.n + c
-    y = np.empty(a.ng * a.n)
-    z = np.empty(a.mg * a.m)
-    y[col], z[row] = ys, zs
-    return y, z, np.tile(row, a.p), np.tile(col, a.p)
+    r, c = np.divmod(np.arange(a.m * a.n), a.n)
+    ys, zs = c * a.d_h * wavelength, r * a.d_v * wavelength
+    # centred on the mean over all M*N sites: a per-axis mean rounds differently
+    return ys[:a.n] - ys.mean(), zs[::a.n] - zs.mean()
 
 
 def element_positions(a, wavelength, grid=None):
@@ -130,13 +113,15 @@ def element_positions(a, wavelength, grid=None):
     rows along +z), centered on the array's geometric center.
 
     Returns (positions (K, 3) in meters, pol_index (K,)).  Ordering is
-    polarization-major, then panel row, panel column, element row, element
-    column; co-located dual-polarized pairs share a position.  ``grid`` is
-    the array's ``element_grid``, when the caller already has it.
+    polarization-major, then row, then column, so element k sits at site
+    k mod (M N); co-located dual-polarized pairs share a position.
+    ``grid`` is the array's ``element_grid``, when the caller already has it.
     """
-    y, z, row, col = grid if grid is not None else element_grid(a, wavelength)
-    pos = np.stack([np.zeros(row.size), y[col], z[row]], axis=1)
-    return pos, np.repeat(np.arange(a.p), row.size // a.p)
+    y, z = grid if grid is not None else element_grid(a, wavelength)
+    k = a.p * a.m * a.n
+    pos = np.stack([np.zeros(k), np.tile(y, a.p * a.m),
+                    np.tile(np.repeat(z, a.n), a.p)], axis=1)
+    return pos, np.repeat(np.arange(a.p), a.m * a.n)
 
 
 @dataclass(frozen=True)
@@ -187,17 +172,15 @@ def ue_candidate_locations(device):
 
 @dataclass(frozen=True)
 class PlanarGrid:
-    """Rows x columns layout of a mounted planar array (see element_grid).
+    """M x N layout of a mounted planar array (see element_grid).
 
-    ``y`` / ``z`` are the exact array-frame column / row coordinates,
-    ``row`` / ``col`` each element's row and column, and ``axes`` (3, 2)
-    the GCS directions of the array's y and z axes, so that an element's
-    offset is y[col] axes[:, 0] + z[row] axes[:, 1].
+    ``y`` (N,) / ``z`` (M,) are the exact array-frame column / row
+    coordinates and ``axes`` (3, 2) the GCS directions of the array's y and
+    z axes, so that the offset of site r N + c is y[c] axes[:, 0] +
+    z[r] axes[:, 1].
     """
     y: np.ndarray
     z: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
     axes: np.ndarray
 
 
@@ -237,16 +220,15 @@ class MountedArray:
             self.group_index[idx] = g
         # sites (first (P,), index (K,)): site p sits at offsets[first[p]]
         # and element k at site index[k]; co-located elements (a dual-
-        # polarized pair) share a site, and a grid numbers them row-major
+        # polarized pair) share a site, and on a grid element k sits at
+        # site k mod (M N)
         if self.grid is None:
             _, first, index = np.unique(self.offsets, axis=0, return_index=True,
                                         return_inverse=True)
             self.sites = first, index.ravel()
         else:
-            index = self.grid.row * self.grid.y.size + self.grid.col
-            first = np.empty(index.max() + 1, dtype=int)
-            first[index[::-1]] = np.arange(self.size)[::-1]
-            self.sites = first, index
+            mn = self.grid.y.size * self.grid.z.size
+            self.sites = np.arange(mn), np.arange(self.size) % mn
 
     @property
     def size(self):
@@ -266,7 +248,7 @@ class MountedArray:
 
 def mount_bs_array(array, site_position, sector_orientation, wavelength):
     """Place a PanelArray at a site, boresight along the sector bearing."""
-    y, z, row, col = grid = element_grid(array, wavelength)
+    y, z = grid = element_grid(array, wavelength)
     pos_lcs, pol = element_positions(array, wavelength, grid)
     rot = sector_orientation.rotation()
     offsets = pos_lcs @ rot.T
@@ -275,7 +257,7 @@ def mount_bs_array(array, site_position, sector_orientation, wavelength):
     return MountedArray(np.asarray(site_position, dtype=float), offsets,
                         orientations, slants, array.element,
                         np.full(offsets.shape[0], -1, dtype=int),
-                        PlanarGrid(y, z, row, col, rot[:, 1:]))
+                        PlanarGrid(y, z, rot[:, 1:]))
 
 
 def mount_ue_device(device, ue_position, dual_polarized=True,

@@ -4,7 +4,9 @@
 
 Every RunConfig field is a ``--kebab-case`` flag (``bool`` fields also have
 ``--no-...``); any unique prefix works, so ``--fc`` is ``--fc-ghz``.
-Exit codes: 0 success, 2 configuration error, 3 data/parameter error.
+Exit codes: 0 success, 3 data/parameter error, 2 configuration error, such
+as ``layout = indoor`` outside InH or ``force_location = indoor`` in a
+scenario without indoor UEs.
 """
 
 import argparse

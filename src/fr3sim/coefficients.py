@@ -124,7 +124,9 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     there are several time samples.  With ``nf_angles`` in near-field mode
     the BS fields differ per element and do not factor: the product then
     runs over the two field components with per-element columns
-    F_b[s, r] A[site(s), r].
+    F_b[s, r] A[site(s), r].  Otherwise a tap has (group, site) columns, so
+    element g P + p must be group g's at site p for every g and p, as
+    mount_bs_array orders them, or ValueError is raised.
     """
     n, m = cs.n, cs.m
     t = np.asarray(t_samples if t_samples is not None else [0.0], dtype=float)
@@ -189,19 +191,18 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     ga_t = (frx_t[:, :n_r] * p11 + frx_p[:, :n_r] * p21) * rx
     ga_p = (frx_t[:, :n_r] * p12 + frx_p[:, :n_r] * p22) * rx
 
-    # H = sum_i left_i right_i^T per tap, rows (u, group) and columns
-    # (column, t), which is (U, S, T) order when the columns are elements
+    # H = sum_i left_i right_i^T per tap in (U, S, T) order: rows u and
+    # columns (element, t), or rows (u, group) and columns (site, t)
     if elementwise:
         fa = a_tx[site]
         left, right = [ga_t, ga_p], [ftx_t[:, :n_r] * fa, ftx_p[:, :n_r] * fa]
-        perm = None
     else:
+        if not np.array_equal(bs.group_index * first.size + site,
+                              np.arange(len(bs.field_groups) * first.size)):
+            raise ValueError("BS elements must be ordered field group by site")
         left = [(ga_t[:, None] * ftx_t[None, :, :n_r]
                  + ga_p[:, None] * ftx_p[None, :, :n_r]).reshape(-1, n_r)]
         right = [a_tx]
-        perm = bs.group_index * a_tx.shape[0] + site
-        if np.array_equal(perm, np.arange(s_cnt)):
-            perm = None
 
     # Doppler per (t, ray) on the left when there is one sample; otherwise
     # it and sqrt(alpha) scale the right factors tap by tap
@@ -226,11 +227,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
         h = left[0][:, lo:hi] @ tap_right[0].T
         for a, b in zip(left[1:], tap_right[1:]):
             h += a[:, lo:hi] @ b.T
-        h = h.reshape(u_cnt, -1, n_t)
-        if perm is None:
-            gains[i] = h
-        else:   # "clip": every index is valid, and "raise" buffers ``out``
-            np.take(h, perm, axis=1, out=gains[i], mode="clip")
+        gains[i] = h.reshape(u_cnt, s_cnt, n_t)
     delays = np.array([tp[0] for tp in taps])
 
     if los:

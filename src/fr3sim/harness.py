@@ -594,6 +594,11 @@ def run(cfg, registry=None):
     """
     reg = registry if registry is not None else load_parameter_tables()
     sc = reg.scenario(cfg.scenario)
+    if cfg.layout == "indoor" and not sc.has("layout_width"):
+        raise ConfigError(f"layout = indoor: {cfg.scenario} has no indoor layout")
+    if cfg.force_location == "indoor" and sc.value("indoor_ratio") == 0:
+        raise ConfigError(f"force_location = indoor: {cfg.scenario} has no "
+                          "indoor UEs")
     layout = _build_layout(cfg, sc)
     try:
         drop = drop_ues(layout, cfg.n_ues, sc,

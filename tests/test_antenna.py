@@ -101,20 +101,15 @@ class TestElementPositions:
         assert np.allclose(zs, [-0.01, 0.01])
 
     def test_element_count(self):
-        a = PanelArray(mg=2, ng=3, m=4, n=2, p=2)
+        # polarization-major, then row, then column: element k sits at site
+        # k mod (M N), so the second polarization repeats the first's sites
+        a = PanelArray(m=4, n=3, p=2)
         pos, pol = element_positions(a, 0.05)
-        assert pos.shape[0] == 2 * 3 * 4 * 2 * 2
-        assert np.sum(pol == 0) == np.sum(pol == 1)
-
-    def test_default_panel_spacing(self):
-        # panel pitch defaults to M lambda/2 vertically, N lambda/2 horizontally
-        lam = 0.04
-        a = PanelArray(mg=2, ng=2, m=4, n=3, p=1)
-        pos, _ = element_positions(a, lam)
-        zs = np.unique(np.round(pos[:, 2], 12))
-        ys = np.unique(np.round(pos[:, 1], 12))
-        assert zs.max() - zs.min() == pytest.approx((4 * 0.5 + 3 * 0.5) * lam, rel=1e-9)
-        assert ys.max() - ys.min() == pytest.approx((3 * 0.5 + 2 * 0.5) * lam, rel=1e-9)
+        assert pos.shape[0] == 4 * 3 * 2
+        assert pol.tolist() == [0] * 12 + [1] * 12
+        assert np.array_equal(pos[12:], pos[:12])
+        assert np.array_equal(pos[:3, 2], np.full(3, pos[0, 2]))
+        assert np.all(np.diff(pos[:3, 1]) > 0)
 
     def test_dual_pol_colocated(self):
         a = PanelArray(m=2, n=2, p=2)
@@ -131,6 +126,12 @@ class TestElementPositions:
         assert width == pytest.approx(15 * lam / 2, rel=1e-12)
         assert height == pytest.approx(1.35, abs=0.001)
         assert width == pytest.approx(0.32, abs=0.002)
+        # the grid is centred on the mean over all M N sites, bit for bit
+        r, c = np.divmod(np.arange(64 * 16), 16)
+        ys, zs = c * 0.5 * lam, r * 0.5 * lam
+        y, z = element_grid(a, lam)
+        assert np.array_equal(y, ys[:16] - ys.mean())
+        assert np.array_equal(z, zs[::16] - zs.mean())
 
 
 class TestUeDevice:
@@ -229,12 +230,13 @@ class TestPlacement:
 
         monkeypatch.setattr(antenna, "element_grid", counted)
         sector = Orientation(-90.0, 6.0, 0.0)
-        panel = PanelArray(mg=2, ng=1, m=4, n=3, p=2)
+        panel = PanelArray(m=4, n=3, p=2)
         arr = mount_bs_array(panel, np.zeros(3), sector, self.LAM)
         assert len(calls) == 1
         pos, _pol = element_positions(panel, self.LAM)
         assert np.array_equal(arr.offsets, pos @ sector.rotation().T)
-        y, z, row, col = element_grid(panel, self.LAM)
-        g = arr.grid
-        for got, want in ((g.y, y), (g.z, z), (g.row, row), (g.col, col)):
-            assert np.array_equal(got, want)
+        y, z = element_grid(panel, self.LAM)
+        assert np.array_equal(arr.grid.y, y) and np.array_equal(arr.grid.z, z)
+        first, site = arr.sites
+        assert np.array_equal(first, np.arange(12))
+        assert np.array_equal(site, np.arange(24) % 12)

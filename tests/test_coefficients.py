@@ -96,6 +96,24 @@ class TestSynthesize:
             assert np.allclose(g[..., 0], g[..., 1])
             assert np.allclose(g[..., 0], g[..., 2])
 
+    def test_bs_out_of_group_site_order_rejected(self):
+        # two elements, each with its own slant and position: field groups
+        # [0, 1] and sites [0, 1], so a tap's (group, site) columns are not
+        # the elements, and no gather makes them so
+        bs = MountedArray(reference=np.array([0.0, 0.0, 10.0]),
+                          offsets=np.array([[0.0, 0.0, 0.0], [0.0, 0.02, 0.0]]),
+                          orientations=[Orientation(0, 0, 0)] * 2,
+                          slants=np.array([45.0, -45.0]),
+                          pattern=ElementPattern.directional(),
+                          candidate_index=np.array([-1, -1]))
+        assert bs.group_index.tolist() == [0, 1]
+        assert bs.sites[1].tolist() == [0, 1]
+        ue = mount_ue_device(UEDevice("handheld"), vec3(50, 0, 10))
+        cs = simple_cs(n=2, m=1)
+        ph = draw_phases(2, 1, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="field group by site"):
+            synthesize(geom_for(), cs, ph, bs, ue, LAM)
+
     def test_single_ray_amplitude(self):
         cs = simple_cs(n=1, m=1)
         ph = draw_phases(1, 1, np.random.default_rng(1))

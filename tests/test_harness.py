@@ -607,6 +607,33 @@ class TestConfigAndCli:
         assert cli_main(["run", "--workers", "257", "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_scenario_layout_combinations(self, tmp_path, capsys):
+        # layout = indoor needs a table with the indoor hall's width, and
+        # force_location = indoor one with indoor UEs; both are rejected
+        # before the output directory is touched, so the previous run's
+        # manifest stays.  Every other combination runs
+        out = tmp_path / "out"
+        for sc in ("UMa", "UMi", "RMa", "SMa", "InH"):
+            for layout in ("hex", "indoor", "disc"):
+                for loc in ("", "outdoor", "indoor"):
+                    had_manifest = (out / "manifest.txt").exists()
+                    code = cli_main([
+                        "run", "--scenario", sc, "--layout", layout,
+                        "--force-location", loc, "--n-ues", "2",
+                        "--bs-rows", "2", "--bs-cols", "2",
+                        "--out-dir", str(out)])
+                    err = capsys.readouterr().err
+                    case = (sc, layout, loc, err)
+                    if layout == "indoor" and sc != "InH":
+                        assert code == 2 and "layout = indoor" in err, case
+                    elif sc == "InH" and loc == "indoor":
+                        assert code == 2 and "force_location = indoor" in err, \
+                            case
+                    else:
+                        assert code == 0, case
+                    if code == 2:
+                        assert (out / "manifest.txt").exists() == had_manifest
+
     def test_config_file_overridden_by_cli(self, tmp_path):
         f = tmp_path / "c.ini"
         f.write_text("[run]\nseed = 3\nn_ues = 4\n")

@@ -192,7 +192,7 @@ def link(case, rng):
 # inh-nf: the 2048-element near-field LOS workload; umi-sns: 2048-element
 # plane-wave LOS with alpha per element site, UE beta and 3 time samples;
 # sma-default: the default 8x8x2 array; nf-angles: per-element fields and
-# alpha; multi-panel-near: alpha on sites that no planar grid numbers
+# alpha; near-alpha: per-site alpha and UE beta on near-field phases
 CASES = {
     "inh-nf": dict(
         array=PanelArray(m=64, n=16, p=2, element=DIRECTIONAL),
@@ -208,13 +208,9 @@ CASES = {
                       alpha=True),
     "single-pol": dict(array=PanelArray(m=8, n=4, p=1, element=DIRECTIONAL),
                        los=True, t_count=2),
-    "multi-panel-plane": dict(
-        array=PanelArray(mg=2, ng=2, m=4, n=3, p=2, element=DIRECTIONAL),
-        los=True, beta=True),
-    "multi-panel-near": dict(
-        array=PanelArray(mg=2, ng=2, m=4, n=3, p=2, element=DIRECTIONAL,
-                         d_gh=2.0, d_gv=2.5),
-        near_field=True, ue_pos=(6.0, 2.0, 1.5), alpha=True),
+    "near-alpha": dict(array=PanelArray(m=8, n=6, p=2, element=DIRECTIONAL),
+                       near_field=True, ue_pos=(6.0, 2.0, 1.5), alpha=True,
+                       beta=True),
 }
 
 
@@ -258,8 +254,7 @@ def test_taps_match_naive_reference(name):
     assert_taps_close(h.gains, gains)
 
 
-@pytest.mark.parametrize("name", ["nf-angles", "multi-panel-plane",
-                                  "umi-sns"])
+@pytest.mark.parametrize("name", ["nf-angles", "near-alpha", "umi-sns"])
 def test_reference_rays_sum_to_taps(name):
     # the per-ray gains, the LOS ray included, add up to synthesize's taps
     h, (_delays, _gains, ray_gains) = run_case(name)
