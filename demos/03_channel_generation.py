@@ -68,7 +68,7 @@ print(f"\nCIR: gains tensor of shape {h.gains.shape}: {h.n_taps} taps over "
       f"{ue_array.size} x {bs_array.size} element pairs and 1 time sample")
 print(f"first tap at {h.delays[0] * 1e9:.2f} ns "
       f"(geometric delay {g.d3d / C_LIGHT * 1e9:.2f} ns)")
-energy = h.energy()
+energy = h.tap_energy
 print(f"mean element-pair energy: {np.mean(energy):.3f} "
       f"(unit-normalized cluster powers times element gains)")
 

@@ -52,17 +52,45 @@ def draw_absolute_excess(sc, rng, l_bound=None):
 
 @dataclass
 class ChannelRealization:
+    """One link's channel: the tap delays, two (U, S) reductions over the
+    taps at the first time sample, and the (n_taps, U, S, T) gains when
+    they were kept.  The reductions are the tap sum (the narrowband matrix
+    of ``capacity``) and the tap energy, the sum of |H|^2 (for
+    ``coupling_loss``).  A realization built from its gains alone reduces
+    them on construction."""
     fc_ghz: float
-    delays: np.ndarray            # (n_taps,) seconds, non-decreasing
-    gains: np.ndarray             # (n_taps, U, S, T) complex
+    delays: np.ndarray                # (n_taps,) seconds, non-decreasing
+    gains: np.ndarray = None          # (n_taps, U, S, T) complex, or None
+    tap_sum: np.ndarray = None        # (U, S) complex
+    tap_energy: np.ndarray = None     # (U, S) float
+
+    def __post_init__(self):
+        if self.tap_sum is None:
+            self.tap_sum, self.tap_energy = _reduce_taps(self.gains)
 
     @property
     def n_taps(self):
         return self.delays.shape[0]
 
-    def energy(self):
-        """Sum over taps of |H|^2, per (u, s) element pair."""
-        return np.sum(np.abs(self.gains[:, :, :, 0]) ** 2, axis=0)
+
+def _reduce_taps(taps):
+    """Tap sum and tap energy at t = 0 of the (U, S, T) taps, accumulated
+    in tap order.  These are the additions of
+    ``gains[:, :, :, 0].sum(axis=0)`` and
+    ``np.sum(np.abs(gains[:, :, :, 0]) ** 2, axis=0)`` whenever U S > 1,
+    so the results are bit-identical to those; numpy sums a single
+    element pair's taps pairwise instead."""
+    tap_sum = tap_energy = power = None
+    for g in taps:
+        g0 = g[:, :, 0]
+        if tap_sum is None:
+            tap_sum, tap_energy = g0.copy(), np.abs(g0) ** 2
+            power = np.empty_like(tap_energy)
+        else:
+            tap_sum += g0
+            np.square(np.abs(g0, out=power), out=power)
+            tap_energy += power
+    return tap_sum, tap_energy
 
 
 def _site_phases(arr, first, r_hat, lam0, d=None, grid=None):
@@ -102,9 +130,16 @@ def array_fields(mounted, zen, az, per_group=False):
 
 def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
                v_vec=None, t_samples=None, near_field=None, nf_angles=False,
-               sns_alpha=None, sns_beta=None, base_delay=0.0):
-    """Assemble the time-variant CIR tensor for one link (steps 10-12):
-    the tap delays and one complex (n_taps, U, S, T) gain tensor.
+               sns_alpha=None, sns_beta=None, base_delay=0.0,
+               keep_gains=True):
+    """Synthesize one link's taps (steps 10-12) and return them as a
+    ChannelRealization: the tap delays, the tap sum and tap energy at
+    t = 0, each (U, S), and with ``keep_gains`` the complex
+    (n_taps, U, S, T) gain tensor.  The taps are computed one at a time,
+    into their slots of the tensor when it is kept and else into one
+    (U, S, T) buffer, and each is added into the two sums before the
+    next.  So without ``keep_gains`` a link holds O(U S), not
+    O(n_taps U S T), and the sums are the same either way.
 
     bs / ue are MountedArray instances (tx and rx side).  ``near_field``
     carries per-ray spherical source distances; None selects plane-wave
@@ -221,15 +256,18 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
                    for x in out]
         return out
 
-    gains = np.empty((len(taps), u_cnt, s_cnt, n_t), dtype=complex)
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        tap_right = right_factors(lo, hi)
-        h = left[0][:, lo:hi] @ tap_right[0].T
-        for a, b in zip(left[1:], tap_right[1:]):
-            h += a[:, lo:hi] @ b.T
-        gains[i] = h.reshape(u_cnt, s_cnt, n_t)
-    delays = np.array([tp[0] for tp in taps])
+    # each tap's product goes into its slot of the kept tensor, or else
+    # into one buffer that every tap of the link reuses.  The tensor comes
+    # before the LOS term: after it, glibc's heap left holes below later
+    # tensors, and 2-worker 2048-element CIR runs peaked at 72 MB, not 59.
+    shape = (left[0].shape[0], right[0].shape[0] * n_t)
+    gains = (np.empty((len(taps), u_cnt, s_cnt, n_t), dtype=complex)
+             if keep_gains else None)
+    buf = None if keep_gains else np.empty(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex) if len(left) > 1 else None
 
+    delays = np.array([tp[0] for tp in taps])
+    h_los = i0 = None
     if los:
         if k_db is None:
             raise ValueError("LOS synthesis requires the Ricean K factor")
@@ -240,10 +278,23 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
                                t, (frx_t[:, -1], frx_p[:, -1]), f_tx,
                                sns_alpha, sns_beta, cs.p_los)
         i0 = int(np.argmin(np.abs(delays - base_delay)))
-        gains[i0] += h_los
 
-    return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9,
-                              delays=delays, gains=gains)
+    def tap_gains():
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            tap_right = right_factors(lo, hi)
+            out = buf if gains is None else gains[i].reshape(shape)
+            np.matmul(left[0][:, lo:hi], tap_right[0].T, out=out)
+            for a, b in zip(left[1:], tap_right[1:]):
+                out += np.matmul(a[:, lo:hi], b.T, out=term)
+            g = out.reshape(u_cnt, s_cnt, n_t)
+            if i == i0:
+                g += h_los
+            yield g
+
+    tap_sum, tap_energy = _reduce_taps(tap_gains())
+    return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9, delays=delays,
+                              gains=gains, tap_sum=tap_sum,
+                              tap_energy=tap_energy)
 
 
 def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
@@ -277,9 +328,13 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
 
 
 def apply_large_scale(h, ls):
-    """Scale every tap gain of ``h`` in place by the total large-scale
-    attenuation; returns ``h``."""
-    h.gains *= 10.0 ** (-ls.total / 20.0)
+    """Scale every tap gain of ``h``, and its tap sum and tap energy, in
+    place by the total large-scale attenuation; returns ``h``."""
+    a = 10.0 ** (-ls.total / 20.0)
+    if h.gains is not None:
+        h.gains *= a
+    h.tap_sum *= a
+    h.tap_energy *= a * a
     return h
 
 

@@ -225,7 +225,7 @@ def coupling_loss(h, ls_total_db=0.0):
     path loss, penetration, and shadow fading.  Antenna gains and SNS
     attenuation are already inside the tap gains.
     """
-    energy = float(np.mean(h.energy()))
+    energy = float(np.mean(h.tap_energy))
     if energy <= 0.0:
         raise ValueError("zero-energy channel")
     return ls_total_db - 10.0 * np.log10(energy)
@@ -404,9 +404,9 @@ def process_link(ctx, task):
     h = synthesize(geom, cs, phases, bs, ue, lam0, k_db=lsp.k_db, los=los,
                    v_vec=task.v_vec, t_samples=ctx.t_samples, near_field=nf,
                    nf_angles=cfg.nf_angles, sns_alpha=alpha, sns_beta=beta,
-                   base_delay=base_delay)
+                   base_delay=base_delay, keep_gains=bool(ctx.cir_dir))
 
-    cap = capacity(h.gains[:, :, :, 0].sum(axis=0), cfg.snr_db)
+    cap = capacity(h.tap_sum, cfg.snr_db)
     cl = coupling_loss(h, task.ls.total)
     if ctx.cir_dir:
         write_cir(os.path.join(ctx.cir_dir, f"link_{lid:06d}.cir"),

@@ -1,18 +1,20 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fr3sim.antenna import (ElementPattern, MountedArray, PanelArray, UEDevice,
                             field_pattern, mount_bs_array, mount_ue_device)
-from fr3sim.coefficients import (apply_large_scale, array_fields,
-                                 draw_absolute_excess, draw_phases, ray_count,
-                                 read_cir, synthesize, write_cir)
+from fr3sim.coefficients import (ChannelRealization, apply_large_scale,
+                                 array_fields, draw_absolute_excess,
+                                 draw_phases, ray_count, read_cir, synthesize,
+                                 write_cir)
 from fr3sim.geometry import LinkGeometry, Orientation, vec3
 from fr3sim.largescale import C_LIGHT, LargeScaleResult
 from fr3sim.scenario import load_parameter_tables
 from fr3sim.smallscale import ClusterSet, subcluster_groups
-from test_synthesis_reference import synthesize_with_rays
+from test_synthesis_reference import link, synthesize_with_rays
 
 REG = load_parameter_tables()
 SMA = REG.scenario("SMa")
@@ -204,8 +206,74 @@ class TestSynthesize:
             ph = draw_phases(n, 20, np.random.default_rng([8, seed]))
             h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
                            iso_element((50, 0, 10)), LAM)
-            totals.append(float(h.energy()[0, 0]))
+            totals.append(float(h.tap_energy[0, 0]))
         assert np.mean(totals) == pytest.approx(1.0, abs=0.02)
+
+
+# links with 5-8 clusters, so 9-12 taps: more than numpy's 8-way pairwise
+# blocks, which would show if a reduction over the taps summed pairwise
+TAP_CASES = {
+    "nlos-plane": dict(n=8),
+    "los-plane-t2": dict(los=True, t_count=2),
+    "nlos-near": dict(near_field=True, n=6),
+    "los-nf-angles-t2": dict(near_field=True, nf_angles=True, los=True,
+                             t_count=2, alpha=True, bs_pos=(0.0, 0.0, 3.0),
+                             ue_pos=(2.0, 1.0, 1.5)),
+    "los-alpha-beta": dict(los=True, alpha=True, beta=True, n=7),
+    "near-alpha-beta-t2": dict(near_field=True, alpha=True, beta=True,
+                               t_count=2, ue_pos=(6.0, 2.0, 1.5)),
+}
+
+
+class TestTapReductions:
+    @pytest.mark.parametrize("name", TAP_CASES)
+    def test_sums_equal_tensor_reductions(self, name):
+        # the tap sum and tap energy accumulated in the tap loop, with and
+        # without the kept tensor, against the tensor's own reductions
+        case = dict(array=PanelArray(m=4, n=2, p=2,
+                                     element=ElementPattern.directional()),
+                    **TAP_CASES[name])
+        args, kw, _ref = link(case, np.random.default_rng(sum(map(ord, name))))
+        kept = synthesize(*args, LAM, **kw)
+        lean = synthesize(*args, LAM, keep_gains=False, **kw)
+        assert lean.gains is None and kept.n_taps == lean.n_taps > 8
+        g0 = kept.gains[:, :, :, 0]
+        for h in (kept, lean):
+            np.testing.assert_array_equal(h.tap_sum, g0.sum(axis=0))
+            np.testing.assert_array_equal(
+                h.tap_energy, np.sum(np.abs(g0) ** 2, axis=0))
+
+    def test_built_from_gains(self):
+        # a realization built from its gains alone reduces them
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=(11, 2, 3, 2)) + 1j * rng.normal(size=(11, 2, 3, 2))
+        h = ChannelRealization(fc_ghz=7.0, delays=np.zeros(11), gains=g)
+        g0 = g[:, :, :, 0]
+        np.testing.assert_array_equal(h.tap_sum, g0.sum(axis=0))
+        np.testing.assert_array_equal(h.tap_energy,
+                                      np.sum(np.abs(g0) ** 2, axis=0))
+
+    def test_metrics_only_link_holds_no_tensor(self):
+        # one InH LOS link (15 clusters, 19 taps) on the 64 x 16 x 2 near-
+        # field array with a handheld UE: without the tensor the call's
+        # peak stays below the tensor's size; with it, the peak exceeds it
+        case = dict(array=PanelArray(m=64, n=16, p=2,
+                                     element=ElementPattern.directional()),
+                    n=15, near_field=True, los=True, bs_pos=(0.0, 0.0, 3.0),
+                    ue_pos=(1.2, -0.8, 1.0), sector=Orientation(0.0, 90.0, 0.0))
+        args, kw, _ref = link(case, np.random.default_rng(1))
+        peaks = {}
+        for keep in (False, True):
+            tracemalloc.start()
+            try:
+                h = synthesize(*args, LAM, keep_gains=keep, **kw)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        u, s = h.tap_sum.shape
+        tensor = h.n_taps * u * s * 1 * np.dtype(complex).itemsize
+        assert (h.n_taps, u, s) == (19, 16, 2048)
+        assert peaks[False] < tensor < peaks[True]
 
 
 def per_element_fields(arr, zen, az):
@@ -328,6 +396,21 @@ class TestApplyLargeScale:
         assert abs(h2.gains[0, 0, 0, 0]) == pytest.approx(
             0.1 * abs(before[0, 0, 0, 0]), rel=1e-12)
         assert np.allclose(h2.gains, 0.1 * before, rtol=1e-12, atol=0)
+        # the tap sum and tap energy are scaled with the gains
+        assert np.allclose(h2.tap_sum, 0.1 * before.sum(axis=0)[..., 0],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(h2.tap_energy, 0.01 * np.abs(before[0, ..., 0]) ** 2,
+                           rtol=1e-12, atol=0)
+
+    def test_20db_without_gains(self):
+        cs = simple_cs(n=1, m=1)
+        ph = draw_phases(1, 1, np.random.default_rng(12))
+        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
+                       iso_element((50, 0, 10)), LAM, keep_gains=False)
+        before = h.tap_sum.copy()
+        apply_large_scale(h, LargeScaleResult(pl_outdoor=20.0))
+        assert h.gains is None
+        assert np.allclose(h.tap_sum, 0.1 * before, rtol=1e-12, atol=0)
 
 
 class TestCirFormat:

@@ -296,6 +296,17 @@ class TestRun:
         h = read_cir(cirs[0])
         assert h.n_taps >= 1
 
+    @pytest.mark.parametrize("kw", [
+        {}, dict(near_field=True, force_state="LOS", sns="stochastic",
+                 t_count=2)], ids=["umi", "los-near-sns-t2"])
+    def test_links_csv_same_with_and_without_cir(self, tmp_path, kw):
+        # the metrics come from the tap loop's sums whether or not the run
+        # also keeps the taps for its CIR files
+        for emit in (True, False):
+            run(tiny_cfg(tmp_path / f"cir-{emit}", emit_cir=emit, **kw))
+        assert ((tmp_path / "cir-True" / "links.csv").read_bytes()
+                == (tmp_path / "cir-False" / "links.csv").read_bytes())
+
     def test_no_stale_cir_files(self, tmp_path):
         # a 2-UE run after a 4-UE one, then a run without CIR output, in
         # one out_dir: no CIR file of an earlier run is left behind
