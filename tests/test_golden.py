@@ -1,4 +1,4 @@
-"""Golden outputs: eight small runs must keep writing the `links.csv` files
+"""Golden outputs: ten small runs must keep writing the `links.csv` files
 checked in under ``tests/data``, and one small run with ``emit_cir`` the
 CIR files whose sha256 values are in ``tests/data/golden_cir_umi-disc.sha256``.
 
@@ -47,6 +47,16 @@ CASES = {
     "umi-sns": ("umi-sns", {"n_ues": 6, "ue_sns": True}),
     # M = 8 rays per cluster: the standard-normal quantile offset basis
     "uma-raycount-6": ("uma-raycount-6", {"n_ues": 6}),
+    # per-element BS field rows (nf_angles) with per-site SNS attenuation,
+    # toward a CPE UE whose centre candidate has the device normal
+    "inh-nf-angles-cpe": ("inh-nf-2", {"n_ues": 4, "bs_rows": 8, "bs_cols": 4,
+                                       "nf_angles": True, "ue_device": "CPE",
+                                       "sns": "stochastic"}),
+    # single-polarized BS and UE: one field group per BS array, one site per
+    # element, with near-field LOS pair distances
+    "umi-single-pol": (None, {"scenario": "UMi", "layout": "disc", "n_ues": 6,
+                              "bs_pol": 1, "ue_dual_pol": False,
+                              "near_field": True, "force_state": "LOS"}),
 }
 EXACT = {"link_id", "ue", "site", "sector", "state", "n_clusters", "m_rays"}
 
