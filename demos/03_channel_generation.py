@@ -62,8 +62,8 @@ bs_array = mount_bs_array(PanelArray(m=64, n=16, p=2,
                           bs_pos, Orientation(g.aod_az, 6.0, 0.0), lam)
 ue_array = mount_ue_device(UEDevice("handheld"), ue_pos)
 phases = draw_phases(cs.n, cs.m, np.random.default_rng(11))
-h = synthesize(g, cs, phases, bs_array, ue_array, lam, k_db=lsp.k_db,
-               los=True, base_delay=g.d3d / C_LIGHT)
+h = synthesize(g, cs, phases, bs_array, ue_array, lam, los=True,
+               base_delay=g.d3d / C_LIGHT)
 print(f"\nCIR: gains tensor of shape {h.gains.shape}: {h.n_taps} taps over "
       f"{ue_array.size} x {bs_array.size} element pairs and 1 time sample")
 print(f"first tap at {h.delays[0] * 1e9:.2f} ns "

@@ -9,15 +9,15 @@ import tempfile
 
 import numpy as np
 
-from fr3sim import (PanelArray, element_positions, nlos_element_phase,
-                    element_wise_angles)
+from fr3sim import (Orientation, PanelArray, mount_bs_array,
+                    nlos_element_phase, element_wise_angles)
 from fr3sim.geometry import sph_unit
 from fr3sim.harness import RunConfig, run
 from fr3sim.largescale import C_LIGHT
 
 lam = C_LIGHT / 7e9
 arr = PanelArray(m=64, n=16, p=1)
-pos, _ = element_positions(arr, lam)
+pos = mount_bs_array(arr, np.zeros(3), Orientation(), lam).offsets
 aperture = np.linalg.norm(pos.max(axis=0) - pos.min(axis=0))
 print(f"64x16 aperture at 7 GHz: {aperture:.2f} m "
       f"(Rayleigh distance 2 D^2 / lambda = {2 * aperture**2 / lam:.0f} m)")

@@ -7,7 +7,7 @@ from .geometry import (Orientation, SiteLayout, LinkGeometry, Drop, vec3,
                        build_disc_layout, drop_ues, link_geometry,
                        gcs_to_lcs)
 from .antenna import (ElementPattern, PanelArray, UEDevice, MountedArray,
-                      element_power_pattern, field_pattern, element_positions,
+                      element_power_pattern, field_pattern,
                       ue_candidate_locations, mount_bs_array, mount_ue_device)
 from .scenario import (ScenarioParams, Registry, PropagationState,
                        ParameterError, load_parameter_tables,

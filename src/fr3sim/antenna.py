@@ -1,7 +1,6 @@
 """Element patterns, planar arrays, and UE device antenna placement."""
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -15,7 +14,7 @@ class ElementPattern:
     phi_3db / theta_3db are the 3 dB beamwidths in degrees, a_max the
     azimuth-cut floor and sla_v the elevation side-lobe floor (both in dB,
     >= 0), max_gain_dbi the boresight directive gain.  The polarization
-    slant belongs to the mounted element (``MountedArray.slants``).
+    slant belongs to the mounted element (``MountedArray.groups``).
     """
     phi_3db: float = 65.0
     theta_3db: float = 65.0
@@ -98,7 +97,7 @@ def element_grid(a, wavelength):
     """The element sites of ``a`` as an M x N grid.
 
     Returns (y (N,), z (M,)): the array-frame column and row coordinates in
-    meters, exactly as element_positions places its elements.
+    meters, exactly as mount_bs_array places its sites.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -106,22 +105,6 @@ def element_grid(a, wavelength):
     ys, zs = c * a.d_h * wavelength, r * a.d_v * wavelength
     # centred on the mean over all M*N sites: a per-axis mean rounds differently
     return ys[:a.n] - ys.mean(), zs[::a.n] - zs.mean()
-
-
-def element_positions(a, wavelength, grid=None):
-    """Element offsets in the array frame (boresight +x, columns along +y,
-    rows along +z), centered on the array's geometric center.
-
-    Returns (positions (K, 3) in meters, pol_index (K,)).  Ordering is
-    polarization-major, then row, then column, so element k sits at site
-    k mod (M N); co-located dual-polarized pairs share a position.
-    ``grid`` is the array's ``element_grid``, when the caller already has it.
-    """
-    y, z = grid if grid is not None else element_grid(a, wavelength)
-    k = a.p * a.m * a.n
-    pos = np.stack([np.zeros(k), np.tile(y, a.p * a.m),
-                    np.tile(np.repeat(z, a.n), a.p)], axis=1)
-    return pos, np.repeat(np.arange(a.p), a.m * a.n)
 
 
 @dataclass(frozen=True)
@@ -186,93 +169,79 @@ class PlanarGrid:
 
 @dataclass
 class MountedArray:
-    """An antenna aperture placed in the GCS.
+    """An antenna aperture placed in the GCS, in the factored form that
+    ``synthesize`` works on: each element is one (field group, site) pair.
 
-    offsets: (K, 3) element position offsets from ``reference`` in meters.
-    orientations: per-element mounting Orientation (pattern frame).
-    slants: per-element polarization slant in degrees.
-    candidate_index: maps elements to device candidate locations (UE masks);
-    -1 when not applicable.
-    grid: the PlanarGrid of a uniform planar array, None otherwise.
-
-    The field groups, group index and element sites are derived from the
-    element data once, at construction, and ``placed_at`` copies share them.
+    site_offsets: (P, 3) element site offsets from ``reference`` in meters;
+    co-located elements (a dual-polarized pair) share a site, and a UE
+    device's candidate location c is its site c (UE masks).
+    site_index: (K,) each element's site.
+    groups: G (Orientation, slant in degrees) pairs, the mounting frame and
+    polarization slant that fix an element's field pattern.
+    group_index: (K,) each element's field group.
+    grid: the PlanarGrid of a uniform planar array, whose site r N + c sits
+    at row r and column c, None otherwise.
     """
     reference: np.ndarray
-    offsets: np.ndarray
-    orientations: list
-    slants: np.ndarray
+    site_offsets: np.ndarray
+    site_index: np.ndarray
+    groups: list
+    group_index: np.ndarray
     pattern: ElementPattern
-    candidate_index: np.ndarray
     grid: PlanarGrid = None
-
-    def __post_init__(self):
-        # field_groups: (orientation, slant, element indices), one per distinct
-        # (orientation, slant) pair in order of first appearance; group_index
-        # (K,): each element's field group
-        groups = {}
-        for k, key in enumerate(zip(self.orientations, self.slants.tolist())):
-            groups.setdefault(key, []).append(k)
-        self.field_groups = [(ori, s, np.array(idx))
-                             for (ori, s), idx in groups.items()]
-        self.group_index = np.empty(self.size, dtype=int)
-        for g, (_ori, _slant, idx) in enumerate(self.field_groups):
-            self.group_index[idx] = g
-        # sites (first (P,), index (K,)): site p sits at offsets[first[p]]
-        # and element k at site index[k]; co-located elements (a dual-
-        # polarized pair) share a site, and on a grid element k sits at
-        # site k mod (M N)
-        if self.grid is None:
-            _, first, index = np.unique(self.offsets, axis=0, return_index=True,
-                                        return_inverse=True)
-            self.sites = first, index.ravel()
-        else:
-            mn = self.grid.y.size * self.grid.z.size
-            self.sites = np.arange(mn), np.arange(self.size) % mn
 
     @property
     def size(self):
-        return self.offsets.shape[0]
+        return self.site_index.shape[0]
+
+    @property
+    def offsets(self):
+        """(K, 3) element offsets from ``reference`` in meters."""
+        return self.site_offsets[self.site_index]
 
     def positions(self):
         return self.reference[None, :] + self.offsets
 
     def placed_at(self, reference):
-        """This array with its reference point at ``reference``: a shallow
-        copy that shares the element data and the derived field groups,
-        group index and sites."""
-        out = copy.copy(self)
-        out.reference = np.asarray(reference, dtype=float)
-        return out
+        """This array with its reference point at ``reference``; the copy
+        shares every other field."""
+        return replace(self, reference=np.asarray(reference, dtype=float))
 
 
 def mount_bs_array(array, site_position, sector_orientation, wavelength):
-    """Place a PanelArray at a site, boresight along the sector bearing."""
-    y, z = grid = element_grid(array, wavelength)
-    pos_lcs, pol = element_positions(array, wavelength, grid)
+    """Place a PanelArray at a site, boresight along the sector bearing.
+
+    The sites are the array's element_grid in the array frame (boresight
+    +x, columns along +y, rows along +z), row-major and centred on the
+    array's geometric centre.  Elements are ordered polarization-major,
+    then row, then column: element k sits at site k mod (M N) in field
+    group k // (M N), one group per slant, so a dual-polarized pair shares
+    a site.
+    """
+    y, z = element_grid(array, wavelength)
     rot = sector_orientation.rotation()
-    offsets = pos_lcs @ rot.T
-    slants = np.array([array.slants()[i] for i in pol])
-    orientations = [sector_orientation] * offsets.shape[0]
-    return MountedArray(np.asarray(site_position, dtype=float), offsets,
-                        orientations, slants, array.element,
-                        np.full(offsets.shape[0], -1, dtype=int),
-                        PlanarGrid(y, z, rot[:, 1:]))
+    mn = array.m * array.n
+    sites = np.stack([np.zeros(mn), np.tile(y, array.m),
+                      np.repeat(z, array.n)], axis=1)
+    k = np.arange(array.p * mn)
+    return MountedArray(np.asarray(site_position, dtype=float), sites @ rot.T,
+                        k % mn, [(sector_orientation, s) for s in array.slants()],
+                        k // mn, array.element, PlanarGrid(y, z, rot[:, 1:]))
 
 
 def mount_ue_device(device, ue_position, dual_polarized=True,
                     device_orientation=Orientation(0, 0, 0)):
     """Place all candidate antennas of a UE device (dual-polarized pairs by
-    default, slant-major) around the UE position.  Device orientation
+    default, slant-major) around the UE position.  The candidates are the
+    sites, and each element is its own field group.  Device orientation
     defaults to the identity (GCS == device frame)."""
     d, rot = device_orientation, device_orientation.rotation()
     cands = ue_candidate_locations(device)
     slants = (0.0, 90.0) if dual_polarized else (0.0,)
-    offsets = [rot @ off for off, _ori in cands]
-    orientations = [Orientation(o.alpha + d.alpha, o.beta + d.beta,
-                                o.gamma + d.gamma) for _off, o in cands]
-    n = len(slants)
+    groups = [(Orientation(o.alpha + d.alpha, o.beta + d.beta,
+                           o.gamma + d.gamma), s)
+              for s in slants for _off, o in cands]
+    k = np.arange(len(groups))
     return MountedArray(np.asarray(ue_position, dtype=float),
-                        np.array(offsets * n), orientations * n,
-                        np.repeat(slants, len(cands)), ElementPattern.isotropic(),
-                        np.tile(np.arange(len(cands)), n))
+                        np.array([rot @ off for off, _ori in cands]),
+                        k % len(cands), groups, k, ElementPattern.isotropic())

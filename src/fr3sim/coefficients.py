@@ -93,19 +93,20 @@ def _reduce_taps(taps):
     return tap_sum, tap_energy
 
 
-def _site_phases(arr, first, r_hat, lam0, d=None, grid=None):
-    """Array phases (P, R) at the sites ``arr.offsets[first]``: plane-wave
+def _site_phases(arr, r_hat, lam0, d=None):
+    """Array phases (P, R) at the sites ``arr.site_offsets``: plane-wave
     exp(j 2 pi r_hat . d_bar / lam), or spherical-wave toward per-ray
-    sources at distances ``d``.  Plane-wave phases on a PlanarGrid are the
-    products of one row and one column factor per ray.  The phases go to
-    ``unit_phase`` in turns, path lengths over lam, in cache-sized blocks."""
+    sources at distances ``d``.  Plane-wave phases on the array's
+    PlanarGrid are the products of one row and one column factor per ray.
+    The phases go to ``unit_phase`` in turns, path lengths over lam, in
+    cache-sized blocks."""
     if d is not None:
-        return nlos_element_phase(d, r_hat, arr.offsets[first], lam0)
-    if grid is None:
-        return unit_phase((arr.offsets[first] @ r_hat.T) / lam0)
-    proj = (r_hat @ grid.axes) / lam0                        # (R, 2) turns
-    cols = unit_phase(grid.y[:, None] * proj[None, :, 0])
-    rows = unit_phase(grid.z[:, None] * proj[None, :, 1])
+        return nlos_element_phase(d, r_hat, arr.site_offsets, lam0)
+    if arr.grid is None:
+        return unit_phase((arr.site_offsets @ r_hat.T) / lam0)
+    proj = (r_hat @ arr.grid.axes) / lam0                    # (R, 2) turns
+    cols = unit_phase(arr.grid.y[:, None] * proj[None, :, 0])
+    rows = unit_phase(arr.grid.z[:, None] * proj[None, :, 1])
     return (rows[:, None, :] * cols[None, :, :]).reshape(-1, r_hat.shape[0])
 
 
@@ -113,22 +114,24 @@ def array_fields(mounted, zen, az, per_group=False):
     """GCS field patterns (F_theta, F_phi), each (K, R), of a mounted array
     from one ``field_pattern`` call, for (R,) angles in degrees shared by
     all elements or (K, R) angles with one row per element.  Shared angles
-    are evaluated once per entry of ``mounted.field_groups``, and
-    ``per_group`` returns those (G, R) rows.
+    are evaluated once per entry of ``mounted.groups``, and ``per_group``
+    returns those (G, R) rows; per-element angles take each element's
+    group, expanded by ``mounted.group_index``.
     """
     zen = np.asarray(zen, dtype=float)
     az = np.asarray(az, dtype=float)
+    orientations, slants = zip(*mounted.groups)
     if zen.ndim == 2:
-        return field_pattern(mounted.pattern, mounted.orientations,
-                             mounted.slants, zen, az)
-    orientations, slants, _idx = zip(*mounted.field_groups)
+        gi = mounted.group_index
+        return field_pattern(mounted.pattern, [orientations[g] for g in gi],
+                             np.array(slants)[gi], zen, az)
     f_t, f_p = field_pattern(mounted.pattern, orientations, slants, zen, az)
     if per_group:
         return f_t, f_p
     return f_t[mounted.group_index], f_p[mounted.group_index]
 
 
-def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
+def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
                v_vec=None, t_samples=None, near_field=None, nf_angles=False,
                sns_alpha=None, sns_beta=None, base_delay=0.0,
                keep_gains=True):
@@ -144,7 +147,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     bs / ue are MountedArray instances (tx and rx side).  ``near_field``
     carries per-ray spherical source distances; None selects plane-wave
     array phases.  ``sns_alpha`` is a (P, N) BS-side power attenuation with
-    one row per element site of ``bs.sites`` and one column per cluster,
+    one row per site of ``bs.site_offsets`` and one column per cluster,
     ``sns_beta`` a (U,) UE-side one.  ``base_delay`` shifts all taps
     (absolute time of arrival); the LOS specular term lands exactly at
     ``base_delay``.  The two strongest clusters expand into three delay
@@ -198,17 +201,16 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     ftx_t, ftx_p = array_fields(bs, zod, aod, per_group=True)
 
     # BS sites, and sqrt(alpha) per site (per element with nf_angles)
-    first, site = bs.sites
+    n_site, site = bs.site_offsets.shape[0], bs.site_index
     sqrt_al = None
     if sns_alpha is not None:
         al = np.asarray(sns_alpha, dtype=float)
-        if al.shape != (first.size, n):
+        if al.shape != (n_site, n):
             raise ValueError(f"sns_alpha must be (sites, clusters) = "
-                             f"{(first.size, n)}, not {al.shape}")
+                             f"{(n_site, n)}, not {al.shape}")
         sqrt_al = np.sqrt(al[site] if elementwise else al)
-    ue_first, ue_site = ue.sites
-    a_rx = _site_phases(ue, ue_first, r_rx, lam0, d2)[ue_site]
-    a_tx = _site_phases(bs, first, r_tx, lam0, d1, bs.grid)
+    a_rx = _site_phases(ue, r_rx, lam0, d2)[ue.site_index]
+    a_tx = _site_phases(bs, r_tx, lam0, d1)
 
     # polarization matrix entries per ray
     ph = phases.reshape(-1, 4)[order]
@@ -232,8 +234,8 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
         fa = a_tx[site]
         left, right = [ga_t, ga_p], [ftx_t[:, :n_r] * fa, ftx_p[:, :n_r] * fa]
     else:
-        if not np.array_equal(bs.group_index * first.size + site,
-                              np.arange(len(bs.field_groups) * first.size)):
+        if not np.array_equal(bs.group_index * n_site + site,
+                              np.arange(len(bs.groups) * n_site)):
             raise ValueError("BS elements must be ordered field group by site")
         left = [(ga_t[:, None] * ftx_t[None, :, :n_r]
                  + ga_p[:, None] * ftx_p[None, :, :n_r]).reshape(-1, n_r)]
@@ -269,8 +271,6 @@ def synthesize(geom, cs, phases, bs, ue, lam0, k_db=None, los=False,
     delays = np.array([tp[0] for tp in taps])
     h_los = i0 = None
     if los:
-        if k_db is None:
-            raise ValueError("LOS synthesis requires the Ricean K factor")
         f_tx = (ftx_t[:, -1], ftx_p[:, -1])
         if not elementwise:
             f_tx = tuple(f[bs.group_index] for f in f_tx)
@@ -311,7 +311,7 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
     if sns_beta is not None:
         w_rx *= np.sqrt(np.asarray(sns_beta))
     if sns_alpha is not None:
-        w_tx *= np.sqrt(np.asarray(sns_alpha, dtype=float)[bs.sites[1], 0])
+        w_tx *= np.sqrt(np.asarray(sns_alpha, dtype=float)[bs.site_index, 0])
     if not near_field:
         w_rx *= (unit_phase(-geom.d3d / lam0)
                  * unit_phase((ue.offsets @ r_rx) / lam0))
@@ -320,10 +320,10 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
     h = (np.outer(f_rx[0] * w_rx, f_tx[0] * w_tx)
          - np.outer(f_rx[1] * w_rx, f_tx[1] * w_tx))
     if near_field:
-        (ue_first, ue_site), (bs_first, bs_site) = ue.sites, bs.sites
-        pair = np.linalg.norm(ue.positions()[ue_first][:, None, :]
-                              - bs.positions()[bs_first][None, :, :], axis=-1)
-        h *= unit_phase(-pair / lam0)[ue_site][:, bs_site]
+        pair = np.linalg.norm((ue.reference + ue.site_offsets)[:, None, :]
+                              - (bs.reference + bs.site_offsets)[None, :, :],
+                              axis=-1)
+        h *= unit_phase(-pair / lam0)[ue.site_index][:, bs.site_index]
     return h[:, :, None] * unit_phase(((r_rx @ v) / lam0) * t)
 
 

@@ -394,14 +394,14 @@ def process_link(ctx, task):
     alpha = None
     if cfg.sns == "stochastic":
         rot = ctx.layout.sectors[task.sector_index].rotation()
-        yz = (bs.offsets[bs.sites[0]] @ rot)[:, 1:3]   # one row per site
+        yz = (bs.site_offsets @ rot)[:, 1:3]   # one row per site
         alpha = stochastic_attenuation(10.0 * np.log10(cs.p), ctx.sns,
                                        yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
     beta = None
     if cfg.ue_sns:
-        beta = ue_sns_mask(ctx.masks, task.usage, cfg.fc_ghz, ue.candidate_index)
+        beta = ue_sns_mask(ctx.masks, task.usage, cfg.fc_ghz, ue.site_index)
 
-    h = synthesize(geom, cs, phases, bs, ue, lam0, k_db=lsp.k_db, los=los,
+    h = synthesize(geom, cs, phases, bs, ue, lam0, los=los,
                    v_vec=task.v_vec, t_samples=ctx.t_samples, near_field=nf,
                    nf_angles=cfg.nf_angles, sns_alpha=alpha, sns_beta=beta,
                    base_delay=base_delay, keep_gains=bool(ctx.cir_dir))

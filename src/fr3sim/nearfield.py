@@ -129,7 +129,7 @@ def _phase_into(t, out, ws):
         np.multiply(z, w, out=o)
 
 
-def element_wise_angles(sources, element_positions):
+def element_wise_angles(sources, positions):
     """(azimuth, zenith) in degrees of each element-to-source direction.
 
     Broadcasts over (..., 3): (K, 3) elements against one (3,) source give
@@ -137,7 +137,7 @@ def element_wise_angles(sources, element_positions):
     Raises ValueError for a source on an element (unit_to_angles' 0/0 NaN).
     """
     with np.errstate(invalid="ignore"):
-        zen, az = unit_to_angles(np.subtract(sources, element_positions))
+        zen, az = unit_to_angles(np.subtract(sources, positions))
     if np.isnan(zen).any():
         raise ValueError("source point coincides with an element")
     return az, zen

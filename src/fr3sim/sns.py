@@ -182,16 +182,16 @@ def draw_usage(cfg, rng):
     return USAGES[-1]
 
 
-def ue_sns_mask(masks, usage, fc_ghz, candidate_index):
+def ue_sns_mask(masks, usage, fc_ghz, site_index):
     """Per-element linear attenuation from the mask tables.
 
-    ``masks`` maps (usage, band) to 8 per-candidate dB values;
-    ``candidate_index`` maps elements to candidate locations.  Frequencies
+    ``masks`` maps (usage, band) to 8 per-candidate dB values; ``site_index``
+    maps elements to candidate locations, which are a UE's sites.  Frequencies
     outside the configured bands fall back to the nearest band with a
     warning.  Free-space usage is all-ones.
     """
     if usage == "free":
-        return np.ones(np.asarray(candidate_index).shape[0])
+        return np.ones(np.asarray(site_index).shape[0])
     band = None
     for name, lo, hi in MASK_BANDS:
         if lo <= fc_ghz <= hi:
@@ -203,7 +203,7 @@ def ue_sns_mask(masks, usage, fc_ghz, candidate_index):
         band = min(dist)[1]
         warnings.warn(f"fc={fc_ghz} GHz outside mask bands; using {band}")
     table_db = masks[(usage, band)]
-    idx = np.asarray(candidate_index)
+    idx = np.asarray(site_index)
     if np.any(idx >= table_db.size):
         raise ValueError(f"candidate index {idx.max()} outside the "
                          f"{table_db.size}-value {usage!r} mask")

@@ -228,10 +228,10 @@ class TestNearFieldProperties:
                 worst < 1e-9, f"max rel dev = {worst:.2e}")
 
     def test_far_field_convergence(self):
-        from fr3sim.antenna import PanelArray, element_positions
-        from fr3sim.geometry import sph_unit
+        from fr3sim.antenna import PanelArray, mount_bs_array
+        from fr3sim.geometry import Orientation, sph_unit
         arr = PanelArray(m=64, n=16, p=1)
-        pos, _ = element_positions(arr, LAM7)
+        pos = mount_bs_array(arr, np.zeros(3), Orientation(), LAM7).offsets
         aperture = np.linalg.norm(pos.max(axis=0) - pos.min(axis=0))
         d = 1e6 * aperture
         r_hat = sph_unit(np.array([70.0]), np.array([35.0]))

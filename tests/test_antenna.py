@@ -3,8 +3,7 @@ import pytest
 
 from fr3sim import antenna
 from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
-                            element_grid, element_positions,
-                            element_power_pattern, field_pattern,
+                            element_grid, element_power_pattern, field_pattern,
                             mount_bs_array, mount_ue_device,
                             ue_candidate_locations)
 from fr3sim.geometry import Orientation, gcs_to_lcs
@@ -90,10 +89,15 @@ class TestFieldPattern:
             assert np.allclose(ft ** 2 + fp ** 2, a_lin, atol=1e-12)
 
 
+def unrotated(a, wavelength):
+    """``a`` mounted at the origin with the array frame as the GCS."""
+    return mount_bs_array(a, np.zeros(3), Orientation(), wavelength)
+
+
 class TestElementPositions:
     def test_square_panel(self):
         a = PanelArray(m=2, n=2, p=1, d_v=0.5, d_h=0.5)
-        pos, pol = element_positions(a, 0.04)
+        pos = unrotated(a, 0.04).offsets
         assert pos.shape == (4, 3)
         ys = np.unique(np.round(pos[:, 1], 9))
         zs = np.unique(np.round(pos[:, 2], 9))
@@ -104,22 +108,25 @@ class TestElementPositions:
         # polarization-major, then row, then column: element k sits at site
         # k mod (M N), so the second polarization repeats the first's sites
         a = PanelArray(m=4, n=3, p=2)
-        pos, pol = element_positions(a, 0.05)
+        arr = unrotated(a, 0.05)
+        pos = arr.offsets
         assert pos.shape[0] == 4 * 3 * 2
-        assert pol.tolist() == [0] * 12 + [1] * 12
+        assert arr.group_index.tolist() == [0] * 12 + [1] * 12
+        assert [slant for _ori, slant in arr.groups] == [45.0, -45.0]
+        assert arr.site_index.tolist() == list(range(12)) * 2
         assert np.array_equal(pos[12:], pos[:12])
         assert np.array_equal(pos[:3, 2], np.full(3, pos[0, 2]))
         assert np.all(np.diff(pos[:3, 1]) > 0)
 
     def test_dual_pol_colocated(self):
-        a = PanelArray(m=2, n=2, p=2)
-        pos, pol = element_positions(a, 0.04)
-        assert np.allclose(pos[pol == 0], pos[pol == 1])
+        arr = unrotated(PanelArray(m=2, n=2, p=2), 0.04)
+        pol = arr.group_index
+        assert np.allclose(arr.offsets[pol == 0], arr.offsets[pol == 1])
 
     def test_large_upa_aperture(self):
         lam = 3.0e8 / 7e9
         a = PanelArray(m=64, n=16, p=2)
-        pos, _ = element_positions(a, lam)
+        pos = unrotated(a, lam).offsets
         height = pos[:, 2].max() - pos[:, 2].min()
         width = pos[:, 1].max() - pos[:, 1].min()
         assert height == pytest.approx(63 * lam / 2, rel=1e-12)
@@ -169,9 +176,9 @@ class TestUeDevice:
     def test_mounted_dual_pol(self):
         arr = mount_ue_device(UEDevice("handheld"), np.array([1.0, 2.0, 1.5]))
         assert arr.size == 16
-        assert set(arr.slants.tolist()) == {0.0, 90.0}
+        assert {slant for _ori, slant in arr.groups} == {0.0, 90.0}
         assert np.allclose(arr.positions()[0] - arr.offsets[0], [1, 2, 1.5])
-        assert sorted(set(arr.candidate_index.tolist())) == list(range(8))
+        assert arr.site_index.tolist() == list(range(8)) * 2
 
     @pytest.mark.parametrize("kind", ["handheld", "CPE"])
     @pytest.mark.parametrize("dual", [True, False])
@@ -188,9 +195,13 @@ class TestUeDevice:
                     ue_candidate_locations(UEDevice(kind)))]
         offs, oris, slants, cidx = zip(*want)
         assert np.array_equal(arr.offsets, np.array(offs))
-        assert arr.orientations == list(oris)
-        assert arr.slants.tolist() == list(slants)
-        assert arr.candidate_index.tolist() == list(cidx)
+        assert [arr.groups[g] for g in arr.group_index] == list(zip(oris,
+                                                                    slants))
+        assert arr.site_index.tolist() == list(cidx)
+        # candidate c is site c, and every element is its own field group
+        n_cand = len(ue_candidate_locations(UEDevice(kind)))
+        assert np.array_equal(arr.site_offsets, np.array(offs[:n_cand]))
+        assert arr.group_index.tolist() == list(range(arr.size))
 
 
 class TestPlacement:
@@ -210,15 +221,16 @@ class TestPlacement:
             placed = arr.placed_at(pos)
             assert np.array_equal(placed.reference, pos)
             assert np.array_equal(arr.reference, np.zeros(3))
-            for name in ("offsets", "orientations", "slants", "pattern",
-                         "candidate_index", "grid", "field_groups",
-                         "group_index", "sites"):
+            for name in ("site_offsets", "site_index", "groups",
+                         "group_index", "pattern", "grid"):
                 assert getattr(placed, name) is getattr(arr, name), name
             fresh = mount(pos)
             assert np.array_equal(placed.positions(), fresh.positions())
-            assert np.array_equal(placed.group_index, fresh.group_index)
-            for a, b in zip(placed.sites, fresh.sites):
-                assert np.array_equal(a, b)
+            assert np.array_equal(placed.site_offsets, fresh.site_offsets)
+            assert placed.groups == fresh.groups
+            for name in ("site_index", "group_index"):
+                assert np.array_equal(getattr(placed, name),
+                                      getattr(fresh, name)), name
 
     def test_one_element_grid_call_per_mount(self, monkeypatch):
         calls = []
@@ -233,10 +245,10 @@ class TestPlacement:
         panel = PanelArray(m=4, n=3, p=2)
         arr = mount_bs_array(panel, np.zeros(3), sector, self.LAM)
         assert len(calls) == 1
-        pos, _pol = element_positions(panel, self.LAM)
-        assert np.array_equal(arr.offsets, pos @ sector.rotation().T)
         y, z = element_grid(panel, self.LAM)
         assert np.array_equal(arr.grid.y, y) and np.array_equal(arr.grid.z, z)
-        first, site = arr.sites
-        assert np.array_equal(first, np.arange(12))
-        assert np.array_equal(site, np.arange(24) % 12)
+        # site r N + c at row r, column c of the array frame, rotated
+        sites = np.array([[0.0, y[c], z[r]] for r in range(4) for c in range(3)])
+        assert np.array_equal(arr.site_offsets, sites @ sector.rotation().T)
+        assert np.array_equal(arr.site_index, np.arange(24) % 12)
+        assert np.array_equal(arr.group_index, np.arange(24) // 12)

@@ -23,11 +23,11 @@ LAM = C_LIGHT / 7e9
 
 def iso_element(position=(0.0, 0.0, 0.0), slant=0.0):
     return MountedArray(reference=np.asarray(position, dtype=float),
-                        offsets=np.zeros((1, 3)),
-                        orientations=[Orientation(0, 0, 0)],
-                        slants=np.array([slant]),
-                        pattern=ElementPattern.isotropic(),
-                        candidate_index=np.array([-1]))
+                        site_offsets=np.zeros((1, 3)),
+                        site_index=np.array([0]),
+                        groups=[(Orientation(0, 0, 0), slant)],
+                        group_index=np.array([0]),
+                        pattern=ElementPattern.isotropic())
 
 
 def simple_cs(n=1, m=1, p=None, p_los=0.0, angles=(30.0, -60.0, 85.0, 95.0),
@@ -103,13 +103,13 @@ class TestSynthesize:
         # [0, 1] and sites [0, 1], so a tap's (group, site) columns are not
         # the elements, and no gather makes them so
         bs = MountedArray(reference=np.array([0.0, 0.0, 10.0]),
-                          offsets=np.array([[0.0, 0.0, 0.0], [0.0, 0.02, 0.0]]),
-                          orientations=[Orientation(0, 0, 0)] * 2,
-                          slants=np.array([45.0, -45.0]),
-                          pattern=ElementPattern.directional(),
-                          candidate_index=np.array([-1, -1]))
-        assert bs.group_index.tolist() == [0, 1]
-        assert bs.sites[1].tolist() == [0, 1]
+                          site_offsets=np.array([[0.0, 0.0, 0.0],
+                                                 [0.0, 0.02, 0.0]]),
+                          site_index=np.array([0, 1]),
+                          groups=[(Orientation(0, 0, 0), 45.0),
+                                  (Orientation(0, 0, 0), -45.0)],
+                          group_index=np.array([0, 1]),
+                          pattern=ElementPattern.directional())
         ue = mount_ue_device(UEDevice("handheld"), vec3(50, 0, 10))
         cs = simple_cs(n=2, m=1)
         ph = draw_phases(2, 1, np.random.default_rng(4))
@@ -179,12 +179,12 @@ class TestSynthesize:
         g = geom_for(100.0)
         base = g.d3d / C_LIGHT
         h = synthesize(g, cs, ph, iso_element((0, 0, 10)),
-                       iso_element((100, 0, 10)), LAM, k_db=0.0, los=True,
+                       iso_element((100, 0, 10)), LAM, los=True,
                        base_delay=base)
         assert h.delays[0] == pytest.approx(base, rel=1e-15)
         h_off = synthesize(g, cs, ph, iso_element((0, 0, 10)),
-                           iso_element((100, 0, 10)), LAM, k_db=0.0,
-                           los=False, base_delay=base)
+                           iso_element((100, 0, 10)), LAM, los=False,
+                           base_delay=base)
         los_term = h.gains[0][0, 0, 0] - h_off.gains[0][0, 0, 0]
         assert abs(los_term) == pytest.approx(np.sqrt(0.5), rel=1e-9)
         expect_phase = np.exp(-2j * np.pi * g.d3d / LAM)
@@ -278,10 +278,12 @@ class TestTapReductions:
 
 def per_element_fields(arr, zen, az):
     """Reference: one field_pattern call per element."""
-    rows = [field_pattern(arr.pattern, [arr.orientations[k]], [arr.slants[k]],
-                          zen if zen.ndim == 1 else zen[k],
-                          az if az.ndim == 1 else az[k])
-            for k in range(arr.size)]
+    rows = []
+    for k, g in enumerate(arr.group_index):
+        ori, slant = arr.groups[g]
+        rows.append(field_pattern(arr.pattern, [ori], [slant],
+                                  zen if zen.ndim == 1 else zen[k],
+                                  az if az.ndim == 1 else az[k]))
     return np.array([r[0][0] for r in rows]), np.array([r[1][0] for r in rows])
 
 
@@ -300,7 +302,7 @@ class TestArrayFields:
     def test_downtilted_dual_pol_bs(self):
         bs = mount_bs_array(PanelArray(m=8, n=4, p=2), vec3(0, 0, 25),
                             Orientation(30.0, 12.0, 0.0), LAM)
-        assert len(bs.field_groups) == 2
+        assert len(bs.groups) == 2
         self.check(bs, self.ZEN, self.AZ)
 
     @pytest.mark.parametrize("kind", ["handheld", "CPE"])
@@ -320,9 +322,10 @@ class TestArrayFields:
         ue = mount_ue_device(UEDevice("handheld"), vec3(40, 10, 1.5),
                              device_orientation=Orientation(20.0, 5.0, -3.0))
         f_t, f_p = array_fields(ue, self.ZEN, self.AZ, per_group=True)
-        assert f_t.shape == (len(ue.field_groups), self.ZEN.size) == (16, 37)
+        assert f_t.shape == (len(ue.groups), self.ZEN.size) == (16, 37)
         want = per_element_fields(ue, self.ZEN, self.AZ)
-        first = [idx[0] for _ori, _slant, idx in ue.field_groups]
+        first = [np.flatnonzero(ue.group_index == g)[0]
+                 for g in range(len(ue.groups))]
         assert np.array_equal(f_t, want[0][first])
         assert np.array_equal(f_p, want[1][first])
         assert np.array_equal(f_t[ue.group_index], want[0])
@@ -342,8 +345,9 @@ class TestArrayFields:
         assert np.array_equal(got[1], want[1])
         # the two slants of a co-located pair see the same angles but not
         # the same fields
-        pair = bs.sites[1] == bs.sites[1][0]
-        assert pair.sum() == 2 and set(bs.slants[pair]) == {45.0, -45.0}
+        pair = bs.site_index == bs.site_index[0]
+        assert pair.sum() == 2
+        assert {bs.groups[g][1] for g in bs.group_index[pair]} == {45.0, -45.0}
         assert not np.allclose(got[1][pair][0], got[1][pair][1])
 
     def test_single_pol_panel_keeps_slant_zero(self):
@@ -351,8 +355,8 @@ class TestArrayFields:
         assert arr.slants() == (0.0,)
         bs = mount_bs_array(arr, vec3(0, 0, 10), Orientation(0.0, 0.0, 0.0),
                             LAM)
-        assert np.array_equal(bs.slants, np.zeros(8))
-        assert len(bs.field_groups) == 1
+        assert bs.groups == [(Orientation(0.0, 0.0, 0.0), 0.0)]
+        assert np.array_equal(bs.group_index, np.zeros(8))
         self.check(bs, self.ZEN, self.AZ)
         # unrotated and unslanted: the field is all F_theta at the horizon
         f_t, f_p = array_fields(bs, [90.0], [0.0])
@@ -438,7 +442,7 @@ class TestCirFormat:
         bs = mount_bs_array(PanelArray(m=2, n=2, p=2), vec3(0, 0, 10),
                             Orientation(0, 0, 0), LAM)
         ue = mount_ue_device(UEDevice("handheld"), vec3(50, 0, 10))
-        return synthesize(geom_for(), cs, ph, bs, ue, LAM, k_db=3.0, los=True,
+        return synthesize(geom_for(), cs, ph, bs, ue, LAM, los=True,
                           v_vec=np.array([3.0, 4.0, 0.0]),
                           t_samples=np.array([0.0, 1e-3]))
 

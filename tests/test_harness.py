@@ -15,7 +15,6 @@ import pytest
 from fr3sim import cli, harness
 from fr3sim.cli import _build_parser, main as cli_main
 from fr3sim.coefficients import ChannelRealization
-from fr3sim.antenna import MountedArray
 from fr3sim.geometry import (Orientation, SiteLayout, build_disc_layout,
                              build_hex_layout, build_indoor_layout,
                              effective_ue_position, vec3)
@@ -262,9 +261,8 @@ class TestRun:
     @pytest.mark.parametrize("workers, n_ues", [(1, 1), (1, 9), (2, 2), (2, 9)])
     def test_arrays_mounted_once_per_run(self, tmp_path, monkeypatch,
                                          workers, n_ues):
-        # set-up mounts one BS array per layout sector and one UE device,
-        # and derives their field groups and sites; a link places copies,
-        # so no link, in any process, mounts or derives again
+        # set-up mounts one BS array per layout sector and one UE device; a
+        # link places copies, so no link, in any process, mounts again
         log = tmp_path / "mounts.log"
 
         def log_calls(owner, name):
@@ -279,14 +277,12 @@ class TestRun:
 
         log_calls(harness, "mount_bs_array")
         log_calls(harness, "mount_ue_device")
-        log_calls(MountedArray, "__post_init__")
         reports = run(RunConfig(n_ues=n_ues, seed=4, bs_rows=2, bs_cols=2,
                                 workers=workers, out_dir=str(tmp_path / "out")))
         assert len(reports) == n_ues
         pid = os.getpid()
         assert sorted(log.read_text().splitlines()) == sorted(
-            [f"mount_bs_array {pid}"] * 3 + [f"mount_ue_device {pid}"]
-            + [f"__post_init__ {pid}"] * 4)
+            [f"mount_bs_array {pid}"] * 3 + [f"mount_ue_device {pid}"])
 
     def test_emit_cir(self, tmp_path):
         run(tiny_cfg(tmp_path / "c", emit_cir=True, n_ues=2))

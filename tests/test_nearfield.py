@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fr3sim.antenna import PanelArray, element_positions
+from fr3sim.antenna import PanelArray, mount_bs_array
 from fr3sim.coefficients import draw_phases
-from fr3sim.geometry import sph_unit
+from fr3sim.geometry import Orientation, sph_unit
 from fr3sim.largescale import C_LIGHT
 from fr3sim import nearfield
 from fr3sim.nearfield import (element_wise_angles, nlos_element_phase,
@@ -17,6 +17,11 @@ from test_coefficients import geom_for, iso_element, simple_cs
 from test_synthesis_reference import synthesize_with_rays
 
 LAM = C_LIGHT / 7e9
+
+
+def element_offsets(arr):
+    """The element offsets of ``arr`` mounted unrotated at the origin."""
+    return mount_bs_array(arr, np.zeros(3), Orientation(), LAM).offsets
 
 
 def exact_unit_phase(turns):
@@ -163,7 +168,7 @@ class TestNlosPhase:
         # at d = 1e6 x aperture the spherical phase matches the plane wave
         # within the Fresnel bound pi A^2 / (4 lam d)
         arr = PanelArray(m=64, n=16, p=1)
-        pos, _ = element_positions(arr, LAM)
+        pos = element_offsets(arr)
         aperture = np.linalg.norm(pos.max(axis=0) - pos.min(axis=0))
         d = 1e6 * aperture
         r_hat = sph_unit(np.array([75.0]), np.array([20.0]))
@@ -197,7 +202,7 @@ class TestElementWiseAngles:
 
     def test_spread_shrinks_with_distance(self):
         arr = PanelArray(m=16, n=8, p=1)
-        pos, _ = element_positions(arr, LAM)
+        pos = element_offsets(arr)
         r_hat = sph_unit(80.0, 30.0)
         spreads = []
         for d1 in 2.0 * 10 ** np.arange(10):
@@ -207,7 +212,7 @@ class TestElementWiseAngles:
 
     def test_broadcast_matches_single_sources(self):
         # one (K, 1, 3) x (R, 3) call is R single-source calls, bit for bit
-        pos, _ = element_positions(PanelArray(m=4, n=4, p=2), LAM)
+        pos = element_offsets(PanelArray(m=4, n=4, p=2))
         src = np.random.default_rng(3).uniform(-20.0, 20.0, (7, 3))
         az, zen = element_wise_angles(src, pos[:, None, :])
         assert az.shape == zen.shape == (pos.shape[0], 7)
@@ -242,10 +247,9 @@ class TestFeatureIsolation:
         cs.zod = rng.uniform(20, 160, (4, 20))
         ph = draw_phases(4, 20, np.random.default_rng(8))
         one = iso_element((0.0, 0.0, 10.0))
-        bs = replace(one, offsets=np.array([[0, 0, 0], [0, LAM / 2, 0],
-                                            [0, LAM, 0]]),
-                     orientations=one.orientations * 3, slants=np.zeros(3),
-                     candidate_index=np.full(3, -1))
+        bs = replace(one, site_offsets=np.array([[0, 0, 0], [0, LAM / 2, 0],
+                                                 [0, LAM, 0]]),
+                     site_index=np.arange(3), group_index=np.zeros(3, int))
         ue = iso_element((30.0, 0.0, 1.5))
         nf = None
         if near:

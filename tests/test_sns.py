@@ -115,15 +115,19 @@ class TestElementAttenuation:
         sector = Orientation(30.0, 10.0, 0.0)
         bs = mount_bs_array(PanelArray(m=16, n=8, p=2), np.zeros(3), sector,
                             0.04)
-        first, site = bs.sites
-        assert first.size == bs.size // 2
+        site = bs.site_index
+        first = [np.flatnonzero(site == p)[0]
+                 for p in range(bs.site_offsets.shape[0])]
+        assert len(first) == bs.size // 2
         p_db = np.array([-1.0, -4.0, -9.0, -20.0])
         cfg = SnsConfig(pr_mu=0.9, pr_sigma=0.05)
         yz = (bs.offsets @ sector.rotation())[:, 1:3]
         per_element = stochastic_attenuation(p_db, cfg, yz,
                                              np.random.default_rng(8))
-        per_site = stochastic_attenuation(p_db, cfg, yz[first],
-                                          np.random.default_rng(8))
+        # the (y, z) of the sites, as process_link takes them
+        per_site = stochastic_attenuation(
+            p_db, cfg, (bs.site_offsets @ sector.rotation())[:, 1:3],
+            np.random.default_rng(8))
         assert (per_site < 1.0).any()
         assert np.array_equal(per_site, per_element[first])
         assert np.array_equal(per_site[site], per_element)

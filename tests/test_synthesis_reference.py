@@ -44,8 +44,8 @@ def element_fields(arr, zen, az):
     for k in range(arr.size):
         z = zen if np.ndim(zen) == 1 else zen[k]
         a = az if np.ndim(az) == 1 else az[k]
-        f_t, f_p = field_pattern(arr.pattern, [arr.orientations[k]],
-                                 [arr.slants[k]], z, a)
+        ori, slant = arr.groups[arr.group_index[k]]
+        f_t, f_p = field_pattern(arr.pattern, [ori], [slant], z, a)
         out.append(np.stack([f_t[0], f_p[0]]))
     return np.array(out)
 
@@ -83,9 +83,9 @@ def reference(geom, cs, ph, bs, ue, los=False, v=None, t=(0.0,), nf=None,
     if beta is not None:
         a_rx = a_rx * np.sqrt(beta)[:, None]
     if alpha is not None:
-        # alpha has one row per site of bs.sites[0]; each element takes the
-        # row of the site at its own offset
-        row = {o.tobytes(): p for p, o in enumerate(bs.offsets[bs.sites[0]])}
+        # alpha has one row per site of bs.site_offsets; each element takes
+        # the row of the site at its own offset
+        row = {o.tobytes(): p for p, o in enumerate(bs.site_offsets)}
         alpha = alpha[[row[o.tobytes()] for o in bs.offsets]]
         a_tx = a_tx * np.sqrt(np.repeat(alpha, m, axis=1))
     x = np.empty((n * m, 2, 2), dtype=complex)     # polarization matrices
@@ -176,13 +176,13 @@ def link(case, rng):
     kw["nf_angles"] = case.get("nf_angles", False)
     if case.get("alpha"):
         # one row per element site, as process_link draws it
-        yz = (bs.offsets[bs.sites[0]] @ sector.rotation())[:, 1:3]
+        yz = (bs.site_offsets @ sector.rotation())[:, 1:3]
         cfg = SnsConfig(pr_mu=0.9, pr_sigma=0.05)   # most clusters SNS
         kw["alpha"] = stochastic_attenuation(10 * np.log10(cs.p), cfg, yz, rng)
     if case.get("beta"):
         kw["beta"] = rng.uniform(0.1, 1.0, ue.size)
     args = (geom, cs, ph, bs, ue)
-    got = dict(k_db=3.0, los=los, v_vec=kw["v"], t_samples=kw["t"],
+    got = dict(los=los, v_vec=kw["v"], t_samples=kw["t"],
                near_field=kw.get("nf"), nf_angles=kw["nf_angles"],
                sns_alpha=kw.get("alpha"), sns_beta=kw.get("beta"),
                base_delay=kw["base_delay"])
