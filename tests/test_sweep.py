@@ -87,8 +87,8 @@ def test_config_sweep_exits_cleanly(tmp_path):
         text = err.getvalue()
         codes[code] += 1
         if code != 0:
-            messages[text.strip().splitlines()[-1] if text.strip() else
-                     str(code)] += 1
+            lines = text.strip().splitlines()
+            messages[lines[-1] if lines else str(code)] += 1
         if code not in (0, 2, 3) or "Traceback" in text:
             failures.append((" ".join(argv), code))
     summary = "\n".join(f"{n:4d}  {msg}" for msg, n in messages.most_common())
