@@ -1,6 +1,6 @@
 """Golden outputs: ten small runs must keep writing the `links.csv` files
-checked in under ``tests/data``, and one small run with ``emit_cir`` the
-CIR files whose sha256 values are in ``tests/data/golden_cir_umi-disc.sha256``.
+checked in under ``tests/data``, and two small runs with ``emit_cir`` the
+CIR files whose sha256 values are in ``tests/data/golden_cir_<name>.sha256``.
 
 Integer and string columns must match exactly; float columns to a relative
 1e-9, so that the test pins the model's outputs without depending on the
@@ -12,7 +12,7 @@ and regenerate all the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-The digest file has the ``sha256sum`` format, so ``sha256sum -c`` checks
+A digest file has the ``sha256sum`` format, so ``sha256sum -c`` checks
 it against the ``cir`` directory of a run with the same settings.
 """
 
@@ -60,11 +60,24 @@ CASES = {
 }
 EXACT = {"link_id", "ue", "site", "sector", "state", "n_clusters", "m_rays"}
 
-# the run whose CIR files are pinned: plane-wave UMi links with absolute
-# delays and two time samples
-CIR_OVERRIDES = {"scenario": "UMi", "layout": "disc", "n_ues": 3,
-                 "emit_cir": True, "t_count": 2, "absolute_delay": True}
-CIR_GOLDEN = DATA / "golden_cir_umi-disc.sha256"
+# the runs whose CIR files are pinned, name -> (preset, overrides):
+# plane-wave UMi links with absolute delays and two time samples, and
+# near-field InH links whose LOS tap, per-element BS fields (nf_angles),
+# per-site SNS attenuation, UE grip mask and second time sample all reach
+# the gains, so that the files pin the BS element order on that path
+CIR_CASES = {
+    "umi-disc": (None, {"scenario": "UMi", "layout": "disc", "n_ues": 3,
+                        "emit_cir": True, "t_count": 2,
+                        "absolute_delay": True}),
+    "inh-nf-angles": ("inh-nf-2", {"n_ues": 3, "bs_rows": 8, "bs_cols": 4,
+                                   "nf_angles": True, "sns": "stochastic",
+                                   "ue_sns": True, "ue_usage": "two-hand",
+                                   "t_count": 2, "emit_cir": True}),
+}
+
+
+def _cir_golden(name):
+    return DATA / f"golden_cir_{name}.sha256"
 
 
 def _run(name, out_dir):
@@ -74,9 +87,11 @@ def _run(name, out_dir):
     return out_dir / "links.csv"
 
 
-def _cir_digests(out_dir):
-    """``sha256sum`` lines of the CIR files of the CIR_OVERRIDES run."""
-    run(load_config(overrides=dict(CIR_OVERRIDES, out_dir=str(out_dir))))
+def _cir_digests(name, out_dir):
+    """``sha256sum`` lines of the CIR files of CIR_CASES run ``name``."""
+    preset, overrides = CIR_CASES[name]
+    run(load_config(preset=preset,
+                    overrides=dict(overrides, out_dir=str(out_dir))))
     return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
                    for p in sorted((out_dir / "cir").glob("link_*.cir")))
 
@@ -102,7 +117,13 @@ def test_links_csv_matches_golden(tmp_path, name):
 
 
 def test_cir_files_match_golden_sha256(tmp_path):
-    assert _cir_digests(tmp_path) == CIR_GOLDEN.read_text()
+    assert _cir_digests("umi-disc", tmp_path) == \
+        _cir_golden("umi-disc").read_text()
+
+
+def test_nf_angles_cir_files_match_golden_sha256(tmp_path):
+    assert _cir_digests("inh-nf-angles", tmp_path) == \
+        _cir_golden("inh-nf-angles").read_text()
 
 
 if __name__ == "__main__":
@@ -111,6 +132,7 @@ if __name__ == "__main__":
             shutil.copy(_run(case, pathlib.Path(tmp)),
                         DATA / f"golden_{case}.csv")
             print(f"wrote {DATA / f'golden_{case}.csv'}", file=sys.stderr)
-    with tempfile.TemporaryDirectory() as tmp:
-        CIR_GOLDEN.write_text(_cir_digests(pathlib.Path(tmp)))
-        print(f"wrote {CIR_GOLDEN}", file=sys.stderr)
+    for case in CIR_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            _cir_golden(case).write_text(_cir_digests(case, pathlib.Path(tmp)))
+            print(f"wrote {_cir_golden(case)}", file=sys.stderr)
