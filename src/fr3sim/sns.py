@@ -204,8 +204,8 @@ def ue_sns_mask(masks, usage, fc_ghz, site_index):
         warnings.warn(f"fc={fc_ghz} GHz outside mask bands; using {band}")
     table_db = masks[(usage, band)]
     idx = np.asarray(site_index)
-    if np.any(idx >= table_db.size):
-        raise ValueError(f"candidate index {idx.max()} outside the "
+    bad = idx[(idx < 0) | (idx >= table_db.size)]
+    if bad.size:
+        raise ValueError(f"candidate index {bad[0]} outside the "
                          f"{table_db.size}-value {usage!r} mask")
-    att_db = np.where(idx >= 0, table_db[np.maximum(idx, 0)], 0.0)
-    return 10.0 ** (-att_db / 10.0)
+    return 10.0 ** (-table_db[idx] / 10.0)

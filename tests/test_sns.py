@@ -153,6 +153,13 @@ class TestUeMasks:
         with pytest.raises(ValueError, match="candidate index 8"):
             ue_sns_mask(REG.ue_masks, "one-hand", 7.0, np.arange(9))
 
+    @pytest.mark.parametrize("index", [-1, -8])
+    def test_negative_candidate_rejected(self, index):
+        # a negative index is outside the mask like one above it, not a
+        # candidate without attenuation or one counted from the end
+        with pytest.raises(ValueError, match=f"candidate index {index}"):
+            ue_sns_mask(REG.ue_masks, "one-hand", 7.0, np.array([0, index, 2]))
+
     def test_dual_pol_elements_share_candidate(self):
         idx = np.array([0, 1, 2, 0, 1, 2])
         beta = ue_sns_mask(REG.ue_masks, "two-hand", 7.0, idx)
