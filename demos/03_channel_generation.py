@@ -4,6 +4,7 @@ CIR synthesis for a 64x16 dual-polarized array.
 Run:  python3 demos/03_channel_generation.py
 """
 
+import functools
 import os
 import tempfile
 
@@ -12,7 +13,8 @@ import numpy as np
 from fr3sim import (ElementPattern, PanelArray, UEDevice, build_cluster_set,
                     correlated_standard_normals, draw_phases, link_geometry,
                     load_parameter_tables, lsps_from_standardized,
-                    mount_bs_array, mount_ue_device, synthesize, write_cir)
+                    mount_bs_array, mount_ue_device, read_cir, synthesize,
+                    write_cir)
 from fr3sim.geometry import Orientation, vec3
 from fr3sim.largescale import C_LIGHT
 from fr3sim.scenario import PropagationState
@@ -62,9 +64,14 @@ bs_array = mount_bs_array(PanelArray(m=64, n=16, p=2,
                           bs_pos, Orientation(g.aod_az, 6.0, 0.0), lam)
 ue_array = mount_ue_device(UEDevice("handheld"), ue_pos)
 phases = draw_phases(cs.n, cs.m, np.random.default_rng(11))
-h = synthesize(g, cs, phases, bs_array, ue_array, lam, los=True,
-               base_delay=g.d3d / C_LIGHT)
-print(f"\nCIR: gains tensor of shape {h.gains.shape}: {h.n_taps} taps over "
+synth = functools.partial(synthesize, g, cs, phases, bs_array, ue_array, lam,
+                          los=True, base_delay=g.d3d / C_LIGHT)
+
+# synthesize hands each tap, a (U, S, T) buffer it reuses, to a sink; a
+# caller that wants the whole gain tensor keeps a copy of every tap
+taps = []
+h = synth(sink=lambda delay, gains: taps.append(gains.copy()))
+print(f"\nCIR: gains tensor of shape {np.shape(taps)}: {h.n_taps} taps over "
       f"{ue_array.size} x {bs_array.size} element pairs and 1 time sample")
 print(f"first tap at {h.delays[0] * 1e9:.2f} ns "
       f"(geometric delay {g.d3d / C_LIGHT * 1e9:.2f} ns)")
@@ -72,6 +79,11 @@ energy = h.tap_energy
 print(f"mean element-pair energy: {np.mean(energy):.3f} "
       f"(unit-normalized cluster powers times element gains)")
 
+# write_cir runs the synthesis itself and appends each tap to the file as
+# it is made, so no tensor is held
 cir_path = os.path.join(tempfile.mkdtemp(prefix="fr3sim-demo-"), "link.cir")
-write_cir(cir_path, h)
-print(f"wrote binary CIR dump to {cir_path}")
+write_cir(cir_path, synth)
+back = read_cir(cir_path)
+err = np.max(np.abs(back.gains - np.array(taps)))
+print(f"wrote binary CIR dump to {cir_path}: {back.n_taps} taps, "
+      f"f32 rounding error {err:.1e}")

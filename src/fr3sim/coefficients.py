@@ -2,6 +2,8 @@
 sub-cluster expansion, Doppler, absolute delay, and large-scale application.
 """
 
+import os
+import pathlib
 import struct
 from dataclasses import dataclass
 
@@ -10,7 +12,7 @@ import numpy as np
 from .antenna import field_pattern
 from .geometry import sph_unit
 from .largescale import C_LIGHT
-from .nearfield import element_wise_angles, nlos_element_phase, unit_phase
+from .nearfield import SCRATCH, element_wise_angles, nlos_element_phase, unit_phase
 from .scenario import NLOS
 
 
@@ -53,11 +55,12 @@ def draw_absolute_excess(sc, rng, l_bound=None):
 @dataclass
 class ChannelRealization:
     """One link's channel: the tap delays, two (U, S) reductions over the
-    taps at the first time sample, and the (n_taps, U, S, T) gains when
-    they were kept.  The reductions are the tap sum (the narrowband matrix
-    of ``capacity``) and the tap energy, the sum of |H|^2 (for
-    ``coupling_loss``).  A realization built from its gains alone reduces
-    them on construction."""
+    taps at the first time sample, and the (n_taps, U, S, T) gains of a
+    realization read from a CIR file.  The reductions are the tap sum (the
+    narrowband matrix of ``capacity``) and the tap energy, the sum of |H|^2
+    (for ``coupling_loss``).  A realization built from its gains alone
+    reduces them on construction; ``synthesize`` holds no gains and hands
+    each tap to its sink instead."""
     fc_ghz: float
     delays: np.ndarray                # (n_taps,) seconds, non-decreasing
     gains: np.ndarray = None          # (n_taps, U, S, T) complex, or None
@@ -79,13 +82,14 @@ def _reduce_taps(taps):
     ``gains[:, :, :, 0].sum(axis=0)`` and
     ``np.sum(np.abs(gains[:, :, :, 0]) ** 2, axis=0)`` whenever U S > 1,
     so the results are bit-identical to those; numpy sums a single
-    element pair's taps pairwise instead."""
+    element pair's taps pairwise instead.  The sums are fresh arrays."""
     tap_sum = tap_energy = power = None
     for g in taps:
         g0 = g[:, :, 0]
         if tap_sum is None:
-            tap_sum, tap_energy = g0.copy(), np.abs(g0) ** 2
-            power = np.empty_like(tap_energy)
+            tap_sum, tap_energy = g0.copy(), np.abs(g0)
+            np.square(tap_energy, out=tap_energy)
+            power = SCRATCH.take("tap_power", tap_energy.shape, float)
         else:
             tap_sum += g0
             np.square(np.abs(g0, out=power), out=power)
@@ -93,21 +97,23 @@ def _reduce_taps(taps):
     return tap_sum, tap_energy
 
 
-def _site_phases(arr, r_hat, lam0, d=None):
-    """Array phases (P, R) at the sites ``arr.site_offsets``: plane-wave
-    exp(j 2 pi r_hat . d_bar / lam), or spherical-wave toward per-ray
-    sources at distances ``d``.  Plane-wave phases on the array's
-    PlanarGrid are the products of one row and one column factor per ray.
-    The phases go to ``unit_phase`` in turns, path lengths over lam, in
-    cache-sized blocks."""
+def _site_phases(arr, r_hat, lam0, d, out):
+    """Array phases (P, R) at the sites ``arr.site_offsets``, in ``out``:
+    plane-wave exp(j 2 pi r_hat . d_bar / lam) when ``d`` is None, or
+    spherical-wave toward per-ray sources at distances ``d``.  Plane-wave
+    phases on the array's PlanarGrid are the products of one row and one
+    column factor per ray.  The phases go to ``unit_phase`` in turns, path
+    lengths over lam, in cache-sized blocks."""
     if d is not None:
-        return nlos_element_phase(d, r_hat, arr.site_offsets, lam0)
+        return nlos_element_phase(d, r_hat, arr.site_offsets, lam0, out=out)
     if arr.grid is None:
-        return unit_phase((arr.site_offsets @ r_hat.T) / lam0)
+        return unit_phase((arr.site_offsets @ r_hat.T) / lam0, out=out)
     proj = (r_hat @ arr.grid.axes) / lam0                    # (R, 2) turns
     cols = unit_phase(arr.grid.y[:, None] * proj[None, :, 0])
     rows = unit_phase(arr.grid.z[:, None] * proj[None, :, 1])
-    return (rows[:, None, :] * cols[None, :, :]).reshape(-1, r_hat.shape[0])
+    np.multiply(rows[:, None, :], cols[None, :, :],
+                out=out.reshape(rows.shape[0], cols.shape[0], -1))
+    return out
 
 
 def array_fields(mounted, zen, az, per_group=False):
@@ -133,16 +139,16 @@ def array_fields(mounted, zen, az, per_group=False):
 
 def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
                v_vec=None, t_samples=None, near_field=None, nf_angles=False,
-               sns_alpha=None, sns_beta=None, base_delay=0.0,
-               keep_gains=True):
-    """Synthesize one link's taps (steps 10-12) and return them as a
-    ChannelRealization: the tap delays, the tap sum and tap energy at
-    t = 0, each (U, S), and with ``keep_gains`` the complex
-    (n_taps, U, S, T) gain tensor.  The taps are computed one at a time,
-    into their slots of the tensor when it is kept and else into one
-    (U, S, T) buffer, and each is added into the two sums before the
-    next.  So without ``keep_gains`` a link holds O(U S), not
-    O(n_taps U S T), and the sums are the same either way.
+               sns_alpha=None, sns_beta=None, base_delay=0.0, sink=None):
+    """Synthesize one link's taps (steps 10-12) and return a
+    ChannelRealization of the tap delays and the tap sum and tap energy at
+    t = 0, each (U, S).  The taps are computed one at a time into one
+    scratch (U, S, T) buffer, and each is added into the two sums before
+    the next, so a link holds O(U S T) of channel, not O(n_taps U S T).
+    After its addition each tap goes to ``sink(delay, g)``, when given,
+    with g the complex (U, S, T) buffer: the sink may scale it in place,
+    and must copy what it keeps, as the next tap overwrites it
+    (``write_cir`` streams the taps to a file this way).
 
     bs / ue are MountedArray instances (tx and rx side).  ``near_field``
     carries per-ray spherical source distances; None selects plane-wave
@@ -209,8 +215,10 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
             raise ValueError(f"sns_alpha must be (sites, clusters) = "
                              f"{(n_site, n)}, not {al.shape}")
         sqrt_al = np.sqrt(al[site] if elementwise else al)
-    a_rx = _site_phases(ue, r_rx, lam0, d2)[ue.site_index]
-    a_tx = _site_phases(bs, r_tx, lam0, d1)
+    a_rx = _site_phases(ue, r_rx, lam0, d2, SCRATCH.take(
+        "ue_site_phases", (ue.site_offsets.shape[0], n_r)))[ue.site_index]
+    a_tx = _site_phases(bs, r_tx, lam0, d1,
+                        SCRATCH.take("site_phases", (n_site, n_r)))
 
     # polarization matrix entries per ray
     ph = phases.reshape(-1, 4)[order]
@@ -237,36 +245,38 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
         if not np.array_equal(bs.group_index * n_site + site,
                               np.arange(len(bs.groups) * n_site)):
             raise ValueError("BS elements must be ordered field group by site")
-        left = [(ga_t[:, None] * ftx_t[None, :, :n_r]
-                 + ga_p[:, None] * ftx_p[None, :, :n_r]).reshape(-1, n_r)]
+        left = SCRATCH.take("left", (u_cnt, len(bs.groups), n_r))
+        np.multiply(ga_t[:, None], ftx_t[None, :, :n_r], out=left)
+        left += np.multiply(ga_p[:, None], ftx_p[None, :, :n_r],
+                            out=SCRATCH.take("left_p", left.shape))
+        left = [left.reshape(-1, n_r)]
         right = [a_tx]
 
     # Doppler per (t, ray) on the left when there is one sample; otherwise
-    # it and sqrt(alpha) scale the right factors tap by tap
+    # it and sqrt(alpha) scale the right factors tap by tap, in scratch
     v = np.zeros(3) if v_vec is None else np.asarray(v_vec, dtype=float)
     dop = unit_phase(((r_rx @ v) / lam0)[None, :] * t[:, None])
     if n_t == 1:
-        left = [x * dop for x in left]
+        for x in left:
+            x *= dop
 
     def right_factors(lo, hi):
-        out = [x[:, lo:hi] for x in right]
+        out, r = [x[:, lo:hi] for x in right], hi - lo
         if sqrt_al is not None:
-            w = np.take(sqrt_al, order[lo:hi] // m, axis=1)
-            out = [x * w for x in out]
+            w = np.take(sqrt_al, order[lo:hi] // m, axis=1, mode="clip",
+                        out=SCRATCH.take("alpha", (len(sqrt_al), r), float))
+            out = [np.multiply(x, w, out=SCRATCH.take(("alpha", j), x.shape))
+                   for j, x in enumerate(out)]
         if n_t > 1:
-            out = [(x[:, None, :] * dop[:, lo:hi]).reshape(-1, hi - lo)
-                   for x in out]
+            out = [np.multiply(x[:, None], dop[:, lo:hi], out=SCRATCH.take(
+                       ("doppler", j), (len(x), n_t, r))).reshape(-1, r)
+                   for j, x in enumerate(out)]
         return out
 
-    # each tap's product goes into its slot of the kept tensor, or else
-    # into one buffer that every tap of the link reuses.  The tensor comes
-    # before the LOS term: after it, glibc's heap left holes below later
-    # tensors, and 2-worker 2048-element CIR runs peaked at 72 MB, not 59.
+    # every tap's product goes into one scratch buffer
     shape = (left[0].shape[0], right[0].shape[0] * n_t)
-    gains = (np.empty((len(taps), u_cnt, s_cnt, n_t), dtype=complex)
-             if keep_gains else None)
-    buf = None if keep_gains else np.empty(shape, dtype=complex)
-    term = np.empty(shape, dtype=complex) if len(left) > 1 else None
+    buf = SCRATCH.take("tap", shape)
+    term = SCRATCH.take("term", shape) if len(left) > 1 else None
 
     delays = np.array([tp[0] for tp in taps])
     h_los = i0 = None
@@ -282,19 +292,21 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
     def tap_gains():
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             tap_right = right_factors(lo, hi)
-            out = buf if gains is None else gains[i].reshape(shape)
-            np.matmul(left[0][:, lo:hi], tap_right[0].T, out=out)
+            np.matmul(left[0][:, lo:hi], tap_right[0].T, out=buf)
             for a, b in zip(left[1:], tap_right[1:]):
-                out += np.matmul(a[:, lo:hi], b.T, out=term)
-            g = out.reshape(u_cnt, s_cnt, n_t)
+                np.add(buf, np.matmul(a[:, lo:hi], b.T, out=term), out=buf)
+            g = buf.reshape(u_cnt, s_cnt, n_t)
             if i == i0:
                 g += h_los
             yield g
+            # _reduce_taps has added g into the sums by the time it asks
+            # for the next tap
+            if sink is not None:
+                sink(delays[i], g)
 
     tap_sum, tap_energy = _reduce_taps(tap_gains())
     return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9, delays=delays,
-                              gains=gains, tap_sum=tap_sum,
-                              tap_energy=tap_energy)
+                              tap_sum=tap_sum, tap_energy=tap_energy)
 
 
 def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
@@ -327,34 +339,58 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
     return h[:, :, None] * unit_phase(((r_rx @ v) / lam0) * t)
 
 
-def apply_large_scale(h, ls):
-    """Scale every tap gain of ``h``, and its tap sum and tap energy, in
-    place by the total large-scale attenuation; returns ``h``."""
-    a = 10.0 ** (-ls.total / 20.0)
-    if h.gains is not None:
-        h.gains *= a
-    h.tap_sum *= a
-    h.tap_energy *= a * a
-    return h
+def apply_large_scale(g, ls):
+    """Scale the tap gains ``g`` in place by the total large-scale
+    attenuation of ``ls``; returns ``g``."""
+    g *= 10.0 ** (-ls.total / 20.0)
+    return g
 
 
 CIR_MAGIC = b"FR3CIR1\x00"
 _CIR_HEADER = struct.Struct("<8s4Id")      # magic, U, S, T, n_taps, fc_Hz
 
 
-def write_cir(path, h):
-    """Bit-exact CIR dump.
+def write_cir(path, synth, ls=None):
+    """Write one link's CIR file at ``path`` while ``synth(sink=...)``, a
+    ``synthesize`` call with every other argument bound, computes its
+    taps, and return the ChannelRealization that synth returns.  Each tap
+    is written as soon as the tap loop has added it into the realization's
+    sums: scaled in place by ``ls``'s large-scale attenuation when ``ls``
+    is given (apply_large_scale), rounded to f32 in one scratch buffer,
+    then appended.  The header goes in last, and the file is written
+    under a ``.tmp-`` name and renamed to ``path`` once complete, so a
+    link that fails leaves no file.
 
     Layout: magic "FR3CIR1\\0"; little-endian u32 U, S, T, n_taps;
     f64 fc_Hz; then per tap f64 delay_s followed by U*S*T (re, im) f32
     pairs in u-major, s-major, t-minor order.
     """
-    n_taps, u, s, t = h.gains.shape
-    with open(path, "wb") as f:
-        f.write(_CIR_HEADER.pack(CIR_MAGIC, u, s, t, n_taps, h.fc_ghz * 1e9))
-        for delay, g in zip(h.delays, h.gains):
-            f.write(struct.pack("<d", delay))
-            g.view(float).astype("<f4").tofile(f)
+    path = pathlib.Path(path)
+    tmp = path.with_name(f".tmp-{path.name}")
+    shape = None
+
+    def sink(delay, g):
+        nonlocal shape
+        shape = g.shape
+        if ls is not None:
+            apply_large_scale(g, ls)
+        f32 = SCRATCH.take("cir_f32", g.shape + (2,), "<f4")
+        np.copyto(f32, g.view(float).reshape(f32.shape), casting="same_kind")
+        f.write(struct.pack("<d", delay))
+        f.write(f32)
+
+    try:
+        with open(tmp, "wb") as f:
+            f.write(bytes(_CIR_HEADER.size))
+            h = synth(sink=sink)
+            f.seek(0)
+            f.write(_CIR_HEADER.pack(CIR_MAGIC, *shape, h.n_taps,
+                                     h.fc_ghz * 1e9))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return h
 
 
 def read_cir(path):

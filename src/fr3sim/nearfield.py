@@ -5,6 +5,8 @@ to the plane-wave case as the source distance grows, so no near/far
 switching boundary exists.
 """
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,30 @@ TABLE_SIZE = 64   # exp(j 2 pi k / 64) rotates the reduced phase
 BLOCK = 8192      # elements per block, so that the scratch stays in cache
 _ANGLES = np.arange(TABLE_SIZE) * (2.0 * np.pi / TABLE_SIZE)
 _TWIDDLE = np.cos(_ANGLES) + 1j * np.sin(_ANGLES)
+
+
+class Scratch(threading.local):
+    """One buffer per name, per thread, that grows on demand to the
+    largest size taken.  ``take`` returns an uninitialized array over the
+    named buffer, which the next take of that name reuses, so a link's
+    arrays above glibc's 128 KiB mmap threshold fault in no fresh pages
+    once their buffers have grown.
+    A taken array is valid until its name is taken again: no public
+    function returns one, and helpers that fill one take ``out=``."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name, shape, dtype=complex):
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self.buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+SCRATCH = Scratch()
 
 
 @dataclass
@@ -51,17 +77,18 @@ def source_distances(cs, d3d, delta_tau, n_spec, alpha, beta, rng):
     return NearFieldGeometry(s_bs=s_bs, d1=d1, d2=d2)
 
 
-def nlos_element_phase(d, r_hat, d_bar, lam0):
+def nlos_element_phase(d, r_hat, d_bar, lam0, out=None):
     """Spherical-wave element phase exp(j 2 pi (d - ||d r_hat - d_bar||) / lam).
 
     d: (R,) source distances; r_hat: (R, 3) ray unit vectors; d_bar: (K, 3)
-    element offsets.  Returns (K, R) complex factors of unit magnitude.
+    element offsets.  Returns (K, R) complex factors of unit magnitude, in
+    ``out`` when given.
 
     The excess d - ||d r_hat - d_bar|| is evaluated in the cancellation-free
     form (2 d (r_hat . d_bar) - |d_bar|^2) / (d + dist), which is both exact
     and avoids (K, R, 3) temporaries.  It is divided by lam into turns for
-    ``unit_phase``'s kernel, over blocks of rows of about BLOCK elements,
-    so that no float temporary is larger than one block.
+    ``unit_phase``'s kernel, over blocks of rows of about BLOCK elements in
+    scratch, so that no float temporary is larger than one block.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
@@ -70,10 +97,10 @@ def nlos_element_phase(d, r_hat, d_bar, lam0):
     r_t = np.asarray(r_hat, dtype=float).T
     sq = np.sum(d_bar ** 2, axis=1)[:, None]
     n_k, n_r = d_bar.shape[0], d.shape[0]
-    out = np.empty((n_k, n_r), dtype=complex)
+    if out is None:
+        out = np.empty((n_k, n_r), dtype=complex)
     rows = max(1, BLOCK // max(n_r, 1))
-    proj_ws, dist_ws = np.empty((2, min(rows, n_k), n_r))
-    ws = _workspace(proj_ws.size)
+    proj_ws, dist_ws = SCRATCH.take("excess", (2, min(rows, n_k), n_r), float)
     for lo in range(0, n_k, rows):
         hi = min(lo + rows, n_k)
         proj = np.matmul(d_bar[lo:hi], r_t, out=proj_ws[:hi - lo])
@@ -86,36 +113,33 @@ def nlos_element_phase(d, r_hat, d_bar, lam0):
         proj -= sq[lo:hi]
         proj /= dist                                         # the excess
         proj /= lam0
-        _phase_into(proj.reshape(-1), out[lo:hi].reshape(-1), ws)
+        unit_phase(proj, out=out[lo:hi])
     return out
 
 
-def unit_phase(turns):
-    """exp(j 2 pi t) of phases t given in turns, of any shape.
+def unit_phase(turns, out=None):
+    """exp(j 2 pi t) of phases t given in turns, of any shape, in ``out``
+    (contiguous, of t's shape) when given.
 
     With k = rint(64 t), the reduced turn u = t - k/64 is exact (Sterbenz)
     and |2 pi u| <= pi/64, so cos and sin take their fast path on it; the
     result is rotated by the table entry exp(j 2 pi (k mod 64) / 64).
-    Integer turns give exactly 1.
+    Integer turns give exactly 1.  The kernel works BLOCK elements at a
+    time; u and k live in the output block until the last product
+    overwrites it, and the rest in scratch.
     """
-    t = np.asarray(turns, dtype=float)
-    out = np.empty(t.shape, dtype=complex)
-    _phase_into(t.reshape(-1), out.reshape(-1), _workspace(t.size))
-    return out
-
-
-def _workspace(n):
-    """Scratch of ``_phase_into`` for inputs of up to n elements."""
-    b = min(n, BLOCK)
-    return (*np.empty((2, b), dtype=complex), np.empty(b, dtype=np.intp))
-
-
-def _phase_into(t, out, ws):
-    """out = exp(j 2 pi t) for flat turns t, BLOCK elements at a time; u
-    and k live in the output block until the last product overwrites it."""
+    t = np.asarray(turns, dtype=float).reshape(-1)
+    if out is None:
+        out = np.empty(np.shape(turns), dtype=complex)
+    elif not out.flags.c_contiguous:
+        raise ValueError("unit_phase needs a contiguous out")
+    flat = out.reshape(-1)
+    b = min(t.size, BLOCK)
+    zw = SCRATCH.take("phase", (2, b))
+    idx = SCRATCH.take("phase_index", (b,), np.intp)
     for lo in range(0, t.size, BLOCK):
-        x, o = t[lo:lo + BLOCK], out[lo:lo + BLOCK]
-        z, w, i = (a[:x.size] for a in ws)
+        x, o = t[lo:lo + BLOCK], flat[lo:lo + BLOCK]
+        z, w, i = zw[0, :x.size], zw[1, :x.size], idx[:x.size]
         u, k = o.view(float).reshape(2, -1)
         np.multiply(x, TABLE_SIZE, out=u)                    # exact
         np.rint(u, out=k)
@@ -127,6 +151,7 @@ def _phase_into(t, out, ws):
         i &= TABLE_SIZE - 1
         _TWIDDLE.take(i, out=w, mode="clip")                 # i is in range
         np.multiply(z, w, out=o)
+    return out
 
 
 def element_wise_angles(sources, positions):

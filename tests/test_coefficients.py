@@ -1,3 +1,4 @@
+import functools
 import struct
 import tracemalloc
 
@@ -11,10 +12,11 @@ from fr3sim.coefficients import (ChannelRealization, apply_large_scale,
                                  draw_phases, ray_count, read_cir, synthesize,
                                  write_cir)
 from fr3sim.geometry import LinkGeometry, Orientation, vec3
+from fr3sim import nearfield
 from fr3sim.largescale import C_LIGHT, LargeScaleResult
 from fr3sim.scenario import load_parameter_tables
 from fr3sim.smallscale import ClusterSet, subcluster_groups
-from test_synthesis_reference import link, synthesize_with_rays
+from test_synthesis_reference import link, synthesize_taps, synthesize_with_rays
 
 REG = load_parameter_tables()
 SMA = REG.scenario("SMa")
@@ -91,9 +93,9 @@ class TestSynthesize:
     def test_static_when_no_velocity(self):
         cs = simple_cs(n=3, m=4)
         ph = draw_phases(3, 4, np.random.default_rng(0))
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM,
-                       t_samples=np.array([0.0, 1e-3, 2e-3]))
+        h = synthesize_taps(geom_for(), cs, ph, iso_element((0, 0, 10)),
+                            iso_element((50, 0, 10)), LAM,
+                            t_samples=np.array([0.0, 1e-3, 2e-3]))
         for g in h.gains:
             assert np.allclose(g[..., 0], g[..., 1])
             assert np.allclose(g[..., 0], g[..., 2])
@@ -119,8 +121,8 @@ class TestSynthesize:
     def test_single_ray_amplitude(self):
         cs = simple_cs(n=1, m=1)
         ph = draw_phases(1, 1, np.random.default_rng(1))
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM)
+        h = synthesize_taps(geom_for(), cs, ph, iso_element((0, 0, 10)),
+                            iso_element((50, 0, 10)), LAM)
         assert h.n_taps == 1
         assert abs(h.gains[0][0, 0, 0]) == pytest.approx(1.0, rel=1e-12)
 
@@ -161,9 +163,9 @@ class TestSynthesize:
         ph = draw_phases(1, 1, np.random.default_rng(5))
         v = np.array([3.0, 4.0, 0.0])
         dt = 1e-3
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM, v_vec=v,
-                       t_samples=np.array([0.0, dt, 2 * dt]))
+        h = synthesize_taps(geom_for(), cs, ph, iso_element((0, 0, 10)),
+                            iso_element((50, 0, 10)), LAM, v_vec=v,
+                            t_samples=np.array([0.0, dt, 2 * dt]))
         g = h.gains[0][0, 0]
         from fr3sim.geometry import sph_unit
         r_rx = sph_unit(75.0, 37.0)
@@ -178,13 +180,13 @@ class TestSynthesize:
         ph = draw_phases(3, 2, np.random.default_rng(6))
         g = geom_for(100.0)
         base = g.d3d / C_LIGHT
-        h = synthesize(g, cs, ph, iso_element((0, 0, 10)),
-                       iso_element((100, 0, 10)), LAM, los=True,
-                       base_delay=base)
+        h = synthesize_taps(g, cs, ph, iso_element((0, 0, 10)),
+                            iso_element((100, 0, 10)), LAM, los=True,
+                            base_delay=base)
         assert h.delays[0] == pytest.approx(base, rel=1e-15)
-        h_off = synthesize(g, cs, ph, iso_element((0, 0, 10)),
-                           iso_element((100, 0, 10)), LAM, los=False,
-                           base_delay=base)
+        h_off = synthesize_taps(g, cs, ph, iso_element((0, 0, 10)),
+                                iso_element((100, 0, 10)), LAM, los=False,
+                                base_delay=base)
         los_term = h.gains[0][0, 0, 0] - h_off.gains[0][0, 0, 0]
         assert abs(los_term) == pytest.approx(np.sqrt(0.5), rel=1e-9)
         expect_phase = np.exp(-2j * np.pi * g.d3d / LAM)
@@ -229,13 +231,14 @@ class TestTapReductions:
     @pytest.mark.parametrize("name", TAP_CASES)
     def test_sums_equal_tensor_reductions(self, name):
         # the tap sum and tap energy accumulated in the tap loop, with and
-        # without the kept tensor, against the tensor's own reductions
+        # without a sink that keeps the taps, against the taps' own
+        # reductions
         case = dict(array=PanelArray(m=4, n=2, p=2,
                                      element=ElementPattern.directional()),
                     **TAP_CASES[name])
         args, kw, _ref = link(case, np.random.default_rng(sum(map(ord, name))))
-        kept = synthesize(*args, LAM, **kw)
-        lean = synthesize(*args, LAM, keep_gains=False, **kw)
+        kept = synthesize_taps(*args, LAM, **kw)
+        lean = synthesize(*args, LAM, **kw)
         assert lean.gains is None and kept.n_taps == lean.n_taps > 8
         g0 = kept.gains[:, :, :, 0]
         for h in (kept, lean):
@@ -253,27 +256,35 @@ class TestTapReductions:
         np.testing.assert_array_equal(h.tap_energy,
                                       np.sum(np.abs(g0) ** 2, axis=0))
 
-    def test_metrics_only_link_holds_no_tensor(self):
+    def test_metrics_only_link_holds_no_tensor(self, tmp_path, monkeypatch):
         # one InH LOS link (15 clusters, 19 taps) on the 64 x 16 x 2 near-
-        # field array with a handheld UE: without the tensor the call's
-        # peak stays below the tensor's size; with it, the peak exceeds it
+        # field array with a handheld UE: the metrics-only call and the
+        # call that streams the taps to a CIR file each peak below the size
+        # of the (n_taps, U, S, T) tensor.  Each starts from empty scratch,
+        # so its peak counts the scratch buffers it grows.
         case = dict(array=PanelArray(m=64, n=16, p=2,
                                      element=ElementPattern.directional()),
                     n=15, near_field=True, los=True, bs_pos=(0.0, 0.0, 3.0),
                     ue_pos=(1.2, -0.8, 1.0), sector=Orientation(0.0, 90.0, 0.0))
         args, kw, _ref = link(case, np.random.default_rng(1))
+        synth = functools.partial(synthesize, *args, LAM, **kw)
+        calls = {"metrics": synth,
+                 "cir": lambda: write_cir(tmp_path / "x.cir", synth,
+                                          LargeScaleResult(pl_outdoor=60.0))}
         peaks = {}
-        for keep in (False, True):
+        for name, call in calls.items():
+            monkeypatch.setattr(nearfield.SCRATCH, "buffers", {})
             tracemalloc.start()
             try:
-                h = synthesize(*args, LAM, keep_gains=keep, **kw)
-                peaks[keep] = tracemalloc.get_traced_memory()[1]
+                h = call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         u, s = h.tap_sum.shape
         tensor = h.n_taps * u * s * 1 * np.dtype(complex).itemsize
         assert (h.n_taps, u, s) == (19, 16, 2048)
-        assert peaks[False] < tensor < peaks[True]
+        assert read_cir(tmp_path / "x.cir").gains.shape == (19, 16, 2048, 1)
+        assert peaks["metrics"] < tensor and peaks["cir"] < tensor
 
 
 def per_element_fields(arr, zen, az):
@@ -382,50 +393,55 @@ class TestApplyLargeScale:
     def test_identity(self):
         cs = simple_cs(n=2, m=2, p=np.array([0.6, 0.4]))
         ph = draw_phases(2, 2, np.random.default_rng(11))
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM)
+        h = synthesize_taps(geom_for(), cs, ph, iso_element((0, 0, 10)),
+                            iso_element((50, 0, 10)), LAM)
         before = h.gains.copy()
-        h2 = apply_large_scale(h, LargeScaleResult(pl_outdoor=0.0))
-        assert np.array_equal(h2.gains, before)
+        g = apply_large_scale(h.gains, LargeScaleResult(pl_outdoor=0.0))
+        assert np.array_equal(g, before)
 
     def test_20db(self):
-        # the gains are scaled in place, and h itself is returned
+        # the gains are scaled in place, and the array itself is returned
         cs = simple_cs(n=1, m=1)
         ph = draw_phases(1, 1, np.random.default_rng(12))
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM)
+        h = synthesize_taps(geom_for(), cs, ph, iso_element((0, 0, 10)),
+                            iso_element((50, 0, 10)), LAM)
         before = h.gains.copy()
-        h2 = apply_large_scale(h, LargeScaleResult(pl_outdoor=20.0))
-        assert h2 is h
-        assert abs(h2.gains[0, 0, 0, 0]) == pytest.approx(
+        g = apply_large_scale(h.gains, LargeScaleResult(pl_outdoor=20.0))
+        assert g is h.gains
+        assert abs(g[0, 0, 0, 0]) == pytest.approx(
             0.1 * abs(before[0, 0, 0, 0]), rel=1e-12)
-        assert np.allclose(h2.gains, 0.1 * before, rtol=1e-12, atol=0)
-        # the tap sum and tap energy are scaled with the gains
-        assert np.allclose(h2.tap_sum, 0.1 * before.sum(axis=0)[..., 0],
-                           rtol=1e-12, atol=0)
-        assert np.allclose(h2.tap_energy, 0.01 * np.abs(before[0, ..., 0]) ** 2,
-                           rtol=1e-12, atol=0)
+        assert np.allclose(g, 0.1 * before, rtol=1e-12, atol=0)
 
-    def test_20db_without_gains(self):
-        cs = simple_cs(n=1, m=1)
-        ph = draw_phases(1, 1, np.random.default_rng(12))
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM, keep_gains=False)
-        before = h.tap_sum.copy()
-        apply_large_scale(h, LargeScaleResult(pl_outdoor=20.0))
+    def test_20db_without_gains(self, tmp_path):
+        # write_cir scales each tap as it streams it to the file; the
+        # realization it returns holds no gains and keeps the small-scale
+        # tap sum and tap energy that the link metrics read
+        cs = simple_cs(n=3, m=2, p=np.array([0.5, 0.3, 0.2]))
+        ph = draw_phases(3, 2, np.random.default_rng(12))
+        args = (geom_for(), cs, ph, iso_element((0, 0, 10)),
+                iso_element((50, 0, 10)), LAM)
+        want = synthesize_taps(*args)
+        path = tmp_path / "x.cir"
+        h = write_cir(path, functools.partial(synthesize, *args),
+                      LargeScaleResult(pl_outdoor=20.0))
         assert h.gains is None
-        assert np.allclose(h.tap_sum, 0.1 * before, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(h.tap_sum, want.tap_sum)
+        np.testing.assert_array_equal(h.tap_energy, want.tap_energy)
+        scaled = want.gains * 10.0 ** -1.0
+        assert np.array_equal(read_cir(path).gains,
+                              scaled.astype(np.complex64).astype(complex))
 
 
 class TestCirFormat:
     def test_round_trip(self, tmp_path):
         cs = simple_cs(n=4, m=3, p=np.array([0.4, 0.3, 0.2, 0.1]))
         ph = draw_phases(4, 3, np.random.default_rng(13))
-        h = synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
-                       iso_element((50, 0, 10)), LAM,
-                       t_samples=np.array([0.0, 1e-3]))
+        args = (geom_for(), cs, ph, iso_element((0, 0, 10)),
+                iso_element((50, 0, 10)), LAM)
+        kw = dict(t_samples=np.array([0.0, 1e-3]))
+        h = synthesize_taps(*args, **kw)
         path = tmp_path / "x.cir"
-        write_cir(path, h)
+        write_cir(path, functools.partial(synthesize, *args, **kw))
         raw = path.read_bytes()
         assert raw[:8] == b"FR3CIR1\x00"
         h2 = read_cir(path)
@@ -436,19 +452,28 @@ class TestCirFormat:
 
     @staticmethod
     def _los_link():
-        """A 16 x 8 element LOS link with two time samples."""
+        """A 16 x 8 element LOS link with two time samples: synthesize with
+        every argument but the sink bound."""
         cs = simple_cs(n=3, m=4, p=np.array([0.3, 0.2, 0.1]), p_los=0.4)
         ph = draw_phases(3, 4, np.random.default_rng(14))
         bs = mount_bs_array(PanelArray(m=2, n=2, p=2), vec3(0, 0, 10),
                             Orientation(0, 0, 0), LAM)
         ue = mount_ue_device(UEDevice("handheld"), vec3(50, 0, 10))
-        return synthesize(geom_for(), cs, ph, bs, ue, LAM, los=True,
-                          v_vec=np.array([3.0, 4.0, 0.0]),
-                          t_samples=np.array([0.0, 1e-3]))
+        return functools.partial(synthesize, geom_for(), cs, ph, bs, ue, LAM,
+                                 los=True, v_vec=np.array([3.0, 4.0, 0.0]),
+                                 t_samples=np.array([0.0, 1e-3]))
+
+    def _written_los_link(self, path):
+        """Write _los_link's CIR file at ``path``; returns the link with a
+        copy of its taps as gains."""
+        synth = self._los_link()
+        write_cir(path, synth)
+        return synthesize_taps(*synth.args, **synth.keywords)
 
     def test_bytes_match_naive_writer(self, tmp_path):
         # the layout of write_cir's docstring, packed value by value
-        h = self._los_link()
+        path = tmp_path / "x.cir"
+        h = self._written_los_link(path)
         n_taps, u, s, t = h.gains.shape
         assert (u, s, t) == (16, 8, 2) and h.n_taps == n_taps
         want = [b"FR3CIR1\x00", struct.pack("<4I", u, s, t, n_taps),
@@ -460,17 +485,14 @@ class TestCirFormat:
                     for k in range(t):
                         g = h.gains[i, iu, js, k]
                         want.append(struct.pack("<2f", g.real, g.imag))
-        path = tmp_path / "x.cir"
-        write_cir(path, h)
         assert path.read_bytes() == b"".join(want)
         h2 = read_cir(path)
         assert np.array_equal(h2.delays, h.delays)
         assert np.array_equal(h2.gains, h.gains.astype(np.complex64))
 
     def test_read_gains_are_f32_rounded_complex128(self, tmp_path):
-        h = self._los_link()
         path = tmp_path / "x.cir"
-        write_cir(path, h)
+        h = self._written_los_link(path)
         g = read_cir(path).gains
         assert g.dtype == np.complex128 and g.shape == h.gains.shape
         assert np.array_equal(g, h.gains.astype(np.complex64).astype(complex))
@@ -494,3 +516,23 @@ class TestCirFormat:
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(ValueError, match="body"):
             read_cir(path)
+
+    def test_failed_link_leaves_no_file(self, tmp_path):
+        # a link that fails after its first tap is on disk leaves neither
+        # its file nor the partial one it was writing
+        synth = self._los_link()
+
+        def fails_after_one_tap(sink):
+            written = []
+
+            def sink_once(delay, g):
+                if written:
+                    raise RuntimeError("link failed")
+                written.append(delay)
+                sink(delay, g)
+
+            return synth(sink=sink_once)
+
+        with pytest.raises(RuntimeError, match="link failed"):
+            write_cir(tmp_path / "x.cir", fails_after_one_tap)
+        assert list(tmp_path.iterdir()) == []

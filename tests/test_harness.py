@@ -187,6 +187,25 @@ class TestRun:
         assert (tmp_path / "w1" / "links.csv").read_bytes() == \
             (tmp_path / "w2" / "links.csv").read_bytes()
 
+    def test_cir_files_same_for_any_worker_count(self, tmp_path):
+        # an 8 x 4 x 2 near-field CIR run with SNS and two time samples:
+        # every link reuses its process's scratch buffers, which one worker
+        # and two workers fill in different link orders.  The drop has a
+        # link with more rays before a smaller one, so stale contents left
+        # by the larger link would show in the smaller link's file.
+        kw = dict(bs_rows=8, bs_cols=4, emit_cir=True, near_field=True,
+                  sns="stochastic", t_count=2)
+        reports = run(tiny_cfg(tmp_path / "w1", workers=1, **kw))
+        run(tiny_cfg(tmp_path / "w2", workers=2, **kw))
+        rays = [r.n_clusters * r.m_rays for r in reports]
+        assert any(a > b for a, b in zip(rays, rays[1:]))
+        names = [f"link_{i:06d}.cir" for i in range(len(reports))]
+        for name in names:
+            assert ((tmp_path / "w1" / "cir" / name).read_bytes()
+                    == (tmp_path / "w2" / "cir" / name).read_bytes()), name
+        assert sorted(p.name for p in (tmp_path / "w2" / "cir").iterdir()) \
+            == names
+
     def test_pool_no_larger_than_its_chunks(self, tmp_path, monkeypatch):
         # a process pool starts all its workers at the first submit; this
         # in-process stand-in records how many a 3-link run with 8 workers

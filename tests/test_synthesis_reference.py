@@ -214,10 +214,26 @@ CASES = {
 }
 
 
+def synthesize_taps(*args, **kw):
+    """synthesize(*args, **kw) with a copy of every tap its sink gets,
+    stacked into the realization's (n_taps, U, S, T) gains, after checking
+    that the sink got the taps' delays in order."""
+    delays, taps = [], []
+
+    def keep(delay, g):
+        delays.append(delay)
+        taps.append(g.copy())
+
+    h = synthesize(*args, sink=keep, **kw)
+    assert np.array_equal(delays, h.delays)
+    h.gains = np.array(taps)
+    return h
+
+
 def run_case(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     args, got_kw, ref_kw = link(CASES[name], rng)
-    h = synthesize(*args, LAM, **got_kw)
+    h = synthesize_taps(*args, LAM, **got_kw)
     want = reference(*args, **ref_kw)
     return h, want
 
@@ -235,7 +251,7 @@ def assert_taps_close(got, want):
 def synthesize_with_rays(args, **kw):
     """synthesize(*args, LAM, **kw) and the reference's per-ray gains of the
     same link, after checking that the reference's taps are synthesize's."""
-    h = synthesize(*args, LAM, **kw)
+    h = synthesize_taps(*args, LAM, **kw)
     delays, gains, rays = reference(
         *args, los=kw.get("los", False), v=kw.get("v_vec"),
         t=kw.get("t_samples", (0.0,)), nf=kw.get("near_field"),
@@ -291,5 +307,5 @@ def test_alpha_has_one_row_per_site(name, rejected):
         with pytest.raises(ValueError, match="sns_alpha"):
             synthesize(*args, LAM, **got_kw)
     else:
-        h = synthesize(*args, LAM, **got_kw)
+        h = synthesize_taps(*args, LAM, **got_kw)
         assert_taps_close(h.gains, reference(*args, **ref_kw)[1])
