@@ -245,12 +245,11 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
         if not np.array_equal(bs.group_index * n_site + site,
                               np.arange(len(bs.groups) * n_site)):
             raise ValueError("BS elements must be ordered field group by site")
-        left = SCRATCH.take("left", (u_cnt, len(bs.groups), n_r))
-        np.multiply(ga_t[:, None], ftx_t[None, :, :n_r], out=left)
-        left += np.multiply(ga_p[:, None], ftx_p[None, :, :n_r],
-                            out=SCRATCH.take("left_p", left.shape))
-        left = [left.reshape(-1, n_r)]
-        right = [a_tx]
+        g_left = SCRATCH.take("left", (u_cnt, len(bs.groups), n_r))
+        np.multiply(ga_t[:, None], ftx_t[None, :, :n_r], out=g_left)
+        g_left += np.multiply(ga_p[:, None], ftx_p[None, :, :n_r],
+                              out=SCRATCH.take("left_p", g_left.shape))
+        left, right = [g_left.reshape(-1, n_r)], [a_tx]
 
     # Doppler per (t, ray) on the left when there is one sample; otherwise
     # it and sqrt(alpha) scale the right factors tap by tap, in scratch

@@ -128,12 +128,12 @@ def unit_phase(turns, out=None):
     time; u and k live in the output block until the last product
     overwrites it, and the rest in scratch.
     """
-    t = np.asarray(turns, dtype=float).reshape(-1)
+    t = np.asarray(turns, dtype=float)
     if out is None:
-        out = np.empty(np.shape(turns), dtype=complex)
+        out = np.empty(t.shape, dtype=complex)
     elif not out.flags.c_contiguous:
         raise ValueError("unit_phase needs a contiguous out")
-    flat = out.reshape(-1)
+    t, flat = t.reshape(-1), out.reshape(-1)
     b = min(t.size, BLOCK)
     zw = SCRATCH.take("phase", (2, b))
     idx = SCRATCH.take("phase_index", (b,), np.intp)

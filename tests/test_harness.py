@@ -324,12 +324,14 @@ class TestRun:
 
     def test_no_stale_cir_files(self, tmp_path):
         # a 2-UE run after a 4-UE one, then a run without CIR output, in
-        # one out_dir: no CIR file of an earlier run is left behind
+        # one out_dir: no CIR file of an earlier run is left behind, nor
+        # the half-written file of a link that a killed run was writing
         def cir_files():
             return sorted(p.name for p in (tmp_path / "cir").iterdir())
 
         run(tiny_cfg(tmp_path, emit_cir=True, n_ues=4))
         assert cir_files() == [f"link_{i:06d}.cir" for i in range(4)]
+        (tmp_path / "cir" / ".tmp-link_000004.cir").write_bytes(b"FR3CIR1")
         run(tiny_cfg(tmp_path, emit_cir=True, n_ues=2))
         assert cir_files() == [f"link_{i:06d}.cir" for i in range(2)]
         run(tiny_cfg(tmp_path, n_ues=2))

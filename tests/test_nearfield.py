@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from fr3sim.antenna import PanelArray, mount_bs_array
-from fr3sim.coefficients import draw_phases
+from fr3sim.coefficients import draw_phases, synthesize
 from fr3sim.geometry import Orientation, sph_unit
 from fr3sim.largescale import C_LIGHT
 from fr3sim import nearfield
@@ -14,7 +15,7 @@ from fr3sim.nearfield import (element_wise_angles, nlos_element_phase,
                               source_distances, unit_phase)
 
 from test_coefficients import geom_for, iso_element, simple_cs
-from test_synthesis_reference import synthesize_with_rays
+from test_synthesis_reference import CASES, link, synthesize_with_rays
 
 LAM = C_LIGHT / 7e9
 
@@ -292,3 +293,57 @@ class TestFeatureIsolation:
         changed = any(not np.allclose(np.abs(a), np.abs(b))
                       for a, b in zip(rays_plain, rays_ang))
         assert changed
+
+
+class TestScratch:
+    def test_take_reuses_its_buffer_and_grows(self):
+        s = nearfield.Scratch()
+        a = s.take("x", (4, 3))
+        assert a.shape == (4, 3) and a.dtype == complex
+        b = s.take("x", (5,), np.intp)
+        assert b.dtype == np.intp and np.shares_memory(a, b)
+        assert not np.shares_memory(a, s.take("y", (4, 3)))
+        c = s.take("x", (10, 10))
+        assert not np.shares_memory(a, c)
+        assert np.shares_memory(c, s.take("x", (2, 2), float))
+        assert sorted(s.buffers) == ["x", "y"]
+
+    def test_one_set_of_buffers_per_thread(self):
+        mine = nearfield.SCRATCH.take("x", (8,))
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.append(nearfield.SCRATCH.take("x", (8,))))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and len(theirs) == 1
+        assert not np.shares_memory(mine, theirs[0])
+
+    def test_results_are_not_scratch(self):
+        # the public results are fresh arrays that the next call leaves
+        # alone, whatever scratch the calls reuse
+        args, kw, _ref = link(CASES["nf-angles"], np.random.default_rng(3))
+        h1 = synthesize(*args, LAM, **kw)
+        sums = h1.tap_sum.copy(), h1.tap_energy.copy()
+        h2 = synthesize(*args, LAM, **kw)
+        d, r_hat, d_bar = nlos_case(40, 300)
+        t = np.random.default_rng(24).uniform(-50.0, 50.0, 20_000)
+        fresh = [h1.tap_sum, h1.tap_energy, h2.tap_sum, h2.tap_energy,
+                 unit_phase(t), nlos_element_phase(d, r_hat, d_bar, LAM)]
+        for x in fresh:
+            assert not any(np.shares_memory(x, b)
+                           for b in nearfield.SCRATCH.buffers.values())
+        assert np.array_equal(h1.tap_sum, sums[0])
+        assert np.array_equal(h1.tap_energy, sums[1])
+
+    def test_out_is_filled_and_returned(self):
+        d, r_hat, d_bar = nlos_case(40, 300)
+        t = np.random.default_rng(25).uniform(-50.0, 50.0, (30, 700))
+        out = np.empty(t.shape, dtype=complex)
+        assert unit_phase(t, out=out) is out
+        assert np.array_equal(bits(out), bits(unit_phase(t)))
+        out = np.empty((40, 300), dtype=complex)
+        assert nlos_element_phase(d, r_hat, d_bar, LAM, out=out) is out
+        assert np.array_equal(bits(out),
+                              bits(nlos_element_phase(d, r_hat, d_bar, LAM)))
+        with pytest.raises(ValueError, match="contiguous"):
+            unit_phase(t.T, out=np.empty((30, 700), dtype=complex).T)
