@@ -64,8 +64,9 @@ bs_array = mount_bs_array(PanelArray(m=64, n=16, p=2,
                           bs_pos, Orientation(g.aod_az, 6.0, 0.0), lam)
 ue_array = mount_ue_device(UEDevice("handheld"), ue_pos)
 phases = draw_phases(cs.n, cs.m, np.random.default_rng(11))
+# a LOS link: the cluster set's p_los > 0 gives it the specular LOS tap
 synth = functools.partial(synthesize, g, cs, phases, bs_array, ue_array, lam,
-                          los=True, base_delay=g.d3d / C_LIGHT)
+                          base_delay=g.d3d / C_LIGHT)
 
 # synthesize hands each tap, a (U, S, T) buffer it reuses, to a sink; a
 # caller that wants the whole gain tensor keeps a copy of every tap

@@ -59,8 +59,9 @@ class ChannelRealization:
     realization read from a CIR file.  The reductions are the tap sum (the
     narrowband matrix of ``capacity``) and the tap energy, the sum of |H|^2
     (for ``coupling_loss``).  A realization built from its gains alone
-    reduces them on construction; ``synthesize`` holds no gains and hands
-    each tap to its sink instead."""
+    reduces them on construction, as ``gains[:, :, :, 0].sum(axis=0)`` and
+    ``np.sum(np.abs(gains[:, :, :, 0]) ** 2, axis=0)``; ``synthesize``
+    holds no gains and hands each tap to its sink instead."""
     fc_ghz: float
     delays: np.ndarray                # (n_taps,) seconds, non-decreasing
     gains: np.ndarray = None          # (n_taps, U, S, T) complex, or None
@@ -69,32 +70,13 @@ class ChannelRealization:
 
     def __post_init__(self):
         if self.tap_sum is None:
-            self.tap_sum, self.tap_energy = _reduce_taps(self.gains)
+            g0 = self.gains[:, :, :, 0]
+            self.tap_sum = g0.sum(axis=0)
+            self.tap_energy = np.sum(np.abs(g0) ** 2, axis=0)
 
     @property
     def n_taps(self):
         return self.delays.shape[0]
-
-
-def _reduce_taps(taps):
-    """Tap sum and tap energy at t = 0 of the (U, S, T) taps, accumulated
-    in tap order.  These are the additions of
-    ``gains[:, :, :, 0].sum(axis=0)`` and
-    ``np.sum(np.abs(gains[:, :, :, 0]) ** 2, axis=0)`` whenever U S > 1,
-    so the results are bit-identical to those; numpy sums a single
-    element pair's taps pairwise instead.  The sums are fresh arrays."""
-    tap_sum = tap_energy = power = None
-    for g in taps:
-        g0 = g[:, :, 0]
-        if tap_sum is None:
-            tap_sum, tap_energy = g0.copy(), np.abs(g0)
-            np.square(tap_energy, out=tap_energy)
-            power = SCRATCH.take("tap_power", tap_energy.shape, float)
-        else:
-            tap_sum += g0
-            np.square(np.abs(g0, out=power), out=power)
-            tap_energy += power
-    return tap_sum, tap_energy
 
 
 def _site_phases(arr, r_hat, lam0, d, out):
@@ -137,25 +119,27 @@ def array_fields(mounted, zen, az, per_group=False):
     return f_t[mounted.group_index], f_p[mounted.group_index]
 
 
-def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
-               v_vec=None, t_samples=None, near_field=None, nf_angles=False,
-               sns_alpha=None, sns_beta=None, base_delay=0.0, sink=None):
+def synthesize(geom, cs, phases, bs, ue, lam0, v_vec=None, t_samples=None,
+               near_field=None, nf_angles=False, sns_alpha=None,
+               sns_beta=None, base_delay=0.0, sink=None):
     """Synthesize one link's taps (steps 10-12) and return a
     ChannelRealization of the tap delays and the tap sum and tap energy at
-    t = 0, each (U, S).  The taps are computed one at a time into one
-    scratch (U, S, T) buffer, and each is added into the two sums before
-    the next, so a link holds O(U S T) of channel, not O(n_taps U S T).
-    After its addition each tap goes to ``sink(delay, g)``, when given,
-    with g the complex (U, S, T) buffer: the sink may scale it in place,
-    and must copy what it keeps, as the next tap overwrites it
-    (``write_cir`` streams the taps to a file this way).
+    t = 0, each (U, S).  One loop computes the taps one at a time into one
+    scratch (U, S, T) buffer: each pass makes the tap's product, adds the
+    LOS term if this is the LOS tap, adds the tap into the two sums in tap
+    order (the first tap copies), and then hands the buffer to
+    ``sink(delay, g)``, when given.  The sink may scale g in place, and
+    must copy what it keeps, as the next tap overwrites it (``write_cir``
+    streams the taps to a file this way).  So a link holds O(U S T) of
+    channel, not O(n_taps U S T).
 
     bs / ue are MountedArray instances (tx and rx side).  ``near_field``
     carries per-ray spherical source distances; None selects plane-wave
     array phases.  ``sns_alpha`` is a (P, N) BS-side power attenuation with
     one row per site of ``bs.site_offsets`` and one column per cluster,
     ``sns_beta`` a (U,) UE-side one.  ``base_delay`` shifts all taps
-    (absolute time of arrival); the LOS specular term lands exactly at
+    (absolute time of arrival).  The link has a LOS specular term, of
+    power ``cs.p_los``, exactly when ``cs.p_los > 0``; it lands exactly at
     ``base_delay``.  The two strongest clusters expand into three delay
     taps; taps are emitted in non-decreasing delay order.
 
@@ -168,10 +152,13 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
     there are several time samples.  With ``nf_angles`` in near-field mode
     the BS fields differ per element and do not factor: the product then
     runs over the two field components with per-element columns
-    F_b[s, r] A[site(s), r].  Otherwise a tap has (group, site) columns, so
-    element g P + p must be group g's at site p for every g and p, as
+    F_b[s, r] A[site(s), r]; ``nf_angles`` without ``near_field`` raises
+    ValueError.  Otherwise a tap has (group, site) columns, so element
+    g P + p must be group g's at site p for every g and p, as
     mount_bs_array orders them, or ValueError is raised.
     """
+    if nf_angles and near_field is None:
+        raise ValueError("nf_angles needs near_field source distances")
     n, m = cs.n, cs.m
     t = np.asarray(t_samples if t_samples is not None else [0.0], dtype=float)
     n_t = t.shape[0]
@@ -190,15 +177,15 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
     d1 = d2 = None
     if near_field is not None:
         d1, d2 = near_field.d1.reshape(-1)[order], near_field.d2.reshape(-1)[order]
-    elementwise = nf_angles and d1 is not None
-    if elementwise:
+    los = cs.p_los > 0
+    if nf_angles:
         # per-element departure angles toward each ray's spherical source
         src = bs.reference[None, :] + d1[:, None] * r_tx
         aod, zod = element_wise_angles(src, bs.positions()[:, None, :])
     if los:
         # the LOS direction is one more angle column of the field evaluation
         zoa, aoa = np.append(zoa, geom.zoa), np.append(aoa, geom.aoa_az)
-        if elementwise:
+        if nf_angles:
             a_e, z_e = element_wise_angles(ue.reference, bs.positions())
             zod, aod = np.append(zod, z_e[:, None], 1), np.append(aod, a_e[:, None], 1)
         else:
@@ -214,7 +201,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
         if al.shape != (n_site, n):
             raise ValueError(f"sns_alpha must be (sites, clusters) = "
                              f"{(n_site, n)}, not {al.shape}")
-        sqrt_al = np.sqrt(al[site] if elementwise else al)
+        sqrt_al = np.sqrt(al[site] if nf_angles else al)
     a_rx = _site_phases(ue, r_rx, lam0, d2, SCRATCH.take(
         "ue_site_phases", (ue.site_offsets.shape[0], n_r)))[ue.site_index]
     a_tx = _site_phases(bs, r_tx, lam0, d1,
@@ -238,7 +225,7 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
 
     # H = sum_i left_i right_i^T per tap in (U, S, T) order: rows u and
     # columns (element, t), or rows (u, group) and columns (site, t)
-    if elementwise:
+    if nf_angles:
         fa = a_tx[site]
         left, right = [ga_t, ga_p], [ftx_t[:, :n_r] * fa, ftx_p[:, :n_r] * fa]
     else:
@@ -281,29 +268,30 @@ def synthesize(geom, cs, phases, bs, ue, lam0, los=False,
     h_los = i0 = None
     if los:
         f_tx = (ftx_t[:, -1], ftx_p[:, -1])
-        if not elementwise:
+        if not nf_angles:
             f_tx = tuple(f[bs.group_index] for f in f_tx)
         h_los = _los_component(geom, bs, ue, lam0, near_field is not None, v,
                                t, (frx_t[:, -1], frx_p[:, -1]), f_tx,
                                sns_alpha, sns_beta, cs.p_los)
         i0 = int(np.argmin(np.abs(delays - base_delay)))
 
-    def tap_gains():
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            tap_right = right_factors(lo, hi)
-            np.matmul(left[0][:, lo:hi], tap_right[0].T, out=buf)
-            for a, b in zip(left[1:], tap_right[1:]):
-                np.add(buf, np.matmul(a[:, lo:hi], b.T, out=term), out=buf)
-            g = buf.reshape(u_cnt, s_cnt, n_t)
-            if i == i0:
-                g += h_los
-            yield g
-            # _reduce_taps has added g into the sums by the time it asks
-            # for the next tap
-            if sink is not None:
-                sink(delays[i], g)
-
-    tap_sum, tap_energy = _reduce_taps(tap_gains())
+    power = SCRATCH.take("tap_power", (u_cnt, s_cnt), float)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        tap_right = right_factors(lo, hi)
+        np.matmul(left[0][:, lo:hi], tap_right[0].T, out=buf)
+        for a, b in zip(left[1:], tap_right[1:]):
+            np.add(buf, np.matmul(a[:, lo:hi], b.T, out=term), out=buf)
+        g = buf.reshape(u_cnt, s_cnt, n_t)
+        if i == i0:
+            g += h_los
+        g0 = g[:, :, 0]
+        if i == 0:
+            tap_sum, tap_energy = g0.copy(), np.square(np.abs(g0, out=power))
+        else:
+            tap_sum += g0
+            tap_energy += np.square(np.abs(g0, out=power), out=power)
+        if sink is not None:
+            sink(delays[i], g)
     return ChannelRealization(fc_ghz=C_LIGHT / lam0 / 1e9, delays=delays,
                               tap_sum=tap_sum, tap_energy=tap_energy)
 

@@ -28,7 +28,7 @@ from .largescale import (C_LIGHT, LargeScaleResult,
                          correlated_standard_normals, lsps_from_standardized,
                          o2i_penetration, path_loss)
 from .nearfield import source_distances
-from .scenario import (LOS, LSP_ORDER_LOS, STATES, assign_states, data_root,
+from .scenario import (LSP_ORDER_LOS, STATES, assign_states, data_root,
                        load_parameter_tables)
 from .smallscale import build_cluster_set
 from .sns import (USAGES, SnsConfig, draw_usage, stochastic_attenuation,
@@ -357,7 +357,6 @@ def process_link(ctx, task):
     cfg, sc = ctx.cfg, ctx.sc
     lam0 = cfg.wavelength()
     geom, state, lsp = task.geom, task.state, task.lsp
-    los = state.state_key == LOS
     lid = task.link_id
 
     rngs = {name: _link_rng(cfg, lid, stage) for name, stage in (
@@ -405,7 +404,7 @@ def process_link(ctx, task):
         beta = ue_sns_mask(ctx.masks, task.usage, cfg.fc_ghz, ue.site_index)
 
     synth = functools.partial(
-        synthesize, geom, cs, phases, bs, ue, lam0, los=los, v_vec=task.v_vec,
+        synthesize, geom, cs, phases, bs, ue, lam0, v_vec=task.v_vec,
         t_samples=ctx.t_samples, near_field=nf, nf_angles=cfg.nf_angles,
         sns_alpha=alpha, sns_beta=beta, base_delay=base_delay)
     # a CIR link streams its taps, with the large-scale scaling, to its file

@@ -1,5 +1,6 @@
 import functools
 import struct
+from dataclasses import replace
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from fr3sim.coefficients import (ChannelRealization, apply_large_scale,
                                  draw_phases, ray_count, read_cir, synthesize,
                                  write_cir)
 from fr3sim.geometry import LinkGeometry, Orientation, vec3
-from fr3sim import nearfield
+from fr3sim import coefficients, nearfield
 from fr3sim.largescale import C_LIGHT, LargeScaleResult
 from fr3sim.scenario import load_parameter_tables
 from fr3sim.smallscale import ClusterSet, subcluster_groups
@@ -181,11 +182,11 @@ class TestSynthesize:
         g = geom_for(100.0)
         base = g.d3d / C_LIGHT
         h = synthesize_taps(g, cs, ph, iso_element((0, 0, 10)),
-                            iso_element((100, 0, 10)), LAM, los=True,
-                            base_delay=base)
+                            iso_element((100, 0, 10)), LAM, base_delay=base)
         assert h.delays[0] == pytest.approx(base, rel=1e-15)
-        h_off = synthesize_taps(g, cs, ph, iso_element((0, 0, 10)),
-                                iso_element((100, 0, 10)), LAM, los=False,
+        h_off = synthesize_taps(g, replace(cs, p_los=0.0), ph,
+                                iso_element((0, 0, 10)),
+                                iso_element((100, 0, 10)), LAM,
                                 base_delay=base)
         los_term = h.gains[0][0, 0, 0] - h_off.gains[0][0, 0, 0]
         assert abs(los_term) == pytest.approx(np.sqrt(0.5), rel=1e-9)
@@ -194,6 +195,38 @@ class TestSynthesize:
             pytest.approx(0.0, abs=1e-9) or \
             np.angle(los_term / (np.sqrt(0.5) * expect_phase)) == \
             pytest.approx(0.0, abs=1e-9)
+
+    def test_los_term_exactly_when_p_los_positive(self, monkeypatch):
+        # the cluster set decides: with p_los > 0 the LOS direction is one
+        # more field column and its term is added to the tap at base_delay;
+        # with p_los = 0 there is neither
+        columns = []
+
+        def counted(pattern, orientations, slants, zen, az):
+            columns.append(np.shape(zen)[-1])
+            return field_pattern(pattern, orientations, slants, zen, az)
+
+        monkeypatch.setattr(coefficients, "field_pattern", counted)
+        cs = simple_cs(n=3, m=4, p=np.array([0.3, 0.2, 0.1]), p_los=0.4)
+        ph = draw_phases(3, 4, np.random.default_rng(7))
+        g = geom_for(100.0)
+        arrays = (iso_element((0, 0, 10)), iso_element((100, 0, 10)), LAM)
+        base = g.d3d / C_LIGHT
+        on = synthesize_taps(g, cs, ph, *arrays, base_delay=base)
+        off = synthesize_taps(g, replace(cs, p_los=0.0), ph, *arrays,
+                              base_delay=base)
+        assert columns == [13, 13, 12, 12]
+        assert on.delays[0] == off.delays[0] == base
+        assert abs(on.gains[0] - off.gains[0]).max() == pytest.approx(
+            np.sqrt(0.4), rel=1e-9)
+        np.testing.assert_array_equal(on.gains[1:], off.gains[1:])
+
+    def test_nf_angles_needs_near_field(self):
+        cs = simple_cs(n=2, m=2, p=np.array([0.6, 0.4]))
+        ph = draw_phases(2, 2, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="nf_angles"):
+            synthesize(geom_for(), cs, ph, iso_element((0, 0, 10)),
+                       iso_element((50, 0, 10)), LAM, nf_angles=True)
 
     def test_energy_conservation_ensemble(self):
         # isotropic single elements, eta = 1: expected total energy is one
@@ -216,12 +249,12 @@ class TestSynthesize:
 # blocks, which would show if a reduction over the taps summed pairwise
 TAP_CASES = {
     "nlos-plane": dict(n=8),
-    "los-plane-t2": dict(los=True, t_count=2),
+    "los-plane-t2": dict(p_los=0.4, t_count=2),
     "nlos-near": dict(near_field=True, n=6),
-    "los-nf-angles-t2": dict(near_field=True, nf_angles=True, los=True,
+    "los-nf-angles-t2": dict(near_field=True, nf_angles=True, p_los=0.4,
                              t_count=2, alpha=True, bs_pos=(0.0, 0.0, 3.0),
                              ue_pos=(2.0, 1.0, 1.5)),
-    "los-alpha-beta": dict(los=True, alpha=True, beta=True, n=7),
+    "los-alpha-beta": dict(p_los=0.4, alpha=True, beta=True, n=7),
     "near-alpha-beta-t2": dict(near_field=True, alpha=True, beta=True,
                                t_count=2, ue_pos=(6.0, 2.0, 1.5)),
 }
@@ -264,7 +297,7 @@ class TestTapReductions:
         # so its peak counts the scratch buffers it grows.
         case = dict(array=PanelArray(m=64, n=16, p=2,
                                      element=ElementPattern.directional()),
-                    n=15, near_field=True, los=True, bs_pos=(0.0, 0.0, 3.0),
+                    n=15, near_field=True, p_los=0.4, bs_pos=(0.0, 0.0, 3.0),
                     ue_pos=(1.2, -0.8, 1.0), sector=Orientation(0.0, 90.0, 0.0))
         args, kw, _ref = link(case, np.random.default_rng(1))
         synth = functools.partial(synthesize, *args, LAM, **kw)
@@ -460,7 +493,7 @@ class TestCirFormat:
                             Orientation(0, 0, 0), LAM)
         ue = mount_ue_device(UEDevice("handheld"), vec3(50, 0, 10))
         return functools.partial(synthesize, geom_for(), cs, ph, bs, ue, LAM,
-                                 los=True, v_vec=np.array([3.0, 4.0, 0.0]),
+                                 v_vec=np.array([3.0, 4.0, 0.0]),
                                  t_samples=np.array([0.0, 1e-3]))
 
     def _written_los_link(self, path):

@@ -60,10 +60,11 @@ def element_phases(offsets, r_hat, d=None):
     return np.exp(2j * np.pi * (2.0 * d * proj - sq) / (d + dist) / LAM)
 
 
-def reference(geom, cs, ph, bs, ue, los=False, v=None, t=(0.0,), nf=None,
+def reference(geom, cs, ph, bs, ue, v=None, t=(0.0,), nf=None,
               nf_angles=False, alpha=None, beta=None, base_delay=0.0):
     """Delays, (U, S, T) tap gains and (U, S, R_tap, T) per-ray gains, the
-    LOS term appended to its tap as one more ray."""
+    LOS term, present when cs.p_los > 0, appended to its tap as one more
+    ray."""
     n, m = cs.n, cs.m
     t = np.asarray(t, dtype=float)
     v = np.zeros(3) if v is None else np.asarray(v, dtype=float)
@@ -107,7 +108,7 @@ def reference(geom, cs, ph, bs, ue, los=False, v=None, t=(0.0,), nf=None,
                        a_tx[:, rays], amp[rays], dop[rays])
         ray_gains.append(rg)
         gains.append(rg.sum(axis=2))
-    if los:
+    if cs.p_los > 0:
         f_rx = element_fields(ue, [geom.zoa], [geom.aoa_az])[:, :, 0]
         if nf_angles and nf is not None:
             zen, az = angles(ue.reference - bs.positions())
@@ -164,12 +165,11 @@ def link(case, rng):
     bs = mount_bs_array(arr, bs_pos, sector, LAM)
     ue = mount_ue_device(UEDevice("handheld"), ue_pos)
     geom = link_geometry(bs_pos, ue_pos)
-    los = case.get("los", False)
     cs = random_cs(rng, case.get("n", 5), case.get("m", 20),
-                   p_los=0.4 if los else 0.0)
+                   p_los=case.get("p_los", 0.0))
     ph = draw_phases(cs.n, cs.m, rng)
     # the first sample is not at t = 0, so that every sample sees Doppler
-    kw = dict(los=los, t=2.5e-3 + np.arange(case.get("t_count", 1)) * 1e-3,
+    kw = dict(t=2.5e-3 + np.arange(case.get("t_count", 1)) * 1e-3,
               v=rng.normal(0.0, 3.0, 3), base_delay=geom.d3d / C_LIGHT)
     if case.get("near_field"):
         kw["nf"] = source_distances(cs, geom.d3d, 0.0, 1, 2.0, 2.0, rng)
@@ -182,7 +182,7 @@ def link(case, rng):
     if case.get("beta"):
         kw["beta"] = rng.uniform(0.1, 1.0, ue.size)
     args = (geom, cs, ph, bs, ue)
-    got = dict(los=los, v_vec=kw["v"], t_samples=kw["t"],
+    got = dict(v_vec=kw["v"], t_samples=kw["t"],
                near_field=kw.get("nf"), nf_angles=kw["nf_angles"],
                sns_alpha=kw.get("alpha"), sns_beta=kw.get("beta"),
                base_delay=kw["base_delay"])
@@ -197,17 +197,17 @@ CASES = {
     "inh-nf": dict(
         array=PanelArray(m=64, n=16, p=2, element=DIRECTIONAL),
         bs_pos=(0.0, 0.0, 3.0), ue_pos=(1.2, -0.8, 1.0),
-        sector=Orientation(0.0, 90.0, 0.0), near_field=True, los=True),
+        sector=Orientation(0.0, 90.0, 0.0), near_field=True, p_los=0.4),
     "umi-sns": dict(
         array=PanelArray(m=64, n=16, p=2, element=DIRECTIONAL),
-        alpha=True, beta=True, t_count=3, los=True),
+        alpha=True, beta=True, t_count=3, p_los=0.4),
     "sma-default": dict(array=PanelArray(m=8, n=8, p=2, element=DIRECTIONAL)),
     "nf-angles": dict(array=PanelArray(m=8, n=4, p=2, element=DIRECTIONAL),
                       bs_pos=(0.0, 0.0, 3.0), ue_pos=(2.0, 1.0, 1.5),
-                      near_field=True, nf_angles=True, los=True, t_count=2,
+                      near_field=True, nf_angles=True, p_los=0.4, t_count=2,
                       alpha=True),
     "single-pol": dict(array=PanelArray(m=8, n=4, p=1, element=DIRECTIONAL),
-                       los=True, t_count=2),
+                       p_los=0.4, t_count=2),
     "near-alpha": dict(array=PanelArray(m=8, n=6, p=2, element=DIRECTIONAL),
                        near_field=True, ue_pos=(6.0, 2.0, 1.5), alpha=True,
                        beta=True),
@@ -253,7 +253,7 @@ def synthesize_with_rays(args, **kw):
     same link, after checking that the reference's taps are synthesize's."""
     h = synthesize_taps(*args, LAM, **kw)
     delays, gains, rays = reference(
-        *args, los=kw.get("los", False), v=kw.get("v_vec"),
+        *args, v=kw.get("v_vec"),
         t=kw.get("t_samples", (0.0,)), nf=kw.get("near_field"),
         nf_angles=kw.get("nf_angles", False), alpha=kw.get("sns_alpha"),
         beta=kw.get("sns_beta"), base_delay=kw.get("base_delay", 0.0))
