@@ -383,7 +383,8 @@ def write_cir(path, synth, ls=None):
 def read_cir(path):
     """Inverse of write_cir; returns a ChannelRealization with f32-rounded
     complex128 gains.  Raises ValueError unless the file holds exactly the
-    header and the n_taps tap records it declares."""
+    header and the n_taps tap records it declares, and unless U, S, T and
+    n_taps are all positive."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != CIR_MAGIC:
@@ -391,6 +392,9 @@ def read_cir(path):
     if len(raw) < _CIR_HEADER.size:
         raise ValueError(f"truncated CIR header: {len(raw)} bytes")
     _magic, u, s, t, n_taps, fc_hz = _CIR_HEADER.unpack_from(raw)
+    if 0 in (u, s, t, n_taps):
+        raise ValueError(f"CIR header declares an empty dimension: "
+                         f"{n_taps} taps of {u}x{s}x{t} gains")
     body, tap_bytes = len(raw) - _CIR_HEADER.size, 8 + 8 * u * s * t
     if body != n_taps * tap_bytes:
         raise ValueError(f"CIR body has {body} bytes, but {n_taps} taps of "

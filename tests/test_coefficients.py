@@ -550,6 +550,18 @@ class TestCirFormat:
         with pytest.raises(ValueError, match="body"):
             read_cir(path)
 
+    @pytest.mark.parametrize("u, s, t, n_taps",
+                             [(1, 1, 0, 2), (0, 1, 1, 2), (1, 1, 1, 0)],
+                             ids=["no-samples", "no-ue-elements", "no-taps"])
+    def test_empty_dimension_rejected(self, tmp_path, u, s, t, n_taps):
+        # a header that write_cir never writes, with a body of the size it
+        # declares
+        path = tmp_path / "x.cir"
+        header = struct.pack("<8s4Id", b"FR3CIR1\x00", u, s, t, n_taps, 7e9)
+        path.write_bytes(header + bytes(n_taps * (8 + 8 * u * s * t)))
+        with pytest.raises(ValueError, match="empty dimension"):
+            read_cir(path)
+
     def test_failed_link_leaves_no_file(self, tmp_path):
         # a link that fails after its first tap is on disk leaves neither
         # its file nor the partial one it was writing
