@@ -126,17 +126,23 @@ def load_config(path=None, preset=None, overrides=None):
     if path:
         sources.append(pathlib.Path(path))
     for src in sources:
-        parser = configparser.ConfigParser()
+        # [DEFAULT] is read as a section of its own, not copied into every
+        # section, so that each key is counted once where the file sets it
+        parser = configparser.ConfigParser(default_section="\n")
         try:
             text = src.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {src}: {exc}") from None
-        flat = {}
+        flat, where = {}, {}
         try:
             parser.read_string(text)
             for section in parser.sections():
                 for key, val in parser.items(section):
-                    flat[key] = val
+                    if key in where:
+                        raise ConfigError(
+                            f"config key {key!r} is set in both "
+                            f"[{where[key]}] and [{section}] of {src}")
+                    flat[key], where[key] = val, section
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {src}: {exc}") from None
         cfg = _apply(cfg, flat)

@@ -662,6 +662,24 @@ class TestConfigAndCli:
                     if code == 2:
                         assert (out / "manifest.txt").exists() == had_manifest
 
+    def test_key_in_two_sections_rejected(self, tmp_path, capsys):
+        # a key set in two sections of one file names both; [DEFAULT] is
+        # one section, not a copy in each
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[run]\nseed = 1\nout_dir = {tmp_path / 'x'}\n"
+                       "[model]\nseed = 7\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "[run] and [model]" in err
+        cfg.write_text("[DEFAULT]\nseed = 1\n[run]\nseed = 7\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        assert "[DEFAULT] and [run]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        cfg.write_text("[DEFAULT]\nseed = 5\n[run]\nn_ues = 3\n"
+                       "[model]\nfc_ghz = 10\n")
+        got = load_config(cfg)
+        assert (got.seed, got.n_ues, got.fc_ghz) == (5, 3, 10.0)
+
     def test_config_file_overridden_by_cli(self, tmp_path):
         f = tmp_path / "c.ini"
         f.write_text("[run]\nseed = 3\nn_ues = 4\n")
