@@ -254,18 +254,18 @@ def gini(powers):
 
 
 def emit_cdf(values, path):
-    """Write sorted (value, empirical CDF) rows; duplicate values collapse
-    to their maximum CDF."""
+    """Write sorted (value, empirical CDF) rows; values that print the same
+    collapse to one row with their maximum CDF."""
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("no values")
-    cdf = np.arange(1, v.size + 1) / v.size
-    uniq, last = np.unique(v[::-1], return_index=True)
-    keep_cdf = cdf[::-1][last]
+    rows = {}   # printed value -> CDF; sorted input, so the last is largest
+    for val, c in zip(v, np.arange(1, v.size + 1) / v.size):
+        rows[f"{val:.9g}"] = c
     with open(path, "w") as f:
         f.write("value,cdf\n")
-        for val, c in zip(uniq, keep_cdf):
-            f.write(f"{val:.9g},{c:.9g}\n")
+        for text, c in rows.items():
+            f.write(f"{text},{c:.9g}\n")
 
 
 def _angular_spread(angles_deg, weights):

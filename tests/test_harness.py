@@ -115,6 +115,14 @@ class TestEmitCdf:
         rows = path.read_text().strip().splitlines()[1:]
         assert rows == ["1,0.666666667", "2,1"]
 
+    def test_values_that_print_the_same_collapse(self, tmp_path):
+        # equal at 9 significant digits: one row, with the larger CDF, so
+        # the printed values strictly increase
+        path = tmp_path / "c.csv"
+        emit_cdf([2.0000000001, 2.0000000002, 3.0], path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert rows == ["2,0.666666667", "3,1"]
+
     def test_row_count_bounded(self, tmp_path):
         rng = np.random.default_rng(2)
         vals = rng.integers(0, 50, 200).astype(float)
