@@ -82,9 +82,11 @@ print(f"mean element-pair energy: {np.mean(energy):.3f} "
 
 # write_cir runs the synthesis itself and appends each tap to the file as
 # it is made, so no tensor is held
-cir_path = os.path.join(tempfile.mkdtemp(prefix="fr3sim-demo-"), "link.cir")
-write_cir(cir_path, synth)
-back = read_cir(cir_path)
+with tempfile.TemporaryDirectory(prefix="fr3sim-demo-") as tmp:
+    cir_path = os.path.join(tmp, "link.cir")
+    write_cir(cir_path, synth)
+    back = read_cir(cir_path)
+    size = os.path.getsize(cir_path)
 err = np.max(np.abs(back.gains - np.array(taps)))
-print(f"wrote binary CIR dump to {cir_path}: {back.n_taps} taps, "
-      f"f32 rounding error {err:.1e}")
+print(f"wrote and read back a {size}-byte binary CIR dump: {back.n_taps} "
+      f"taps, f32 rounding error {err:.1e}")

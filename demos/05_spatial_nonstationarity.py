@@ -38,11 +38,12 @@ print("\ncoupling-loss shift with the stochastic SNS model (60 UMi links):")
 base = dict(scenario="UMi", layout="disc", deploy_radius=100.0, n_ues=60,
             seed=5, bs_rows=64, bs_cols=16, bs_pol=2, bs_downtilt_deg=10.0,
             force_state="LOS", force_location="outdoor")
-out = tempfile.mkdtemp(prefix="fr3sim-demo-")
-off = run(RunConfig(sns="off", out_dir=os.path.join(out, "sns_off"), **base))
-on = run(RunConfig(sns="stochastic", out_dir=os.path.join(out, "sns_on"),
-                   **base))
+with tempfile.TemporaryDirectory(prefix="fr3sim-demo-") as out:
+    off = run(RunConfig(sns="off", out_dir=os.path.join(out, "sns_off"),
+                        **base))
+    on = run(RunConfig(sns="stochastic", out_dir=os.path.join(out, "sns_on"),
+                       **base))
 delta = np.array([b.coupling_loss_db - a.coupling_loss_db
                   for a, b in zip(off, on)])
 print(f"per-link shift: min {delta.min():.3f} dB (never negative), "
-      f"mean {delta.mean():.3f} dB; run outputs under {out}")
+      f"mean {delta.mean():.3f} dB")
