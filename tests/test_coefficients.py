@@ -1,7 +1,7 @@
 import functools
 import struct
-from dataclasses import replace
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
