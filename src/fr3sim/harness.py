@@ -261,7 +261,7 @@ def emit_cdf(values, path):
         raise ValueError("no values")
     rows = {}   # printed value -> CDF; sorted input, so the last is largest
     for val, c in zip(v, np.arange(1, v.size + 1) / v.size):
-        rows[f"{val:.9g}"] = c
+        rows[f"{val + 0.0:.9g}"] = c     # + 0.0 prints -0.0 as 0
     with open(path, "w") as f:
         f.write("value,cdf\n")
         for text, c in rows.items():

@@ -122,6 +122,9 @@ class TestEmitCdf:
         emit_cdf([2.0000000001, 2.0000000002, 3.0], path)
         rows = path.read_text().strip().splitlines()[1:]
         assert rows == ["2,0.666666667", "3,1"]
+        emit_cdf([0.0, -0.0, 1.0], path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert rows == ["0,0.666666667", "1,1"]
 
     def test_row_count_bounded(self, tmp_path):
         rng = np.random.default_rng(2)
