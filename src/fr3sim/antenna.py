@@ -44,9 +44,18 @@ def element_power_pattern(p, zenith_deg, azimuth_deg):
     return -np.minimum(-(a_v + a_h), p.a_max)
 
 
-def field_pattern(p, orientations, slants_deg, zenith_deg, azimuth_deg):
+def mounting_frames(orientations):
+    """The distinct ``orientations``, in first-seen order, as an (O, 3, 3)
+    stack of GCS-from-LCS rotations, and each orientation's index into it."""
+    frames = {}
+    index = np.array([frames.setdefault(o, len(frames)) for o in orientations])
+    return np.array([o.rotation() for o in frames]), index
+
+
+def field_pattern(p, frames, frame_index, slants_deg, zenith_deg, azimuth_deg):
     """(F_theta, F_phi) in the GCS, each (G, R), of G elements of pattern
-    ``p``: element g is mounted with ``orientations[g]`` and slanted by
+    ``p``: element g is mounted in the frame ``frames[frame_index[g]]`` of
+    an (O, 3, 3) rotation stack (see mounting_frames) and slanted by
     ``slants_deg[g]`` degrees, and sees the (R,) angles shared by all or
     its row of (G, R) angles.
 
@@ -54,24 +63,23 @@ def field_pattern(p, orientations, slants_deg, zenith_deg, azimuth_deg):
     pattern gives the amplitude and the slant zeta splits it into
     (cos zeta, sin zeta); the basis is rotated back through the angle psi.
     Power is preserved exactly.  Shared angles are transformed, and the
-    power pattern evaluated, once per distinct orientation.
+    power pattern and cos psi and sin psi evaluated, once per frame and
+    then expanded to the elements by ``frame_index``.
     """
-    frames = {}
-    row = np.array([frames.setdefault(o, len(frames)) for o in orientations])
-    rot = np.array([o.rotation() for o in frames])
+    row = np.asarray(frame_index)
     zen = np.asarray(zenith_deg, dtype=float)
     az = np.asarray(azimuth_deg, dtype=float)
     if zen.ndim == 1:
         zen, az = zen[None], az[None]      # one output row per frame
     else:
-        rot, row = rot[row], slice(None)   # one frame per angle row
-    zen_l, az_l, psi = gcs_to_lcs(rot, zen, az)
+        frames, row = frames[row], slice(None)   # one frame per angle row
+    zen_l, az_l, psi = gcs_to_lcs(frames, zen, az)
     a_db = element_power_pattern(p, zen_l, az_l) + p.max_gain_dbi
     amp = (10.0 ** (a_db / 20.0))[row]
     zeta = np.radians(np.asarray(slants_deg, dtype=float))[:, None]
     f_th_l, f_ph_l = amp * np.cos(zeta), amp * np.sin(zeta)
-    psi = np.radians(psi[row])
-    c, s = np.cos(psi), np.sin(psi)
+    psi = np.radians(psi)
+    c, s = np.cos(psi)[row], np.sin(psi)[row]
     return c * f_th_l - s * f_ph_l, s * f_th_l + c * f_ph_l
 
 
@@ -179,6 +187,10 @@ class MountedArray:
     groups: G (Orientation, slant in degrees) pairs, the mounting frame and
     polarization slant that fix an element's field pattern.
     group_index: (K,) each element's field group.
+    frames: (O, 3, 3) GCS-from-LCS rotations of the distinct group
+    orientations, in first-seen order (mounting_frames), built once at
+    mount; field_pattern and the SNS site projection read them.
+    frame_index: (G,) each field group's frame.
     grid: the PlanarGrid of a uniform planar array, whose site r N + c sits
     at row r and column c, None otherwise.
     """
@@ -187,6 +199,8 @@ class MountedArray:
     site_index: np.ndarray
     groups: list
     group_index: np.ndarray
+    frames: np.ndarray
+    frame_index: np.ndarray
     pattern: ElementPattern
     grid: PlanarGrid = None
 
@@ -219,14 +233,16 @@ def mount_bs_array(array, site_position, sector_orientation, wavelength):
     a site.
     """
     y, z = element_grid(array, wavelength)
-    rot = sector_orientation.rotation()
+    groups = [(sector_orientation, s) for s in array.slants()]
+    frames, frame_index = mounting_frames([o for o, _s in groups])
+    rot = frames[0]
     mn = array.m * array.n
     sites = np.stack([np.zeros(mn), np.tile(y, array.m),
                       np.repeat(z, array.n)], axis=1)
     k = np.arange(array.p * mn)
     return MountedArray(np.asarray(site_position, dtype=float), sites @ rot.T,
-                        k % mn, [(sector_orientation, s) for s in array.slants()],
-                        k // mn, array.element, PlanarGrid(y, z, rot[:, 1:]))
+                        k % mn, groups, k // mn, frames, frame_index,
+                        array.element, PlanarGrid(y, z, rot[:, 1:]))
 
 
 def mount_ue_device(device, ue_position, dual_polarized=True,
@@ -244,4 +260,6 @@ def mount_ue_device(device, ue_position, dual_polarized=True,
     k = np.arange(len(groups))
     return MountedArray(np.asarray(ue_position, dtype=float),
                         np.array([rot @ off for off, _ori in cands]),
-                        k % len(cands), groups, k, ElementPattern.isotropic())
+                        k % len(cands), groups, k,
+                        *mounting_frames([o for o, _s in groups]),
+                        ElementPattern.isotropic())

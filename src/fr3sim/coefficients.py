@@ -100,23 +100,25 @@ def _site_phases(arr, r_hat, lam0, d, out):
 
 def array_fields(mounted, zen, az, per_group=False):
     """GCS field patterns (F_theta, F_phi), each (K, R), of a mounted array
-    from one ``field_pattern`` call, for (R,) angles in degrees shared by
-    all elements or (K, R) angles with one row per element.  Shared angles
-    are evaluated once per entry of ``mounted.groups``, and ``per_group``
-    returns those (G, R) rows; per-element angles take each element's
-    group, expanded by ``mounted.group_index``.
+    from one ``field_pattern`` call on its mount-time frames, for (R,)
+    angles in degrees shared by all elements or (K, R) angles with one row
+    per element.  Shared angles are evaluated once per frame and expanded
+    to the entries of ``mounted.groups``, and ``per_group`` returns those
+    (G, R) rows; per-element angles take each element's group, expanded by
+    ``mounted.group_index``.
     """
     zen = np.asarray(zen, dtype=float)
     az = np.asarray(az, dtype=float)
-    orientations, slants = zip(*mounted.groups)
+    slants = np.array([s for _o, s in mounted.groups])
+    gi = mounted.group_index
     if zen.ndim == 2:
-        gi = mounted.group_index
-        return field_pattern(mounted.pattern, [orientations[g] for g in gi],
-                             np.array(slants)[gi], zen, az)
-    f_t, f_p = field_pattern(mounted.pattern, orientations, slants, zen, az)
+        return field_pattern(mounted.pattern, mounted.frames,
+                             mounted.frame_index[gi], slants[gi], zen, az)
+    f_t, f_p = field_pattern(mounted.pattern, mounted.frames,
+                             mounted.frame_index, slants, zen, az)
     if per_group:
         return f_t, f_p
-    return f_t[mounted.group_index], f_p[mounted.group_index]
+    return f_t[gi], f_p[gi]
 
 
 def synthesize(geom, cs, phases, bs, ue, lam0, v_vec=None, t_samples=None,

@@ -27,20 +27,27 @@ def wrap_zenith(t):
     return np.where(t > 180.0, 360.0 - t, t)
 
 
-def sph_unit(zenith_deg, azimuth_deg):
-    """Unit vector(s) for spherical angles; output shape (..., 3)."""
+def _trig(zenith_deg, azimuth_deg):
+    """(cos, sin) of the zenith and (cos, sin) of the azimuth, in degrees."""
     th = np.radians(zenith_deg)
     ph = np.radians(azimuth_deg)
-    return np.stack([np.sin(th) * np.cos(ph),
-                     np.sin(th) * np.sin(ph),
-                     np.cos(th)], axis=-1)
+    return np.cos(th), np.sin(th), np.cos(ph), np.sin(ph)
+
+
+def sph_unit(zenith_deg, azimuth_deg):
+    """Unit vector(s) for spherical angles; output shape (..., 3)."""
+    ct, st, cp, sp = _trig(zenith_deg, azimuth_deg)
+    return np.stack([st * cp, st * sp, ct], axis=-1)
 
 
 def unit_to_angles(v):
     """Inverse of sph_unit: (zenith, azimuth) in degrees for unit vectors."""
     v = np.asarray(v, dtype=float)
-    zen = np.degrees(np.arccos(np.clip(v[..., 2] / np.linalg.norm(v, axis=-1), -1.0, 1.0)))
-    az = np.degrees(np.arctan2(v[..., 1], v[..., 0]))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    # |v| summed in the order np.linalg.norm takes it over the last axis
+    norm = np.sqrt(((0.0 + x * x) + y * y) + z * z)
+    zen = np.degrees(np.arccos(np.clip(z / norm, -1.0, 1.0)))
+    az = np.degrees(np.arctan2(y, x))
     return zen, az
 
 
@@ -63,20 +70,6 @@ class Orientation:
         return rz @ ry @ rx
 
 
-def _theta_hat(zen, az):
-    th = np.radians(zen)
-    ph = np.radians(az)
-    return np.stack([np.cos(th) * np.cos(ph),
-                     np.cos(th) * np.sin(ph),
-                     -np.sin(th)], axis=-1)
-
-
-def _phi_hat(zen, az):
-    ph = np.radians(az)
-    z = np.zeros(np.shape(ph))
-    return np.stack([-np.sin(ph), np.cos(ph), z], axis=-1)
-
-
 def gcs_to_lcs(orientation, zenith_deg, azimuth_deg):
     """Transform GCS direction(s) into the local frame of ``orientation``.
 
@@ -86,16 +79,24 @@ def gcs_to_lcs(orientation, zenith_deg, azimuth_deg):
 
     ``orientation`` may also be an (O, 3, 3) stack of rotation matrices,
     which broadcasts like a matmul stack against (1, R) or (O, R) angles.
+    The radians, cosines and sines are taken once for the GCS angles and
+    once for the LCS angles; the direction v and the theta and phi unit
+    vectors are built from them.
     """
     r = orientation.rotation() if isinstance(orientation, Orientation) \
         else np.asarray(orientation)
-    v = sph_unit(zenith_deg, azimuth_deg)
-    v_lcs = v @ r  # == R.T applied to each row vector
+    ct, st, cp, sp = _trig(zenith_deg, azimuth_deg)
+    v_lcs = np.stack([st * cp, st * sp, ct], axis=-1) @ r   # R.T per row
     zen_l, az_l = unit_to_angles(v_lcs)
-    # psi from the projection of the rotated LCS theta-basis onto the GCS basis
-    th_l = _theta_hat(zen_l, az_l) @ np.swapaxes(r, -1, -2)
-    cos_psi = np.sum(_theta_hat(zenith_deg, azimuth_deg) * th_l, axis=-1)
-    sin_psi = np.sum(_phi_hat(zenith_deg, azimuth_deg) * th_l, axis=-1)
+    # psi from the projection of the rotated LCS theta-basis onto the GCS
+    # theta and phi bases; the dot products are summed in numpy's reduction
+    # order, whose leading 0.0 turns a -0.0 sum into +0.0 for arctan2
+    ct_l, st_l, cp_l, sp_l = _trig(zen_l, az_l)
+    th_l = np.stack([ct_l * cp_l, ct_l * sp_l, -st_l], axis=-1) \
+        @ np.swapaxes(r, -1, -2)
+    t0, t1, t2 = th_l[..., 0], th_l[..., 1], th_l[..., 2]
+    cos_psi = ((0.0 + ct * cp * t0) + ct * sp * t1) + -st * t2
+    sin_psi = ((0.0 + -sp * t0) + cp * t1) + 0.0 * t2
     psi = np.degrees(np.arctan2(sin_psi, cos_psi))
     return zen_l, az_l, psi
 

@@ -2,6 +2,7 @@
 metrics, and output emission."""
 
 import configparser
+import ctypes
 import functools
 import hashlib
 import math
@@ -269,13 +270,15 @@ def emit_cdf(values, path):
 
 
 def _angular_spread(angles_deg, weights):
-    """Power-weighted circular RMS spread in degrees."""
-    a = np.radians(np.asarray(angles_deg, dtype=float).reshape(-1))
+    """Power-weighted circular RMS spreads in degrees, one float per entry
+    of ``angles_deg``, a stack of angle sets with one angle per weight."""
+    a = np.asarray(angles_deg, dtype=float)
+    a = np.radians(a.reshape(a.shape[0], -1))
     w = np.asarray(weights, dtype=float).reshape(-1)
     w = w / w.sum()
-    mean = np.angle(np.sum(w * np.exp(1j * a)))
-    dev = np.angle(np.exp(1j * (a - mean)))
-    return float(np.degrees(np.sqrt(np.sum(w * dev ** 2))))
+    mean = np.angle(np.sum(w * np.exp(1j * a), axis=-1))
+    dev = np.angle(np.exp(1j * (a - mean[:, None])))
+    return np.degrees(np.sqrt(np.sum(w * dev ** 2, axis=-1))).tolist()
 
 
 def _rms_delay_spread(delays, powers):
@@ -401,8 +404,8 @@ def process_link(ctx, task):
 
     alpha = None
     if cfg.sns == "stochastic":
-        rot = ctx.layout.sectors[task.sector_index].rotation()
-        yz = (bs.site_offsets @ rot)[:, 1:3]   # one row per site
+        # one row per site, in the frame the BS array was mounted in
+        yz = (bs.site_offsets @ bs.frames[0])[:, 1:3]
         alpha = stochastic_attenuation(10.0 * np.log10(cs.p), ctx.sns,
                                        yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
     beta = None
@@ -422,6 +425,8 @@ def process_link(ctx, task):
 
     w_ray = np.repeat(cs.p / cs.m, cs.m)
     tap_d, tap_p = _tap_powers(cs, base_delay)
+    asa, asd, zsa, zsd = _angular_spread((cs.aoa, cs.aod, cs.zoa, cs.zod),
+                                         w_ray)
     report = LinkReport(
         link_id=lid, ue=task.ue_index, site=task.site_index,
         sector=task.sector_index, d2d_m=geom.d2d, d3d_m=geom.d3d,
@@ -431,10 +436,7 @@ def process_link(ctx, task):
         sf_db=task.ls.sf,
         coupling_loss_db=cl, capacity_bps_hz=cap,
         ds_s=_rms_delay_spread(tap_d, tap_p),
-        asa_deg=_angular_spread(cs.aoa, w_ray),
-        asd_deg=_angular_spread(cs.aod, w_ray),
-        zsa_deg=_angular_spread(cs.zoa, w_ray),
-        zsd_deg=_angular_spread(cs.zod, w_ray),
+        asa_deg=asa, asd_deg=asd, zsa_deg=zsa, zsd_deg=zsd,
         n_clusters=cs.n, m_rays=cs.m, gini=gini(w_ray))
     return report
 
@@ -661,6 +663,26 @@ def run(cfg, registry=None):
     return reports
 
 
+def blas_record():
+    """The manifest's ``blas`` line: numpy's version, the BLAS it was built
+    with, and the kernel an OpenBLAS built for several CPUs chose on this
+    one, which can move the last bits of the outputs (``unknown`` where the
+    library does not say)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
+    try:
+        # the symbol resolves through the numpy core's link to its BLAS
+        from numpy._core import _multiarray_umath
+        corename = ctypes.CDLL(_multiarray_umath.__file__) \
+            .scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (ImportError, OSError, AttributeError):
+        core = "unknown"
+    return (f"blas numpy {np.__version__} {blas.get('name', 'unknown')} "
+            f"{blas.get('version', 'unknown')} core {core}")
+
+
 # cdf_<name>.csv -> the LinkReport field it is the CDF of
 _CDFS = {"coupling_loss": "coupling_loss_db", "capacity": "capacity_bps_hz",
          "ds": "ds_s", "gini": "gini"}
@@ -682,6 +704,7 @@ def _write_outputs(out, cfg, reg, reports):
         lines.append(f"config {key} = {val}")
     for name, digest in sorted(reg.file_hashes.items()):
         lines.append(f"data {name} sha256 {digest}")
+    lines.append(blas_record())
     links_hash = hashlib.sha256(tmp("links.csv").read_bytes()).hexdigest()
     lines.append(f"output links.csv sha256 {links_hash}")
     tmp("manifest.txt").write_text("\n".join(lines) + "\n")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fr3sim.antenna import (ElementPattern, MountedArray, PanelArray, UEDevice,
-                            field_pattern, mount_bs_array, mount_ue_device)
+                            field_pattern, mount_bs_array, mount_ue_device,
+                            mounting_frames)
 from fr3sim.coefficients import (ChannelRealization, apply_large_scale,
                                  array_fields, draw_absolute_excess,
                                  draw_phases, ray_count, read_cir, synthesize,
@@ -25,11 +26,13 @@ LAM = C_LIGHT / 7e9
 
 
 def iso_element(position=(0.0, 0.0, 0.0), slant=0.0):
+    frames, frame_index = mounting_frames([Orientation(0, 0, 0)])
     return MountedArray(reference=np.asarray(position, dtype=float),
                         site_offsets=np.zeros((1, 3)),
                         site_index=np.array([0]),
                         groups=[(Orientation(0, 0, 0), slant)],
                         group_index=np.array([0]),
+                        frames=frames, frame_index=frame_index,
                         pattern=ElementPattern.isotropic())
 
 
@@ -105,6 +108,7 @@ class TestSynthesize:
         # two elements, each with its own slant and position: field groups
         # [0, 1] and sites [0, 1], so a tap's (group, site) columns are not
         # the elements, and no gather makes them so
+        frames, frame_index = mounting_frames([Orientation(0, 0, 0)] * 2)
         bs = MountedArray(reference=np.array([0.0, 0.0, 10.0]),
                           site_offsets=np.array([[0.0, 0.0, 0.0],
                                                  [0.0, 0.02, 0.0]]),
@@ -112,6 +116,7 @@ class TestSynthesize:
                           groups=[(Orientation(0, 0, 0), 45.0),
                                   (Orientation(0, 0, 0), -45.0)],
                           group_index=np.array([0, 1]),
+                          frames=frames, frame_index=frame_index,
                           pattern=ElementPattern.directional())
         ue = mount_ue_device(UEDevice("handheld"), vec3(50, 0, 10))
         cs = simple_cs(n=2, m=1)
@@ -202,9 +207,9 @@ class TestSynthesize:
         # with p_los = 0 there is neither
         columns = []
 
-        def counted(pattern, orientations, slants, zen, az):
+        def counted(pattern, frames, frame_index, slants, zen, az):
             columns.append(np.shape(zen)[-1])
-            return field_pattern(pattern, orientations, slants, zen, az)
+            return field_pattern(pattern, frames, frame_index, slants, zen, az)
 
         monkeypatch.setattr(coefficients, "field_pattern", counted)
         cs = simple_cs(n=3, m=4, p=np.array([0.3, 0.2, 0.1]), p_los=0.4)
@@ -325,8 +330,8 @@ def per_element_fields(arr, zen, az):
     rows = []
     for k, g in enumerate(arr.group_index):
         ori, slant = arr.groups[g]
-        rows.append(field_pattern(arr.pattern, [ori], [slant],
-                                  zen if zen.ndim == 1 else zen[k],
+        rows.append(field_pattern(arr.pattern, *mounting_frames([ori]),
+                                  [slant], zen if zen.ndim == 1 else zen[k],
                                   az if az.ndim == 1 else az[k]))
     return np.array([r[0][0] for r in rows]), np.array([r[1][0] for r in rows])
 

@@ -159,6 +159,29 @@ class TestRun:
             assert f"data {name} sha256" in text
         assert "config seed = 11" in text
 
+    def test_manifest_records_the_blas(self, tmp_path, monkeypatch):
+        # one blas line: numpy's version, its BLAS and the OpenBLAS kernel,
+        # or unknown where the kernel cannot be read; links.csv is the same
+        run(tiny_cfg(tmp_path / "a"))
+        lines = (tmp_path / "a" / "manifest.txt").read_text().splitlines()
+        blas = [line for line in lines if line.startswith("blas ")]
+        assert blas == [harness.blas_record()]
+        words = blas[0].split()
+        assert words[:3] == ["blas", "numpy", np.__version__]
+        assert words[-2] == "core" and words[-1]
+
+        def no_library(_path):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
+        assert harness.blas_record().endswith(" core unknown")
+        run(tiny_cfg(tmp_path / "b"))
+        assert (tmp_path / "b" / "links.csv").read_bytes() == (
+            tmp_path / "a" / "links.csv").read_bytes()
+        other = (tmp_path / "b" / "manifest.txt").read_text().splitlines()
+        assert [line for line in other if line.startswith("blas ")] == [
+            " ".join(words[:-1] + ["unknown"])]
+
     def test_near_field_changes_capacity_not_pl(self, tmp_path):
         base = run(tiny_cfg(tmp_path / "ff", near_field=False, force_state="LOS"))
         nf = run(tiny_cfg(tmp_path / "nf", near_field=True, force_state="LOS"))
@@ -313,6 +336,31 @@ class TestRun:
         pid = os.getpid()
         assert sorted(log.read_text().splitlines()) == sorted(
             [f"mount_bs_array {pid}"] * 3 + [f"mount_ue_device {pid}"])
+
+    def test_no_link_builds_a_rotation(self, tmp_path, monkeypatch):
+        # the mounts build every rotation a run needs in set-up, in the
+        # parent; a link's fields and its SNS site projection read the
+        # mounted frames, so the count does not grow with the links
+        log = tmp_path / "rotations.log"
+        real = Orientation.rotation
+
+        def logged(self):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(self)
+
+        monkeypatch.setattr(Orientation, "rotation", logged)
+        counts = []
+        for workers, n_ues in [(1, 2), (1, 6), (2, 2), (2, 6)]:
+            log.write_text("")
+            reports = run(RunConfig(n_ues=n_ues, seed=4, bs_rows=2, bs_cols=2,
+                                    sns="stochastic", workers=workers,
+                                    out_dir=str(tmp_path / "out")))
+            assert len(reports) == n_ues
+            pids = log.read_text().split()
+            assert set(pids) == {str(os.getpid())}
+            counts.append(len(pids))
+        assert len(set(counts)) == 1
 
     def test_emit_cir(self, tmp_path):
         run(tiny_cfg(tmp_path / "c", emit_cir=True, n_ues=2))

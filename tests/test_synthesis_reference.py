@@ -13,7 +13,8 @@ import pytest
 
 from fr3sim import coefficients
 from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
-                            field_pattern, mount_bs_array, mount_ue_device)
+                            field_pattern, mount_bs_array, mount_ue_device,
+                            mounting_frames)
 from fr3sim.coefficients import draw_phases, synthesize
 from fr3sim.geometry import Orientation, link_geometry
 from fr3sim.largescale import C_LIGHT
@@ -45,7 +46,8 @@ def element_fields(arr, zen, az):
         z = zen if np.ndim(zen) == 1 else zen[k]
         a = az if np.ndim(az) == 1 else az[k]
         ori, slant = arr.groups[arr.group_index[k]]
-        f_t, f_p = field_pattern(arr.pattern, [ori], [slant], z, a)
+        f_t, f_p = field_pattern(arr.pattern, *mounting_frames([ori]), [slant],
+                                 z, a)
         out.append(np.stack([f_t[0], f_p[0]]))
     return np.array(out)
 
