@@ -14,7 +14,7 @@ class ElementPattern:
     phi_3db / theta_3db are the 3 dB beamwidths in degrees, a_max the
     azimuth-cut floor and sla_v the elevation side-lobe floor (both in dB,
     >= 0), max_gain_dbi the boresight directive gain.  The polarization
-    slant belongs to the mounted element (``MountedArray.groups``).
+    slant belongs to the mounted element (``MountedArray.slants``).
     """
     phi_3db: float = 65.0
     theta_3db: float = 65.0
@@ -52,31 +52,34 @@ def mounting_frames(orientations):
     return np.array([o.rotation() for o in frames]), index
 
 
-def field_pattern(p, frames, frame_index, slants_deg, zenith_deg, azimuth_deg):
-    """(F_theta, F_phi) in the GCS, each (G, R), of G elements of pattern
-    ``p``: element g is mounted in the frame ``frames[frame_index[g]]`` of
-    an (O, 3, 3) rotation stack (see mounting_frames) and slanted by
-    ``slants_deg[g]`` degrees, and sees the (R,) angles shared by all or
-    its row of (G, R) angles.
+def field_pattern(mounted, zenith_deg, azimuth_deg):
+    """(F_theta, F_phi) in the GCS of the elements of a MountedArray: (G, R)
+    field-group rows for (R,) angles shared by all elements, or (K, R)
+    element rows for (K, R) angles with one row per element.  Field group g
+    is mounted in the frame ``mounted.frames[mounted.frame_index[g]]`` and
+    slanted by ``mounted.slants[g]`` degrees; element k is in group
+    ``mounted.group_index[k]``.
 
     Each direction is rotated into the element frame, where the power
     pattern gives the amplitude and the slant zeta splits it into
     (cos zeta, sin zeta); the basis is rotated back through the angle psi.
     Power is preserved exactly.  Shared angles are transformed, and the
     power pattern and cos psi and sin psi evaluated, once per frame and
-    then expanded to the elements by ``frame_index``.
+    then expanded to the groups by ``frame_index``.
     """
-    row = np.asarray(frame_index)
+    p, frames, row = mounted.pattern, mounted.frames, mounted.frame_index
+    slants = mounted.slants
     zen = np.asarray(zenith_deg, dtype=float)
     az = np.asarray(azimuth_deg, dtype=float)
     if zen.ndim == 1:
         zen, az = zen[None], az[None]      # one output row per frame
     else:
-        frames, row = frames[row], slice(None)   # one frame per angle row
+        gi = mounted.group_index           # one frame per angle row
+        frames, row, slants = frames[row[gi]], slice(None), slants[gi]
     zen_l, az_l, psi = gcs_to_lcs(frames, zen, az)
     a_db = element_power_pattern(p, zen_l, az_l) + p.max_gain_dbi
     amp = (10.0 ** (a_db / 20.0))[row]
-    zeta = np.radians(np.asarray(slants_deg, dtype=float))[:, None]
+    zeta = np.radians(slants)[:, None]
     f_th_l, f_ph_l = amp * np.cos(zeta), amp * np.sin(zeta)
     psi = np.radians(psi)
     c, s = np.cos(psi)[row], np.sin(psi)[row]
@@ -184,8 +187,8 @@ class MountedArray:
     co-located elements (a dual-polarized pair) share a site, and a UE
     device's candidate location c is its site c (UE masks).
     site_index: (K,) each element's site.
-    groups: G (Orientation, slant in degrees) pairs, the mounting frame and
-    polarization slant that fix an element's field pattern.
+    slants: (G,) polarization slant in degrees of each field group; a
+    group's slant and frame fix its elements' field pattern.
     group_index: (K,) each element's field group.
     frames: (O, 3, 3) GCS-from-LCS rotations of the distinct group
     orientations, in first-seen order (mounting_frames), built once at
@@ -197,7 +200,7 @@ class MountedArray:
     reference: np.ndarray
     site_offsets: np.ndarray
     site_index: np.ndarray
-    groups: list
+    slants: np.ndarray
     group_index: np.ndarray
     frames: np.ndarray
     frame_index: np.ndarray
@@ -233,16 +236,15 @@ def mount_bs_array(array, site_position, sector_orientation, wavelength):
     a site.
     """
     y, z = element_grid(array, wavelength)
-    groups = [(sector_orientation, s) for s in array.slants()]
-    frames, frame_index = mounting_frames([o for o, _s in groups])
+    frames, index = mounting_frames([sector_orientation] * array.p)
     rot = frames[0]
     mn = array.m * array.n
     sites = np.stack([np.zeros(mn), np.tile(y, array.m),
                       np.repeat(z, array.n)], axis=1)
     k = np.arange(array.p * mn)
     return MountedArray(np.asarray(site_position, dtype=float), sites @ rot.T,
-                        k % mn, groups, k // mn, frames, frame_index,
-                        array.element, PlanarGrid(y, z, rot[:, 1:]))
+                        k % mn, np.array(array.slants()), k // mn, frames,
+                        index, array.element, PlanarGrid(y, z, rot[:, 1:]))
 
 
 def mount_ue_device(device, ue_position, dual_polarized=True,
@@ -254,12 +256,11 @@ def mount_ue_device(device, ue_position, dual_polarized=True,
     d, rot = device_orientation, device_orientation.rotation()
     cands = ue_candidate_locations(device)
     slants = (0.0, 90.0) if dual_polarized else (0.0,)
-    groups = [(Orientation(o.alpha + d.alpha, o.beta + d.beta,
-                           o.gamma + d.gamma), s)
-              for s in slants for _off, o in cands]
-    k = np.arange(len(groups))
+    oris = [Orientation(o.alpha + d.alpha, o.beta + d.beta, o.gamma + d.gamma)
+            for _off, o in cands]
+    k = np.arange(len(slants) * len(cands))
     return MountedArray(np.asarray(ue_position, dtype=float),
                         np.array([rot @ off for off, _ori in cands]),
-                        k % len(cands), groups, k,
-                        *mounting_frames([o for o, _s in groups]),
+                        k % len(cands), np.repeat(slants, len(cands)), k,
+                        *mounting_frames(oris * len(slants)),
                         ElementPattern.isotropic())

@@ -98,29 +98,6 @@ def _site_phases(arr, r_hat, lam0, d, out):
     return out
 
 
-def array_fields(mounted, zen, az, per_group=False):
-    """GCS field patterns (F_theta, F_phi), each (K, R), of a mounted array
-    from one ``field_pattern`` call on its mount-time frames, for (R,)
-    angles in degrees shared by all elements or (K, R) angles with one row
-    per element.  Shared angles are evaluated once per frame and expanded
-    to the entries of ``mounted.groups``, and ``per_group`` returns those
-    (G, R) rows; per-element angles take each element's group, expanded by
-    ``mounted.group_index``.
-    """
-    zen = np.asarray(zen, dtype=float)
-    az = np.asarray(az, dtype=float)
-    slants = np.array([s for _o, s in mounted.groups])
-    gi = mounted.group_index
-    if zen.ndim == 2:
-        return field_pattern(mounted.pattern, mounted.frames,
-                             mounted.frame_index[gi], slants[gi], zen, az)
-    f_t, f_p = field_pattern(mounted.pattern, mounted.frames,
-                             mounted.frame_index, slants, zen, az)
-    if per_group:
-        return f_t, f_p
-    return f_t[gi], f_p[gi]
-
-
 def synthesize(geom, cs, phases, bs, ue, lam0, v_vec=None, t_samples=None,
                near_field=None, nf_angles=False, sns_alpha=None,
                sns_beta=None, base_delay=0.0, sink=None):
@@ -192,8 +169,8 @@ def synthesize(geom, cs, phases, bs, ue, lam0, v_vec=None, t_samples=None,
             zod, aod = np.append(zod, z_e[:, None], 1), np.append(aod, a_e[:, None], 1)
         else:
             zod, aod = np.append(zod, geom.zod), np.append(aod, geom.aod_az)
-    frx_t, frx_p = array_fields(ue, zoa, aoa)
-    ftx_t, ftx_p = array_fields(bs, zod, aod, per_group=True)
+    frx_t, frx_p = (f[ue.group_index] for f in field_pattern(ue, zoa, aoa))
+    ftx_t, ftx_p = field_pattern(bs, zod, aod)
 
     # BS sites, and sqrt(alpha) per site (per element with nf_angles)
     n_site, site = bs.site_offsets.shape[0], bs.site_index
@@ -232,9 +209,9 @@ def synthesize(geom, cs, phases, bs, ue, lam0, v_vec=None, t_samples=None,
         left, right = [ga_t, ga_p], [ftx_t[:, :n_r] * fa, ftx_p[:, :n_r] * fa]
     else:
         if not np.array_equal(bs.group_index * n_site + site,
-                              np.arange(len(bs.groups) * n_site)):
+                              np.arange(len(bs.slants) * n_site)):
             raise ValueError("BS elements must be ordered field group by site")
-        g_left = SCRATCH.take("left", (u_cnt, len(bs.groups), n_r))
+        g_left = SCRATCH.take("left", (u_cnt, len(bs.slants), n_r))
         np.multiply(ga_t[:, None], ftx_t[None, :, :n_r], out=g_left)
         g_left += np.multiply(ga_p[:, None], ftx_p[None, :, :n_r],
                               out=SCRATCH.take("left_p", g_left.shape))

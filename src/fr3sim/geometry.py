@@ -70,21 +70,21 @@ class Orientation:
         return rz @ ry @ rx
 
 
-def gcs_to_lcs(orientation, zenith_deg, azimuth_deg):
-    """Transform GCS direction(s) into the local frame of ``orientation``.
+def gcs_to_lcs(rotation, zenith_deg, azimuth_deg):
+    """Transform GCS direction(s) into the local frame of the GCS-from-LCS
+    ``rotation`` (see Orientation.rotation).
 
     Returns (zenith', azimuth', psi) where psi is the polarization rotation
     angle in degrees: GCS field components are obtained from LCS components
     by a 2x2 rotation through psi.
 
-    ``orientation`` may also be an (O, 3, 3) stack of rotation matrices,
+    ``rotation`` may also be an (O, 3, 3) stack of rotation matrices,
     which broadcasts like a matmul stack against (1, R) or (O, R) angles.
     The radians, cosines and sines are taken once for the GCS angles and
     once for the LCS angles; the direction v and the theta and phi unit
     vectors are built from them.
     """
-    r = orientation.rotation() if isinstance(orientation, Orientation) \
-        else np.asarray(orientation)
+    r = np.asarray(rotation)
     ct, st, cp, sp = _trig(zenith_deg, azimuth_deg)
     v_lcs = np.stack([st * cp, st * sp, ct], axis=-1) @ r   # R.T per row
     zen_l, az_l = unit_to_angles(v_lcs)

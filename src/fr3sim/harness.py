@@ -198,6 +198,12 @@ def _validate(cfg):
     if cfg.nf_angles and not cfg.near_field:
         raise ConfigError("nf_angles evaluates element-wise angles toward "
                           "near-field sources; it needs near_field")
+    if cfg.ue_usage and not cfg.ue_sns:
+        raise ConfigError("ue_usage picks the UE mask; it needs ue_sns")
+    if cfg.abs_delay_bound_m > 0 and not cfg.absolute_delay:
+        raise ConfigError("abs_delay_bound_m needs absolute_delay")
+    if cfg.isd > 0 and cfg.layout != "hex":
+        raise ConfigError("isd spaces the sites of layout = hex only")
     if cfg.m_min > cfg.m_max:
         raise ConfigError("m_min must not exceed m_max")
 

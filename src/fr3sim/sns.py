@@ -186,14 +186,15 @@ def ue_sns_mask(masks, usage, fc_ghz, site_index):
     """Per-element linear attenuation from the mask tables.
 
     ``masks`` maps (usage, band) to 8 per-candidate dB values; ``site_index``
-    maps elements to candidate locations, which are a UE's sites.  Frequencies
-    outside the configured bands fall back to the nearest band with a
-    warning.  Free-space usage is all-ones.
+    maps elements to candidate locations, which are a UE's sites.  A shared
+    band edge belongs to the upper band, so lt1 is < 1 GHz.  Frequencies
+    outside the bands fall back to the nearest band with a warning.
+    Free-space usage is all-ones.
     """
     if usage == "free":
         return np.ones(np.asarray(site_index).shape[0])
     band = None
-    for name, lo, hi in MASK_BANDS:
+    for name, lo, hi in reversed(MASK_BANDS):
         if lo <= fc_ghz <= hi:
             band = name
             break

@@ -76,18 +76,18 @@ def field_pattern(p, orientations, slants_deg, zenith_deg, azimuth_deg):
     return c * f_th_l - s * f_ph_l, s * f_th_l + c * f_ph_l
 
 
-def array_fields(mounted, zen, az, per_group=False):
+def array_fields(mounted, orientations, zen, az):
+    """(G, R) field-group rows of ``mounted`` for shared (R,) angles, or
+    (K, R) element rows for (K, R) angles; ``orientations`` holds each
+    field group's Orientation, whose rotation is rebuilt on every call."""
     zen = np.asarray(zen, dtype=float)
     az = np.asarray(az, dtype=float)
-    orientations, slants = zip(*mounted.groups)
+    slants = np.asarray(mounted.slants, dtype=float)
     if zen.ndim == 2:
         gi = mounted.group_index
         return field_pattern(mounted.pattern, [orientations[g] for g in gi],
-                             np.array(slants)[gi], zen, az)
-    f_t, f_p = field_pattern(mounted.pattern, orientations, slants, zen, az)
-    if per_group:
-        return f_t, f_p
-    return f_t[mounted.group_index], f_p[mounted.group_index]
+                             slants[gi], zen, az)
+    return field_pattern(mounted.pattern, orientations, slants, zen, az)
 
 
 def angular_spread(angles_deg, weights):

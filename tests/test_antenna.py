@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from fr3sim import antenna
-from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
-                            element_grid, element_power_pattern, field_pattern,
-                            mount_bs_array, mount_ue_device, mounting_frames,
-                            ue_candidate_locations)
+from fr3sim.antenna import (ElementPattern, MountedArray, PanelArray,
+                            UEDevice, element_grid, element_power_pattern,
+                            field_pattern, mount_bs_array, mount_ue_device,
+                            mounting_frames, ue_candidate_locations)
 from fr3sim.geometry import Orientation, gcs_to_lcs
+
+
+def field_groups(p, orientations, slants):
+    """A MountedArray of pattern ``p`` at the origin with one element per
+    (orientation, slant) field group, all on one site."""
+    frames, index = mounting_frames(orientations)
+    k = np.arange(len(orientations))
+    return MountedArray(np.zeros(3), np.zeros((1, 3)), np.zeros_like(k),
+                        np.array(slants, dtype=float), k, frames, index, p)
 
 
 class TestPowerPattern:
@@ -43,16 +52,18 @@ class TestPowerPattern:
 
 class TestFieldPattern:
     # with the identity orientation the element frame is the GCS
-    IDENTITY = mounting_frames([Orientation()])
+    IDENTITY = [Orientation()]
 
     def test_zero_slant_no_phi_component(self):
         p = ElementPattern.directional()
-        (_ft,), (fp,) = field_pattern(p, *self.IDENTITY, [0.0], [77.0], [12.0])
+        (_ft,), (fp,) = field_pattern(field_groups(p, self.IDENTITY, [0.0]),
+                                      [77.0], [12.0])
         assert fp == pytest.approx(0.0, abs=1e-15)
 
     def test_slant_45_boresight(self):
         p = ElementPattern(a_max=0, sla_v=0, max_gain_dbi=0)
-        (ft,), (fp,) = field_pattern(p, *self.IDENTITY, [45.0], [90.0], [0.0])
+        (ft,), (fp,) = field_pattern(field_groups(p, self.IDENTITY, [45.0]),
+                                     [90.0], [0.0])
         assert ft == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert fp == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
@@ -64,16 +75,17 @@ class TestFieldPattern:
         o1, o2 = Orientation(30.0, 10.0, 0.0), Orientation(-45.0, 0.0, 5.0)
         oris, slants = [o1, o2, o1, o2, o1], [0.0, 90.0, 90.0, 45.0, -45.0]
         zen, az = rng.uniform(5, 175, (5, 13)), rng.uniform(-179, 179, (5, 13))
-        frames, index = mounting_frames(oris)
-        assert len(frames) == 2 and list(index) == [0, 1, 0, 1, 0]
-        shared = field_pattern(p, frames, index, slants, zen[0], az[0])
-        rows = field_pattern(p, frames, index, slants, zen, az)
+        arr = field_groups(p, oris, slants)
+        assert len(arr.frames) == 2
+        assert list(arr.frame_index) == [0, 1, 0, 1, 0]
+        shared = field_pattern(arr, zen[0], az[0])
+        rows = field_pattern(arr, zen, az)
         for g in range(5):
-            one = field_pattern(p, *mounting_frames([oris[g]]), [slants[g]],
+            one = field_pattern(field_groups(p, [oris[g]], [slants[g]]),
                                 zen[0], az[0])
             assert np.array_equal(shared[0][g], one[0][0])
             assert np.array_equal(shared[1][g], one[1][0])
-            one = field_pattern(p, *mounting_frames([oris[g]]), [slants[g]],
+            one = field_pattern(field_groups(p, [oris[g]], [slants[g]]),
                                 zen[g], az[g])
             assert np.array_equal(rows[0][g], one[0][0])
             assert np.array_equal(rows[1][g], one[1][0])
@@ -88,9 +100,9 @@ class TestFieldPattern:
             o = Orientation(*rng.uniform(-90, 90, 3))
             zen = rng.uniform(5, 175, 25)
             az = rng.uniform(-179, 179, 25)
-            (ft,), (fp,) = field_pattern(p, *mounting_frames([o]), [slant],
+            (ft,), (fp,) = field_pattern(field_groups(p, [o], [slant]),
                                           zen, az)
-            zl, al, _ = gcs_to_lcs(o, zen, az)
+            zl, al, _ = gcs_to_lcs(o.rotation(), zen, az)
             a_lin = 10 ** ((element_power_pattern(p, zl, al) + p.max_gain_dbi) / 10)
             assert np.allclose(ft ** 2 + fp ** 2, a_lin, atol=1e-12)
 
@@ -118,7 +130,8 @@ class TestElementPositions:
         pos = arr.offsets
         assert pos.shape[0] == 4 * 3 * 2
         assert arr.group_index.tolist() == [0] * 12 + [1] * 12
-        assert [slant for _ori, slant in arr.groups] == [45.0, -45.0]
+        assert arr.slants.tolist() == [45.0, -45.0]
+        assert arr.frame_index.tolist() == [0, 0]
         assert arr.site_index.tolist() == list(range(12)) * 2
         assert np.array_equal(pos[12:], pos[:12])
         assert np.array_equal(pos[:3, 2], np.full(3, pos[0, 2]))
@@ -182,7 +195,7 @@ class TestUeDevice:
     def test_mounted_dual_pol(self):
         arr = mount_ue_device(UEDevice("handheld"), np.array([1.0, 2.0, 1.5]))
         assert arr.size == 16
-        assert {slant for _ori, slant in arr.groups} == {0.0, 90.0}
+        assert arr.slants.tolist() == [0.0] * 8 + [90.0] * 8
         assert np.allclose(arr.positions()[0] - arr.offsets[0], [1, 2, 1.5])
         assert arr.site_index.tolist() == list(range(8)) * 2
 
@@ -201,8 +214,10 @@ class TestUeDevice:
                     ue_candidate_locations(UEDevice(kind)))]
         offs, oris, slants, cidx = zip(*want)
         assert np.array_equal(arr.offsets, np.array(offs))
-        assert [arr.groups[g] for g in arr.group_index] == list(zip(oris,
-                                                                    slants))
+        assert arr.slants[arr.group_index].tolist() == list(slants)
+        frame = arr.frame_index[arr.group_index]
+        assert np.array_equal(arr.frames[frame],
+                              np.array([o.rotation() for o in oris]))
         assert arr.site_index.tolist() == list(cidx)
         # candidate c is site c, and every element is its own field group
         n_cand = len(ue_candidate_locations(UEDevice(kind)))
@@ -227,14 +242,15 @@ class TestPlacement:
             placed = arr.placed_at(pos)
             assert np.array_equal(placed.reference, pos)
             assert np.array_equal(arr.reference, np.zeros(3))
-            for name in ("site_offsets", "site_index", "groups",
-                         "group_index", "pattern", "grid"):
+            for name in ("site_offsets", "site_index", "slants",
+                         "group_index", "frames", "frame_index", "pattern",
+                         "grid"):
                 assert getattr(placed, name) is getattr(arr, name), name
             fresh = mount(pos)
             assert np.array_equal(placed.positions(), fresh.positions())
             assert np.array_equal(placed.site_offsets, fresh.site_offsets)
-            assert placed.groups == fresh.groups
-            for name in ("site_index", "group_index"):
+            for name in ("site_index", "slants", "group_index", "frames",
+                         "frame_index"):
                 assert np.array_equal(getattr(placed, name),
                                       getattr(fresh, name)), name
 

@@ -10,15 +10,15 @@ from fr3sim.antenna import (ElementPattern, MountedArray, PanelArray, UEDevice,
                             field_pattern, mount_bs_array, mount_ue_device,
                             mounting_frames)
 from fr3sim.coefficients import (ChannelRealization, apply_large_scale,
-                                 array_fields, draw_absolute_excess,
-                                 draw_phases, ray_count, read_cir, synthesize,
-                                 write_cir)
+                                 draw_absolute_excess, draw_phases, ray_count,
+                                 read_cir, synthesize, write_cir)
 from fr3sim.geometry import LinkGeometry, Orientation, vec3
 from fr3sim import coefficients, nearfield
 from fr3sim.largescale import C_LIGHT, LargeScaleResult
 from fr3sim.scenario import load_parameter_tables
 from fr3sim.smallscale import ClusterSet, subcluster_groups
-from test_synthesis_reference import link, synthesize_taps, synthesize_with_rays
+from test_synthesis_reference import (element_fields, link, synthesize_taps,
+                                     synthesize_with_rays)
 
 REG = load_parameter_tables()
 SMA = REG.scenario("SMa")
@@ -30,7 +30,7 @@ def iso_element(position=(0.0, 0.0, 0.0), slant=0.0):
     return MountedArray(reference=np.asarray(position, dtype=float),
                         site_offsets=np.zeros((1, 3)),
                         site_index=np.array([0]),
-                        groups=[(Orientation(0, 0, 0), slant)],
+                        slants=np.array([slant], dtype=float),
                         group_index=np.array([0]),
                         frames=frames, frame_index=frame_index,
                         pattern=ElementPattern.isotropic())
@@ -113,8 +113,7 @@ class TestSynthesize:
                           site_offsets=np.array([[0.0, 0.0, 0.0],
                                                  [0.0, 0.02, 0.0]]),
                           site_index=np.array([0, 1]),
-                          groups=[(Orientation(0, 0, 0), 45.0),
-                                  (Orientation(0, 0, 0), -45.0)],
+                          slants=np.array([45.0, -45.0]),
                           group_index=np.array([0, 1]),
                           frames=frames, frame_index=frame_index,
                           pattern=ElementPattern.directional())
@@ -207,9 +206,9 @@ class TestSynthesize:
         # with p_los = 0 there is neither
         columns = []
 
-        def counted(pattern, frames, frame_index, slants, zen, az):
+        def counted(mounted, zen, az):
             columns.append(np.shape(zen)[-1])
-            return field_pattern(pattern, frames, frame_index, slants, zen, az)
+            return field_pattern(mounted, zen, az)
 
         monkeypatch.setattr(coefficients, "field_pattern", counted)
         cs = simple_cs(n=3, m=4, p=np.array([0.3, 0.2, 0.1]), p_los=0.4)
@@ -326,14 +325,9 @@ class TestTapReductions:
 
 
 def per_element_fields(arr, zen, az):
-    """Reference: one field_pattern call per element."""
-    rows = []
-    for k, g in enumerate(arr.group_index):
-        ori, slant = arr.groups[g]
-        rows.append(field_pattern(arr.pattern, *mounting_frames([ori]),
-                                  [slant], zen if zen.ndim == 1 else zen[k],
-                                  az if az.ndim == 1 else az[k]))
-    return np.array([r[0][0] for r in rows]), np.array([r[1][0] for r in rows])
+    """Reference: one field_pattern call per element (element_fields)."""
+    f = element_fields(arr, np.asarray(zen), np.asarray(az))
+    return f[:, 0], f[:, 1]
 
 
 class TestArrayFields:
@@ -342,16 +336,20 @@ class TestArrayFields:
     AZ = RNG.uniform(-180.0, 180.0, 37)
 
     def check(self, arr, zen, az):
-        got = array_fields(arr, zen, az)
+        # (G, R) group rows for shared angles, (K, R) element rows otherwise
+        got = field_pattern(arr, zen, az)
         want = per_element_fields(arr, zen, az)
-        assert got[0].shape == (arr.size, zen.shape[-1])
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        shared = zen.ndim == 1
+        rows = arr.group_index if shared else slice(None)
+        assert got[0].shape == (len(arr.slants) if shared else arr.size,
+                                zen.shape[-1])
+        assert np.array_equal(got[0][rows], want[0])
+        assert np.array_equal(got[1][rows], want[1])
 
     def test_downtilted_dual_pol_bs(self):
         bs = mount_bs_array(PanelArray(m=8, n=4, p=2), vec3(0, 0, 25),
                             Orientation(30.0, 12.0, 0.0), LAM)
-        assert len(bs.groups) == 2
+        assert len(bs.slants) == 2
         self.check(bs, self.ZEN, self.AZ)
 
     @pytest.mark.parametrize("kind", ["handheld", "CPE"])
@@ -370,24 +368,24 @@ class TestArrayFields:
     def test_per_group_rows(self):
         ue = mount_ue_device(UEDevice("handheld"), vec3(40, 10, 1.5),
                              device_orientation=Orientation(20.0, 5.0, -3.0))
-        f_t, f_p = array_fields(ue, self.ZEN, self.AZ, per_group=True)
-        assert f_t.shape == (len(ue.groups), self.ZEN.size) == (16, 37)
+        f_t, f_p = field_pattern(ue, self.ZEN, self.AZ)
+        assert f_t.shape == (len(ue.slants), self.ZEN.size) == (16, 37)
         want = per_element_fields(ue, self.ZEN, self.AZ)
         first = [np.flatnonzero(ue.group_index == g)[0]
-                 for g in range(len(ue.groups))]
+                 for g in range(len(ue.slants))]
         assert np.array_equal(f_t, want[0][first])
         assert np.array_equal(f_p, want[1][first])
         assert np.array_equal(f_t[ue.group_index], want[0])
 
     def test_per_element_angles_dual_pol_bs(self):
-        # per-element rows have one frame each, so per_group changes nothing
-        # (synthesize's nf_angles path, LOS column included)
+        # per-element angles give one row per element, each in its own
+        # group's frame (synthesize's nf_angles path, LOS column included)
         bs = mount_bs_array(PanelArray(m=4, n=4, p=2,
                                        element=ElementPattern.directional()),
                             vec3(0, 0, 3), Orientation(15.0, 90.0, 0.0), LAM)
         zen = self.RNG.uniform(0.0, 180.0, (bs.size, 11))
         az = self.RNG.uniform(-180.0, 180.0, (bs.size, 11))
-        got = array_fields(bs, zen, az, per_group=True)
+        got = field_pattern(bs, zen, az)
         want = per_element_fields(bs, zen, az)
         assert got[0].shape == (32, 11)
         assert np.array_equal(got[0], want[0])
@@ -396,7 +394,7 @@ class TestArrayFields:
         # the same fields
         pair = bs.site_index == bs.site_index[0]
         assert pair.sum() == 2
-        assert {bs.groups[g][1] for g in bs.group_index[pair]} == {45.0, -45.0}
+        assert set(bs.slants[bs.group_index[pair]].tolist()) == {45.0, -45.0}
         assert not np.allclose(got[1][pair][0], got[1][pair][1])
 
     def test_single_pol_panel_keeps_slant_zero(self):
@@ -404,11 +402,14 @@ class TestArrayFields:
         assert arr.slants() == (0.0,)
         bs = mount_bs_array(arr, vec3(0, 0, 10), Orientation(0.0, 0.0, 0.0),
                             LAM)
-        assert bs.groups == [(Orientation(0.0, 0.0, 0.0), 0.0)]
+        assert bs.slants.tolist() == [0.0]
+        assert np.array_equal(bs.frame_index, [0])
+        assert np.array_equal(bs.frames,
+                              [Orientation(0.0, 0.0, 0.0).rotation()])
         assert np.array_equal(bs.group_index, np.zeros(8))
         self.check(bs, self.ZEN, self.AZ)
         # unrotated and unslanted: the field is all F_theta at the horizon
-        f_t, f_p = array_fields(bs, [90.0], [0.0])
+        f_t, f_p = field_pattern(bs, [90.0], [0.0])
         assert np.allclose(f_p, 0.0, atol=1e-15)
         assert np.allclose(f_t, 10.0 ** (8.0 / 20.0), rtol=1e-12)
 

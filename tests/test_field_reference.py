@@ -1,5 +1,6 @@
 """The array-field evaluation on mount-time frames against the per-call
-reference in `field_reference.py`: the LCS angles, psi and both field
+reference in `field_reference.py`, which rebuilds each field group's
+rotation from its Orientation: the LCS angles, psi and both field
 components must match it bit for bit (their int64 views, so that a signed
 zero counts), for shared and per-element angles on every kind of mounted
 array a run builds, and the stacked angular spreads must match four calls
@@ -11,8 +12,8 @@ import pytest
 import field_reference as ref
 from fr3sim import harness
 from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
-                            mount_bs_array, mount_ue_device)
-from fr3sim.coefficients import array_fields
+                            field_pattern, mount_bs_array, mount_ue_device,
+                            ue_candidate_locations)
 from fr3sim.geometry import (Orientation, build_hex_layout, gcs_to_lcs,
                              sph_unit, unit_to_angles)
 from fr3sim.largescale import C_LIGHT
@@ -21,24 +22,39 @@ LAM = C_LIGHT / 7e9
 SMA_SECTORS = build_hex_layout(1299.0).sectors
 
 
+def _device_orientations(kind, device=Orientation(0.0, 0.0, 0.0)):
+    """Each candidate antenna's Orientation, on a device of ``kind`` turned
+    by ``device``."""
+    return [Orientation(o.alpha + device.alpha, o.beta + device.beta,
+                        o.gamma + device.gamma)
+            for _off, o in ue_candidate_locations(UEDevice(kind))]
+
+
 def _mounts():
+    """name -> (mounted array, each field group's Orientation)."""
     directional = ElementPattern.directional()
-    out = {f"sma-sector-{k}": mount_bs_array(PanelArray(m=8, n=8, p=2),
-                                             np.zeros(3), s, LAM)
+    out = {f"sma-sector-{k}": (mount_bs_array(PanelArray(m=8, n=8, p=2),
+                                              np.zeros(3), s, LAM), [s] * 2)
            for k, s in enumerate(SMA_SECTORS)}
-    out["64x16x2-downtilt-90"] = mount_bs_array(
+    down = Orientation(0.0, 90.0, 0.0)
+    out["64x16x2-downtilt-90"] = (mount_bs_array(
         PanelArray(m=64, n=16, p=2, element=directional), np.zeros(3),
-        Orientation(0.0, 90.0, 0.0), LAM)
-    out["8x4x1-single-pol"] = mount_bs_array(
+        down, LAM), [down] * 2)
+    single = Orientation(-60.0, 12.0, 0.0)
+    out["8x4x1-single-pol"] = (mount_bs_array(
         PanelArray(m=8, n=4, p=1, element=directional), np.zeros(3),
-        Orientation(-60.0, 12.0, 0.0), LAM)
-    out["handheld"] = mount_ue_device(UEDevice("handheld"), np.zeros(3))
-    out["cpe"] = mount_ue_device(UEDevice("CPE"), np.zeros(3))
-    out["cpe-single-pol"] = mount_ue_device(UEDevice("CPE"), np.zeros(3),
-                                            dual_polarized=False)
-    out["handheld-rotated"] = mount_ue_device(
-        UEDevice("handheld"), np.zeros(3),
-        device_orientation=Orientation(20.0, 5.0, -3.0))
+        single, LAM), [single])
+    out["handheld"] = (mount_ue_device(UEDevice("handheld"), np.zeros(3)),
+                       _device_orientations("handheld") * 2)
+    out["cpe"] = (mount_ue_device(UEDevice("CPE"), np.zeros(3)),
+                  _device_orientations("CPE") * 2)
+    out["cpe-single-pol"] = (mount_ue_device(UEDevice("CPE"), np.zeros(3),
+                                             dual_polarized=False),
+                             _device_orientations("CPE"))
+    turn = Orientation(20.0, 5.0, -3.0)
+    out["handheld-rotated"] = (mount_ue_device(
+        UEDevice("handheld"), np.zeros(3), device_orientation=turn),
+        _device_orientations("handheld", turn) * 2)
     return out
 
 
@@ -66,18 +82,18 @@ def same_bits(got, want):
                                                       want.view(np.int64))
 
 
-def reference_frames(arr):
+def reference_frames(orientations):
     """The rotation stack and per-group rows the old field_pattern built
     on every call."""
     frames = {}
-    row = np.array([frames.setdefault(o, len(frames)) for o, _s in arr.groups])
+    row = np.array([frames.setdefault(o, len(frames)) for o in orientations])
     return np.array([o.rotation() for o in frames]), row
 
 
 @pytest.mark.parametrize("name", MOUNTS)
 def test_mount_frames_are_the_per_call_frames(name):
-    arr = MOUNTS[name]
-    rot, row = reference_frames(arr)
+    arr, oris = MOUNTS[name]
+    rot, row = reference_frames(oris)
     assert same_bits(arr.frames, rot)
     assert np.array_equal(arr.frame_index, row)
     placed = arr.placed_at([10.0, -3.0, 1.5])
@@ -86,28 +102,30 @@ def test_mount_frames_are_the_per_call_frames(name):
 
 @pytest.mark.parametrize("name", MOUNTS)
 def test_shared_angles_bitwise(name):
-    arr = MOUNTS[name]
+    arr, oris = MOUNTS[name]
     zen, az = _angles(np.random.default_rng(1), (280,))
-    rot, _row = reference_frames(arr)
+    rot, _row = reference_frames(oris)
     for got, want in zip(gcs_to_lcs(arr.frames, zen[None], az[None]),
                          ref.gcs_to_lcs(rot, zen[None], az[None])):
         assert same_bits(got, want)
-    for per_group in (False, True):
-        got = array_fields(arr, zen, az, per_group=per_group)
-        want = ref.array_fields(arr, zen, az, per_group=per_group)
-        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    got = field_pattern(arr, zen, az)
+    want = ref.array_fields(arr, oris, zen, az)
+    assert got[0].shape == (len(oris), zen.size)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 @pytest.mark.parametrize("name", MOUNTS)
 def test_per_element_angles_bitwise(name):
-    arr = MOUNTS[name]
+    arr, oris = MOUNTS[name]
     zen, az = _angles(np.random.default_rng(2), (arr.size, 24))
-    rot, row = reference_frames(arr)
+    rot, row = reference_frames(oris)
     elem = arr.frame_index[arr.group_index]
     for got, want in zip(gcs_to_lcs(arr.frames[elem], zen, az),
                          ref.gcs_to_lcs(rot[row[arr.group_index]], zen, az)):
         assert same_bits(got, want)
-    got, want = array_fields(arr, zen, az), ref.array_fields(arr, zen, az)
+    got = field_pattern(arr, zen, az)
+    want = ref.array_fields(arr, oris, zen, az)
+    assert got[0].shape == zen.shape
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 

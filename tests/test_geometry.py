@@ -273,13 +273,15 @@ class TestLinkGeometry:
 
 class TestGcsLcs:
     def test_identity_orientation(self):
-        zen, az, psi = gcs_to_lcs(Orientation(0, 0, 0), 47.0, 123.0)
+        zen, az, psi = gcs_to_lcs(Orientation(0, 0, 0).rotation(), 47.0,
+                                  123.0)
         assert zen == pytest.approx(47.0, abs=1e-12)
         assert az == pytest.approx(123.0, abs=1e-12)
         assert psi == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_bearing_rotation(self):
-        _zen, az, _psi = gcs_to_lcs(Orientation(90, 0, 0), 90.0, 0.0)
+        rot = Orientation(90, 0, 0).rotation()
+        _zen, az, _psi = gcs_to_lcs(rot, 90.0, 0.0)
         assert az == pytest.approx(-90.0, abs=1e-10)
 
     def test_rotation_stack_matches_single_frames(self):
@@ -290,9 +292,9 @@ class TestGcsLcs:
         shared = gcs_to_lcs(rot, zen[None], az[None])          # (4, 9)
         rows = gcs_to_lcs(rot, np.tile(zen, (4, 1)), np.tile(az, (4, 1)))
         for i, o in enumerate(oris):
-            for got, want in zip(shared, gcs_to_lcs(o, zen, az)):
+            for got, want in zip(shared, gcs_to_lcs(o.rotation(), zen, az)):
                 assert np.array_equal(got[i], want)
-            for got, want in zip(rows, gcs_to_lcs(o, zen, az)):
+            for got, want in zip(rows, gcs_to_lcs(o.rotation(), zen, az)):
                 assert np.array_equal(got[i], want)
 
     def test_round_trip(self):
@@ -301,7 +303,7 @@ class TestGcsLcs:
             o = Orientation(*rng.uniform(-180, 180, 3))
             zen = rng.uniform(1, 179)
             az = rng.uniform(-179, 179)
-            zl, al, _ = gcs_to_lcs(o, zen, az)
+            zl, al, _ = gcs_to_lcs(o.rotation(), zen, az)
             # the inverse rotation R^T takes the LCS direction back
             zg, ag = unit_to_angles(sph_unit(zl, al) @ o.rotation().T)
             assert abs(zg - zen) < 1e-12 * 180

@@ -542,6 +542,12 @@ BAD_VALUES = {
     "ue_device": "[run]\nue_device = tablet\n",
     "ue_usage": "[run]\nue_usage = pocket\n",
     "ue_sns": "[run]\nue_device = CPE\nue_sns = true\n",
+    # keys a run would ignore: a usage without UE masks, a delay bound
+    # without absolute delays, a site distance on a layout without one
+    "ue_usage_without_ue_sns": "[run]\nue_usage = two-hand\n",
+    "abs_delay_bound_m_without_absolute_delay":
+        "[run]\nabs_delay_bound_m = 300\n",
+    "isd_without_hex": "[run]\nscenario = UMi\nlayout = disc\nisd = 500\n",
     # element-wise angles exist only toward near-field sources
     "nf_angles": "[run]\nnf_angles = true\n",
     "field_cell_m": "[run]\nfield_cell_m = 1.0\n",

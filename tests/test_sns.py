@@ -143,6 +143,14 @@ class TestUeMasks:
         assert table.min() == pytest.approx(0.6)
         assert table.max() > 10.0
 
+    @pytest.mark.parametrize("fc, band", [
+        (np.nextafter(1.0, 0.0), "lt1"), (1.0, "1to8p4"), (8.4, "1to8p4")])
+    def test_band_edges(self, fc, band):
+        # lt1 is < 1 GHz: 1 GHz itself is in 1to8p4, which is closed
+        beta = ue_sns_mask(REG.ue_masks, "one-hand", fc, np.arange(8))
+        assert np.array_equal(
+            beta, 10.0 ** (-REG.ue_masks[("one-hand", band)] / 10.0))
+
     def test_nearest_band_fallback(self):
         with pytest.warns(UserWarning, match="outside mask bands"):
             beta = ue_sns_mask(REG.ue_masks, "one-hand", 11.0, np.arange(8))

@@ -8,13 +8,14 @@ per-ray gains are what the per-ray checks of the other test modules read;
 each of them ties the reference to `synthesize` on its own input.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fr3sim import coefficients
 from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
-                            field_pattern, mount_bs_array, mount_ue_device,
-                            mounting_frames)
+                            field_pattern, mount_bs_array, mount_ue_device)
 from fr3sim.coefficients import draw_phases, synthesize
 from fr3sim.geometry import Orientation, link_geometry
 from fr3sim.largescale import C_LIGHT
@@ -39,15 +40,17 @@ def angles(v):
 
 
 def element_fields(arr, zen, az):
-    """(K, 2, R): one field_pattern call per element; zen / az are (R,) or
-    (K, R)."""
+    """(K, 2, R): one field_pattern call per element, on a one-element
+    array of the element's frame and slant; zen / az are (R,) or (K, R)."""
     out = []
     for k in range(arr.size):
         z = zen if np.ndim(zen) == 1 else zen[k]
         a = az if np.ndim(az) == 1 else az[k]
-        ori, slant = arr.groups[arr.group_index[k]]
-        f_t, f_p = field_pattern(arr.pattern, *mounting_frames([ori]), [slant],
-                                 z, a)
+        g = arr.group_index[[k]]
+        one = replace(arr, slants=arr.slants[g], group_index=np.array([0]),
+                      frames=arr.frames[arr.frame_index[g]],
+                      frame_index=np.array([0]))
+        f_t, f_p = field_pattern(one, z, a)
         out.append(np.stack([f_t[0], f_p[0]]))
     return np.array(out)
 
@@ -285,14 +288,15 @@ def test_one_field_pattern_call_per_array(name, monkeypatch):
     # angles included, come from one field_pattern call each
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return field_pattern(*args)
+    def counted(mounted, zen, az):
+        calls.append(mounted)
+        return field_pattern(mounted, zen, az)
 
     monkeypatch.setattr(coefficients, "field_pattern", counted)
     args, got_kw, _ref_kw = link(CASES[name], np.random.default_rng(3))
     synthesize(*args, LAM, **got_kw)
     assert len(calls) == 2
+    assert calls[0] is args[4] and calls[1] is args[3]    # the UE, the BS
 
 
 @pytest.mark.parametrize("name, rejected", [
