@@ -9,12 +9,12 @@ import tempfile
 
 import numpy as np
 
-from fr3sim import (SnsConfig, element_attenuation, load_parameter_tables,
-                    ue_sns_mask, visibility_region)
+from fr3sim import (element_attenuation, load_parameter_tables, ue_sns_mask,
+                    visibility_region)
 from fr3sim.harness import RunConfig, run
 
 reg = load_parameter_tables()
-cfg = SnsConfig()
+cfg = RunConfig()    # the default sns_* parameters of the stochastic model
 
 # visibility region for a weak cluster on a 0.32 m x 1.35 m array
 rng = np.random.default_rng(2)

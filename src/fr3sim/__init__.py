@@ -26,8 +26,8 @@ from .coefficients import (ChannelRealization, ray_count, draw_phases,
                            draw_absolute_excess, write_cir, read_cir)
 from .nearfield import (NearFieldGeometry, source_distances,
                         nlos_element_phase, element_wise_angles)
-from .sns import (SnsConfig, VisibilityRegion, draw_sns_status,
-                  visibility_region, element_attenuation, ue_sns_mask)
+from .sns import (VisibilityRegion, draw_sns_status, visibility_region,
+                  element_attenuation, ue_sns_mask)
 from .harness import (RunConfig, LinkReport, load_config, run, capacity,
                       coupling_loss, gini, emit_cdf)
 

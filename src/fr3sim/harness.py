@@ -32,13 +32,14 @@ from .nearfield import source_distances
 from .scenario import (LSP_ORDER_LOS, STATES, assign_states, data_root,
                        load_parameter_tables)
 from .smallscale import build_cluster_set
-from .sns import (USAGES, SnsConfig, draw_usage, stochastic_attenuation,
-                  ue_sns_mask)
+from .sns import USAGES, draw_usage, stochastic_attenuation, ue_sns_mask
 
 def _key(default, **allowed):
     """A RunConfig field with its allowed values: ``choices`` and/or the
-    bounds ``ge``, ``gt`` and ``le``.  `_validate` checks every field
-    against them, and the CLI makes one flag per field."""
+    bounds ``ge``, ``gt`` and ``le``, and ``needs = (key, values)``: a run
+    reads the field only when ``key`` has one of ``values``, so it keeps
+    its default otherwise.  `_validate` checks every field against them,
+    and the CLI makes one flag per field."""
     return field(default=default, metadata=allowed)
 
 
@@ -51,15 +52,16 @@ class RunConfig:
     n_ues: int = _key(100, ge=1)
     layout: str = _key("hex", choices=("hex", "indoor", "disc"))
     deploy_radius: float = _key(100.0, gt=0.0)  # disc layout only
-    isd: float = _key(0.0, ge=0.0)              # 0 -> scenario default
+    isd: float = _key(0.0, ge=0.0,              # 0 -> scenario default
+                      needs=("layout", ("hex",)))
     snr_db: float = 10.0
     workers: int = _key(1, ge=1, le=256)
     out_dir: str = "out"
     # feature flags
     near_field: bool = False
-    nf_angles: bool = False
+    nf_angles: bool = _key(False, needs=("near_field", (True,)))
     sns: str = _key("off", choices=("off", "stochastic"))
-    ue_sns: bool = False
+    ue_sns: bool = _key(False, needs=("ue_device", ("handheld",)))
     cluster_variability: bool = False
     pol_variability: bool = False
     absolute_delay: bool = False
@@ -74,7 +76,8 @@ class RunConfig:
     nf_beta: float = _key(2.0, ge=1.0)
     m_min: int = _key(20, ge=1)
     m_max: int = 40
-    abs_delay_bound_m: float = _key(0.0, ge=0.0)   # 0 -> unbounded
+    abs_delay_bound_m: float = _key(0.0, ge=0.0,  # 0 -> unbounded
+                                    needs=("absolute_delay", (True,)))
     # arrays
     bs_rows: int = _key(8, ge=1)  # vertical element count
     bs_cols: int = _key(8, ge=1)
@@ -83,26 +86,22 @@ class RunConfig:
     bs_downtilt_deg: float = 0.0
     ue_device: str = _key("handheld", choices=("handheld", "CPE"))
     ue_dual_pol: bool = True
-    ue_usage: str = _key("", choices=("",) + USAGES)  # "" = random draw
+    ue_usage: str = _key("", choices=("",) + USAGES,  # "" = random draw
+                         needs=("ue_sns", (True,)))
     # time sampling
     t_count: int = _key(1, ge=1)
     t_step_s: float = 1e-3
     # outputs
     emit_cir: bool = False
-    # SNS numeric parameters, defaulting to SnsConfig's placeholders
-    sns_pr_mu: float = SnsConfig.pr_mu
-    sns_pr_sigma: float = _key(SnsConfig.pr_sigma, gt=0.0)
-    sns_vp_a: float = SnsConfig.vp_a
-    sns_vp_r_db: float = _key(SnsConfig.vp_r_db, gt=0.0)
-    sns_vp_b: float = SnsConfig.vp_b
-    sns_vp_sigma: float = _key(SnsConfig.vp_sigma, ge=0.0)
-    sns_rolloff: float = _key(SnsConfig.rolloff, ge=0.0)
-
-    def sns_config(self):
-        return SnsConfig(pr_mu=self.sns_pr_mu, pr_sigma=self.sns_pr_sigma,
-                         vp_a=self.sns_vp_a, vp_r_db=self.sns_vp_r_db,
-                         vp_b=self.sns_vp_b, vp_sigma=self.sns_vp_sigma,
-                         rolloff=self.sns_rolloff)
+    # the stochastic SNS model's parameters: placeholders pending calibrated
+    # tables; the functional forms in sns are fixed
+    sns_pr_mu: float = 0.5       # SNS probability: truncated normal on [0, 1]
+    sns_pr_sigma: float = _key(0.2, gt=0.0)
+    sns_vp_a: float = 0.7        # visibility probability V = A exp(.) + B + xi
+    sns_vp_r_db: float = _key(10.0, gt=0.0)
+    sns_vp_b: float = 0.3
+    sns_vp_sigma: float = _key(0.05, ge=0.0)
+    sns_rolloff: float = _key(4.0, ge=0.0)   # exponent C outside the VR
 
     def wavelength(self):
         return C_LIGHT / (self.fc_ghz * 1e9)
@@ -180,6 +179,12 @@ _BOUNDS = (("ge", operator.ge, ">="), ("gt", operator.gt, ">"),
            ("le", operator.le, "<="))
 
 
+def requirement(f):
+    """The setting a run reads field ``f`` under, as ``key = v1 or v2``."""
+    key, values = f.metadata["needs"]
+    return f"{key} = {' or '.join(map(repr, values))}"
+
+
 def _validate(cfg):
     for f in fields(RunConfig):
         val, allowed = getattr(cfg, f.name), f.metadata
@@ -192,18 +197,10 @@ def _validate(cfg):
             if name in allowed and not op(val, allowed[name]):
                 raise ConfigError(f"{f.name} = {val!r} is not "
                                   f"{sym} {allowed[name]}")
-    if cfg.ue_sns and cfg.ue_device == "CPE":
-        raise ConfigError("ue_sns masks cover the 8 handheld candidates, "
-                          "not the 9 CPE ones")
-    if cfg.nf_angles and not cfg.near_field:
-        raise ConfigError("nf_angles evaluates element-wise angles toward "
-                          "near-field sources; it needs near_field")
-    if cfg.ue_usage and not cfg.ue_sns:
-        raise ConfigError("ue_usage picks the UE mask; it needs ue_sns")
-    if cfg.abs_delay_bound_m > 0 and not cfg.absolute_delay:
-        raise ConfigError("abs_delay_bound_m needs absolute_delay")
-    if cfg.isd > 0 and cfg.layout != "hex":
-        raise ConfigError("isd spaces the sites of layout = hex only")
+        if "needs" in allowed and val != f.default:
+            key, values = allowed["needs"]
+            if getattr(cfg, key) not in values:
+                raise ConfigError(f"{f.name} = {val!r} needs {requirement(f)}")
     if cfg.m_min > cfg.m_max:
         raise ConfigError("m_min must not exceed m_max")
 
@@ -358,7 +355,6 @@ class WorkerContext:
     masks: dict
     bs_arrays: tuple     # one MountedArray per layout sector, at the origin
     ue_device: object    # the UE's MountedArray, at the origin
-    sns: SnsConfig
     t_samples: np.ndarray
     cir_dir: str = ""
 
@@ -412,8 +408,8 @@ def process_link(ctx, task):
     if cfg.sns == "stochastic":
         # one row per site, in the frame the BS array was mounted in
         yz = (bs.site_offsets @ bs.frames[0])[:, 1:3]
-        alpha = stochastic_attenuation(10.0 * np.log10(cs.p), ctx.sns,
-                                       yz, _link_rng(cfg, lid, rngmod.STAGE_SNS))
+        alpha = stochastic_attenuation(10.0 * np.log10(cs.p), cfg, yz,
+                                       _link_rng(cfg, lid, rngmod.STAGE_SNS))
     beta = None
     if cfg.ue_sns:
         beta = ue_sns_mask(ctx.masks, task.usage, cfg.fc_ghz, ue.site_index)
@@ -578,8 +574,7 @@ def _link_tasks(cfg, reg, sc, layout, drop, arr):
                     .uniform(0.0, 2.0 * np.pi) for i in range(n)])
     v_vec = speed[:, None] * np.column_stack([np.cos(ang), np.sin(ang),
                                               np.zeros(n)])
-    sns = cfg.sns_config()
-    usage = [(cfg.ue_usage or draw_usage(sns, substream(
+    usage = [(cfg.ue_usage or draw_usage(substream(
         cfg.seed, 0, i, rngmod.STAGE_UE_SNS))) if cfg.ue_sns else "free"
         for i in range(n)]
 
@@ -647,7 +642,7 @@ def run(cfg, registry=None):
                         for s in layout.sectors),
         ue_device=mount_ue_device(UEDevice(cfg.ue_device), origin,
                                   dual_polarized=cfg.ue_dual_pol),
-        sns=cfg.sns_config(), t_samples=np.arange(cfg.t_count) * cfg.t_step_s)
+        t_samples=np.arange(cfg.t_count) * cfg.t_step_s)
     if cfg.workers <= 1 or len(tasks) < 2:
         reports = [process_link(ctx, t) for t in tasks]
     else:

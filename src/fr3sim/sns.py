@@ -1,5 +1,5 @@
-"""Spatial non-stationarity: BS-side visibility regions, UE-side grip/head
-masks."""
+"""Spatial non-stationarity: BS-side visibility regions, parameterized by the
+``sns_*`` keys of a RunConfig ``cfg``, and UE-side grip/head masks."""
 
 import math
 import warnings
@@ -8,26 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 USAGES = ("one-hand", "two-hand", "head-hand", "free")
+USAGE_PROBS = (0.3, 0.2, 0.2, 0.3)    # order matches USAGES
 MASK_BANDS = (("lt1", 0.0, 1.0), ("1to8p4", 1.0, 8.4), ("14p5to15p5", 14.5, 15.5))
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 LOG_NDTR_SERIES_BELOW = -37.0    # Phi(x) stays a normal double above it
-
-
-@dataclass
-class SnsConfig:
-    """Stochastic-model parameters.
-
-    All numeric defaults are placeholders pending calibrated tables; the
-    functional forms are fixed.
-    """
-    pr_mu: float = 0.5        # SNS probability: truncated normal on [0, 1]
-    pr_sigma: float = 0.2
-    vp_a: float = 0.7         # visibility probability V = A exp(.) + B + xi
-    vp_r_db: float = 10.0
-    vp_b: float = 0.3
-    vp_sigma: float = 0.05
-    rolloff: float = 4.0      # attenuation exponent C outside the VR
-    usage_probs: tuple = (0.3, 0.2, 0.2, 0.3)  # order matches USAGES
 
 
 @dataclass
@@ -108,9 +92,9 @@ def draw_sns_status(n, cfg, rng):
     inverse CDF; cluster n is non-stationary iff x_n < Pr_sns with
     x_n ~ Unif(0, 1).
     """
-    a = (0.0 - cfg.pr_mu) / cfg.pr_sigma
-    b = (1.0 - cfg.pr_mu) / cfg.pr_sigma
-    pr = float(cfg.pr_mu + cfg.pr_sigma * _truncnorm_ppf(rng.uniform(), a, b))
+    mu, sigma = cfg.sns_pr_mu, cfg.sns_pr_sigma
+    a, b = (0.0 - mu) / sigma, (1.0 - mu) / sigma
+    pr = float(mu + sigma * _truncnorm_ppf(rng.uniform(), a, b))
     x = rng.uniform(size=n)
     return x < pr, pr
 
@@ -125,9 +109,10 @@ def visibility_region(p_db, max_p_db, cfg, width, height, rng):
     """
     if width <= 0 or height <= 0:
         raise ValueError("array dimensions must be positive")
-    xi = rng.normal(0.0, cfg.vp_sigma)
-    v = cfg.vp_a * np.exp(-(max_p_db - p_db) / cfg.vp_r_db) + cfg.vp_b + xi
-    v = float(np.clip(v, max(cfg.vp_b, 0.05), 1.0))
+    xi = rng.normal(0.0, cfg.sns_vp_sigma)
+    v = (cfg.sns_vp_a * np.exp(-(max_p_db - p_db) / cfg.sns_vp_r_db)
+         + cfg.sns_vp_b + xi)
+    v = float(np.clip(v, max(cfg.sns_vp_b, 0.05), 1.0))
     a = rng.uniform(v * width, width)
     b = v * height * width / a
     cy = rng.uniform(-(width - a) / 2.0, (width - a) / 2.0) if a < width else 0.0
@@ -147,7 +132,7 @@ def element_attenuation(vr, cfg, element_yz):
     dy = np.maximum(np.abs(yz[:, 0] - vr.center_y) - vr.width / 2.0, 0.0)
     dz = np.maximum(np.abs(yz[:, 1] - vr.center_z) - vr.height / 2.0, 0.0)
     d = np.hypot(dy, dz)
-    return np.exp(-cfg.rolloff * d / vr.diagonal)
+    return np.exp(-cfg.sns_rolloff * d / vr.diagonal)
 
 
 def stochastic_attenuation(cluster_p_db, cfg, element_yz, rng):
@@ -171,11 +156,11 @@ def stochastic_attenuation(cluster_p_db, cfg, element_yz, rng):
     return alpha
 
 
-def draw_usage(cfg, rng):
-    """Pick a UE usage scenario from the configured probabilities."""
+def draw_usage(rng):
+    """Pick a UE usage scenario with the probabilities USAGE_PROBS."""
     u = rng.uniform()
     acc = 0.0
-    for usage, p in zip(USAGES, cfg.usage_probs):
+    for usage, p in zip(USAGES, USAGE_PROBS):
         acc += p
         if u < acc:
             return usage

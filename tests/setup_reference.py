@@ -311,7 +311,7 @@ def link_setup(cfg, reg, sc, layout, drop):
         usage = "free"
         if cfg.ue_sns:
             usage = cfg.ue_usage or draw_usage(
-                cfg.sns_config(), substream(cfg.seed, 0, i, rngmod.STAGE_UE_SNS))
+                substream(cfg.seed, 0, i, rngmod.STAGE_UE_SNS))
         out.append(dict(link_id=i, ue_index=i, site_index=si, sector_index=sec,
                         ue_pos=eff, geom=g, state=st, lsp=lsp, ls=ls,
                         v_vec=speed * np.array([np.cos(ang), np.sin(ang), 0.0]),

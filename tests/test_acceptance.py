@@ -297,8 +297,8 @@ class TestNearFieldTrend:
 
 class TestSnsProperties:
     def test_vr_area_identity_and_alpha(self):
-        from fr3sim.sns import SnsConfig, element_attenuation, visibility_region
-        cfg = SnsConfig()
+        from fr3sim.sns import element_attenuation, visibility_region
+        cfg = RunConfig()
         rng = np.random.default_rng(9)
         w, h = 0.32, 1.35
         worst = 0.0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from fr3sim.sns import (SnsConfig, VisibilityRegion, draw_sns_status,
+from fr3sim.harness import RunConfig
+from fr3sim.sns import (USAGE_PROBS, VisibilityRegion, draw_sns_status,
                         draw_usage, element_attenuation,
                         stochastic_attenuation, ue_sns_mask, visibility_region)
 from fr3sim.scenario import load_parameter_tables
@@ -24,18 +25,19 @@ class StubRng:
 class TestSnsStatus:
     def test_extreme_probabilities(self):
         rng = np.random.default_rng(0)
-        none_cfg = SnsConfig(pr_mu=-5.0, pr_sigma=0.01)
+        none_cfg = RunConfig(sns_pr_mu=-5.0, sns_pr_sigma=0.01)
         flags, pr = draw_sns_status(500, none_cfg, rng)
         assert pr < 2e-4 and not flags.any()
-        all_cfg = SnsConfig(pr_mu=6.0, pr_sigma=0.01)
+        all_cfg = RunConfig(sns_pr_mu=6.0, sns_pr_sigma=0.01)
         flags, pr = draw_sns_status(500, all_cfg, rng)
         assert pr > 1 - 2e-4 and flags.all()
 
     def test_empirical_fraction_matches_truncnorm_mean(self):
-        cfg = SnsConfig(pr_mu=0.5, pr_sigma=0.2)
-        a = (0 - cfg.pr_mu) / cfg.pr_sigma
-        b = (1 - cfg.pr_mu) / cfg.pr_sigma
-        expect = truncnorm.mean(a, b, loc=cfg.pr_mu, scale=cfg.pr_sigma)
+        cfg = RunConfig(sns_pr_mu=0.5, sns_pr_sigma=0.2)
+        a = (0 - cfg.sns_pr_mu) / cfg.sns_pr_sigma
+        b = (1 - cfg.sns_pr_mu) / cfg.sns_pr_sigma
+        expect = truncnorm.mean(a, b, loc=cfg.sns_pr_mu,
+                                scale=cfg.sns_pr_sigma)
         rng = np.random.default_rng(1)
         hits = total = 0
         for _ in range(2000):
@@ -47,19 +49,19 @@ class TestSnsStatus:
 
 class TestVisibilityRegion:
     def test_strongest_cluster_no_noise(self):
-        cfg = SnsConfig(vp_a=0.4, vp_b=0.3, vp_sigma=0.0)
+        cfg = RunConfig(sns_vp_a=0.4, sns_vp_b=0.3, sns_vp_sigma=0.0)
         vr = visibility_region(-5.0, -5.0, cfg, 2.0, 1.0, StubRng())
         assert vr.v == pytest.approx(0.7, rel=1e-12)
 
     def test_full_visibility_covers_array(self):
-        cfg = SnsConfig(vp_a=0.9, vp_b=0.5, vp_sigma=0.0)
+        cfg = RunConfig(sns_vp_a=0.9, sns_vp_b=0.5, sns_vp_sigma=0.0)
         vr = visibility_region(0.0, 0.0, cfg, 2.0, 1.0, np.random.default_rng(2))
         assert vr.v == 1.0
         assert vr.width == pytest.approx(2.0)
         assert vr.height == pytest.approx(1.0)
 
     def test_area_identity(self):
-        cfg = SnsConfig()
+        cfg = RunConfig()
         rng = np.random.default_rng(3)
         w, h = 0.32, 1.35
         for _ in range(5000):
@@ -76,24 +78,24 @@ class TestElementAttenuation:
     VR = VisibilityRegion(0.0, 0.0, 1.0, 0.5, 0.5)
 
     def test_inside_unity(self):
-        cfg = SnsConfig(rolloff=4.0)
+        cfg = RunConfig(sns_rolloff=4.0)
         a = element_attenuation(self.VR, cfg, [[0.2, 0.1], [0.0, 0.0]])
         assert np.allclose(a, 1.0)
 
     def test_distance_one_diagonal(self):
-        cfg = SnsConfig(rolloff=1.0)
+        cfg = RunConfig(sns_rolloff=1.0)
         d = self.VR.diagonal
         a = element_attenuation(self.VR, cfg, [[0.5 + d, 0.0]])
         assert a[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_boundary_continuity(self):
-        cfg = SnsConfig(rolloff=4.0)
+        cfg = RunConfig(sns_rolloff=4.0)
         eps = 1e-9
         a = element_attenuation(self.VR, cfg, [[0.5 + eps, 0.0]])
         assert a[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_outside(self):
-        cfg = SnsConfig(rolloff=4.0)
+        cfg = RunConfig(sns_rolloff=4.0)
         xs = np.linspace(0.5, 3.0, 50)
         a = element_attenuation(self.VR, cfg, np.stack([xs, np.zeros(50)], axis=1))
         assert np.all(np.diff(a) <= 1e-15)
@@ -103,7 +105,7 @@ class TestElementAttenuation:
         rng = np.random.default_rng(4)
         yz = rng.uniform(-0.5, 0.5, (64, 2))
         p_db = np.array([-1.0, -4.0, -9.0, -20.0])
-        a = stochastic_attenuation(p_db, SnsConfig(), yz, rng)
+        a = stochastic_attenuation(p_db, RunConfig(), yz, rng)
         assert a.shape == (64, 4)
         assert np.all((a > 0) & (a <= 1))
 
@@ -120,7 +122,7 @@ class TestElementAttenuation:
                  for p in range(bs.site_offsets.shape[0])]
         assert len(first) == bs.size // 2
         p_db = np.array([-1.0, -4.0, -9.0, -20.0])
-        cfg = SnsConfig(pr_mu=0.9, pr_sigma=0.05)
+        cfg = RunConfig(sns_pr_mu=0.9, sns_pr_sigma=0.05)
         yz = (bs.offsets @ sector.rotation())[:, 1:3]
         per_element = stochastic_attenuation(p_db, cfg, yz,
                                              np.random.default_rng(8))
@@ -191,13 +193,12 @@ class TestUeMasks:
             assert not np.allclose(np.abs(a), np.abs(b))
 
     def test_usage_draw_frequencies(self):
-        cfg = SnsConfig(usage_probs=(0.3, 0.2, 0.2, 0.3))
         rng = np.random.default_rng(5)
         counts = {}
         n = 100_000
         for _ in range(n):
-            u = draw_usage(cfg, rng)
+            u = draw_usage(rng)
             counts[u] = counts.get(u, 0) + 1
         for usage, p in zip(("one-hand", "two-hand", "head-hand", "free"),
-                            cfg.usage_probs):
+                            USAGE_PROBS):
             assert counts[usage] / n == pytest.approx(p, abs=0.01)

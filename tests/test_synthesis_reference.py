@@ -18,9 +18,10 @@ from fr3sim.antenna import (ElementPattern, PanelArray, UEDevice,
                             field_pattern, mount_bs_array, mount_ue_device)
 from fr3sim.coefficients import draw_phases, synthesize
 from fr3sim.geometry import Orientation, link_geometry
+from fr3sim.harness import RunConfig
 from fr3sim.largescale import C_LIGHT
 from fr3sim.nearfield import source_distances
-from fr3sim.sns import SnsConfig, stochastic_attenuation
+from fr3sim.sns import stochastic_attenuation
 from fr3sim.smallscale import ClusterSet, subcluster_groups
 
 LAM = C_LIGHT / 7e9
@@ -182,7 +183,7 @@ def link(case, rng):
     if case.get("alpha"):
         # one row per element site, as process_link draws it
         yz = (bs.site_offsets @ sector.rotation())[:, 1:3]
-        cfg = SnsConfig(pr_mu=0.9, pr_sigma=0.05)   # most clusters SNS
+        cfg = RunConfig(sns_pr_mu=0.9, sns_pr_sigma=0.05)   # most clusters SNS
         kw["alpha"] = stochastic_attenuation(10 * np.log10(cs.p), cfg, yz, rng)
     if case.get("beta"):
         kw["beta"] = rng.uniform(0.1, 1.0, ue.size)
