@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .harness import ConfigError, RunConfig, load_config, run
+from .harness import ConfigError, RunConfig, load_config, requirement, run
 from .scenario import ParameterError
 
 
@@ -33,6 +33,8 @@ def _build_parser():
     for f in fields(RunConfig):
         choices = f.metadata.get("choices")
         hint = f"one of {', '.join(map(repr, choices))}; " if choices else ""
+        if "needs" in f.metadata:
+            hint += f"needs {requirement(f)}; "
         action = argparse.BooleanOptionalAction if f.type is bool else None
         r.add_argument("--" + f.name.replace("_", "-"), action=action,
                        help=f"{hint}default {f.default!r}")

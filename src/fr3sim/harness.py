@@ -43,15 +43,20 @@ def _key(default, **allowed):
     return field(default=default, metadata=allowed)
 
 
+# the settings that several keys need
+_NF, _RAYS = ("near_field", (True,)), ("ray_count_scaling", (True,))
+_SNS = ("sns", ("stochastic",))
+
+
 @dataclass
 class RunConfig:
     scenario: str = "SMa"
     fc_ghz: float = _key(7.0, ge=0.5, le=100.0)
-    bandwidth_hz: float = _key(100e6, gt=0.0)
+    bandwidth_hz: float = _key(100e6, gt=0.0, needs=_RAYS)
     seed: int = _key(1, ge=0)
     n_ues: int = _key(100, ge=1)
     layout: str = _key("hex", choices=("hex", "indoor", "disc"))
-    deploy_radius: float = _key(100.0, gt=0.0)  # disc layout only
+    deploy_radius: float = _key(100.0, gt=0.0, needs=("layout", ("disc",)))
     isd: float = _key(0.0, ge=0.0,              # 0 -> scenario default
                       needs=("layout", ("hex",)))
     snr_db: float = 10.0
@@ -59,7 +64,7 @@ class RunConfig:
     out_dir: str = "out"
     # feature flags
     near_field: bool = False
-    nf_angles: bool = _key(False, needs=("near_field", (True,)))
+    nf_angles: bool = _key(False, needs=_NF)
     sns: str = _key("off", choices=("off", "stochastic"))
     ue_sns: bool = _key(False, needs=("ue_device", ("handheld",)))
     cluster_variability: bool = False
@@ -71,11 +76,12 @@ class RunConfig:
     force_location: str = _key("", choices=("", "outdoor", "indoor"))
     prune_db: float = _key(25.0, ge=0.0)
     nlos_floor: bool = True
-    n_spec: int = _key(0, ge=0)
-    nf_alpha: float = _key(2.0, ge=1.0)   # >= 1 keeps the Beta draw off 0 and 1
-    nf_beta: float = _key(2.0, ge=1.0)
-    m_min: int = _key(20, ge=1)
-    m_max: int = 40
+    n_spec: int = _key(0, ge=0, needs=_NF)
+    # nf_alpha, nf_beta >= 1 keep the Beta draw off 0 and 1
+    nf_alpha: float = _key(2.0, ge=1.0, needs=_NF)
+    nf_beta: float = _key(2.0, ge=1.0, needs=_NF)
+    m_min: int = _key(20, ge=1, needs=_RAYS)
+    m_max: int = _key(40, needs=_RAYS)
     abs_delay_bound_m: float = _key(0.0, ge=0.0,  # 0 -> unbounded
                                     needs=("absolute_delay", (True,)))
     # arrays
@@ -83,7 +89,7 @@ class RunConfig:
     bs_cols: int = _key(8, ge=1)
     bs_pol: int = _key(2, choices=(1, 2))
     bs_pattern: str = _key("directional", choices=("directional", "isotropic"))
-    bs_downtilt_deg: float = 0.0
+    bs_downtilt_deg: float = _key(0.0, needs=("layout", ("hex", "disc")))
     ue_device: str = _key("handheld", choices=("handheld", "CPE"))
     ue_dual_pol: bool = True
     ue_usage: str = _key("", choices=("",) + USAGES,  # "" = random draw
@@ -95,13 +101,13 @@ class RunConfig:
     emit_cir: bool = False
     # the stochastic SNS model's parameters: placeholders pending calibrated
     # tables; the functional forms in sns are fixed
-    sns_pr_mu: float = 0.5       # SNS probability: truncated normal on [0, 1]
-    sns_pr_sigma: float = _key(0.2, gt=0.0)
-    sns_vp_a: float = 0.7        # visibility probability V = A exp(.) + B + xi
-    sns_vp_r_db: float = _key(10.0, gt=0.0)
-    sns_vp_b: float = 0.3
-    sns_vp_sigma: float = _key(0.05, ge=0.0)
-    sns_rolloff: float = _key(4.0, ge=0.0)   # exponent C outside the VR
+    sns_pr_mu: float = _key(0.5, needs=_SNS)   # Pr_sns: normal cut to [0, 1]
+    sns_pr_sigma: float = _key(0.2, gt=0.0, needs=_SNS)
+    sns_vp_a: float = _key(0.7, needs=_SNS)    # V = A exp(.) + B + xi
+    sns_vp_r_db: float = _key(10.0, gt=0.0, needs=_SNS)
+    sns_vp_b: float = _key(0.3, needs=_SNS)
+    sns_vp_sigma: float = _key(0.05, ge=0.0, needs=_SNS)
+    sns_rolloff: float = _key(4.0, ge=0.0, needs=_SNS)   # C outside the VR
 
     def wavelength(self):
         return C_LIGHT / (self.fc_ghz * 1e9)
@@ -601,8 +607,10 @@ def run(cfg, registry=None):
 
     Returns the list of LinkReports.  Outputs: links.csv, cdf_*.csv,
     manifest.txt, and per-link .cir dumps when enabled.  Results are
-    byte-identical for any worker count at a fixed seed.
+    byte-identical for any worker count at a fixed seed.  A config that
+    `load_config` rejects raises its ConfigError before any output.
     """
+    _validate(cfg)
     reg = registry if registry is not None else load_parameter_tables()
     sc = reg.scenario(cfg.scenario)
     if cfg.layout == "indoor" and not sc.has("layout_width"):

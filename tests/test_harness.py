@@ -536,7 +536,7 @@ class TestServe:
 BAD_VALUES = {
     "bs_pol": "[run]\nbs_pol = 3\n",
     "t_count": "[run]\nt_count = 0\n",
-    "m_min": "[run]\nm_min = 41\nm_max = 40\n",
+    "m_min": "[run]\nray_count_scaling = true\nm_min = 41\nm_max = 40\n",
     "deploy_radius": "[run]\nlayout = disc\ndeploy_radius = -1\n",
     "bs_pattern": "[run]\nbs_pattern = directonal\n",
     "ue_device": "[run]\nue_device = tablet\n",
@@ -548,6 +548,26 @@ BAD_VALUES = {
     "abs_delay_bound_m_without_absolute_delay":
         "[run]\nabs_delay_bound_m = 300\n",
     "isd_without_hex": "[run]\nscenario = UMi\nlayout = disc\nisd = 500\n",
+    # ... a disc radius off the disc layout, the near-field source keys
+    # without near_field, the ray-count keys without ray_count_scaling, the
+    # stochastic SNS parameters without it, and a downtilt on the indoor
+    # layout, whose ceiling BSs always point straight down
+    "deploy_radius_without_disc": "[run]\ndeploy_radius = 50\n",
+    "nf_alpha_without_near_field": "[run]\nnf_alpha = 5\n",
+    "nf_beta_without_near_field": "[run]\nnf_beta = 5\n",
+    "n_spec_without_near_field": "[run]\nn_spec = 1\n",
+    "bandwidth_hz_without_ray_count_scaling": "[run]\nbandwidth_hz = 2e8\n",
+    "m_min_without_ray_count_scaling": "[run]\nm_min = 8\n",
+    "m_max_without_ray_count_scaling": "[run]\nm_max = 30\n",
+    "sns_pr_mu_without_stochastic_sns": "[run]\nsns_pr_mu = 0.4\n",
+    "sns_pr_sigma_without_stochastic_sns": "[run]\nsns_pr_sigma = 0.3\n",
+    "sns_vp_a_without_stochastic_sns": "[run]\nsns_vp_a = 0.6\n",
+    "sns_vp_r_db_without_stochastic_sns": "[run]\nsns_vp_r_db = 5\n",
+    "sns_vp_b_without_stochastic_sns": "[run]\nsns_vp_b = 0.2\n",
+    "sns_vp_sigma_without_stochastic_sns": "[run]\nsns_vp_sigma = 0.1\n",
+    "sns_rolloff_without_stochastic_sns": "[run]\nsns_rolloff = 2\n",
+    "bs_downtilt_deg_on_indoor": "[run]\nscenario = InH\nlayout = indoor\n"
+                                 "bs_downtilt_deg = 10\n",
     # element-wise angles exist only toward near-field sources
     "nf_angles": "[run]\nnf_angles = true\n",
     "field_cell_m": "[run]\nfield_cell_m = 1.0\n",
@@ -602,6 +622,17 @@ def cli_args(ini_text):
         else:
             args += [flag, val]
     return args
+
+
+def _other_value(f):
+    """A value of field ``f`` other than its default that its choices and
+    bounds accept."""
+    choices = f.metadata.get("choices")
+    if choices:
+        return next(v for v in choices if v != f.default)
+    if f.type is bool:
+        return not f.default
+    return f.type(f.default + 1)
 
 
 class TestConfigAndCli:
@@ -699,6 +730,55 @@ class TestConfigAndCli:
         out = tmp_path / "x"
         assert cli_main(["run", "--workers", "257", "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+    def test_needs_name_fields_and_accepted_values(self):
+        # each ``needs`` names another field and only values that field
+        # accepts, and a key set to its default loads without its setting
+        by_name = {f.name: f for f in fields(RunConfig)}
+        for f in fields(RunConfig):
+            if "needs" not in f.metadata:
+                continue
+            key, values = f.metadata["needs"]
+            assert key in by_name and key != f.name, f.name
+            other = by_name[key]
+            for value in values:
+                assert type(value) is other.type, (f.name, value)
+                assert getattr(load_config(overrides={key: value}),
+                               key) == value
+            off = next(v for v in other.metadata.get("choices", (False, True))
+                       if v not in values)
+            load_config(overrides={key: off, f.name: f.default})
+            with pytest.raises(ConfigError, match=f"{f.name} = .* needs"):
+                load_config(overrides={key: off, f.name: _other_value(f)})
+
+    def test_default_key_accepted_without_its_setting(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "run", lambda cfg: built.append(cfg) or [])
+        assert cli_main(["run", "--layout", "disc", "--isd", "0",
+                         "--nf-alpha", "2", "--m-max", "40"]) == 0
+        assert built == [RunConfig(layout="disc")]
+
+    def test_help_names_the_setting_a_key_needs(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {a.dest: a.help for a in sub.choices["run"]._actions}
+        assert helps["nf_angles"] == "needs near_field = True; default False"
+        assert helps["ue_usage"].startswith("one of '', 'one-hand'")
+        assert "; needs ue_sns = True; default ''" in helps["ue_usage"]
+        assert helps["near_field"] == "default False"
+
+    def test_run_validates_before_touching_out_dir(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = RunConfig(nf_angles=True, n_ues=2, out_dir=str(out))
+        with pytest.raises(ConfigError, match="nf_angles"):
+            run(cfg)
+        assert not out.exists()
+        out.mkdir()
+        (out / "manifest.txt").write_text("previous run\n")
+        with pytest.raises(ConfigError, match="nf_angles"):
+            run(cfg)
+        assert (out / "manifest.txt").read_text() == "previous run\n"
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
 
     def test_scenario_layout_combinations(self, tmp_path, capsys):
         # layout = indoor needs a table with the indoor hall's width, and

@@ -6,7 +6,11 @@ consistent where the options depend on each other (``nf_angles`` only
 with ``near_field``, ``layout = indoor`` only for InH, ``ue_sns`` only with
 a handheld UE, ``force_location = indoor`` only outside InH, a disc radius
 that fits the scenario's minimum BS-UE distance), so that most runs reach
-the link pass.
+the link pass.  A key that a run reads only under another setting is set
+only with that setting: ``deploy_radius`` on the disc layout,
+``bs_downtilt_deg`` off the indoor one, ``n_spec`` with ``near_field`` and
+``m_min`` with ``ray_count_scaling``.  Its value is drawn either way, so
+that the other keys' draws do not depend on it.
 
 Exit code 3 is expected from ``cluster_variability`` runs that draw
 N = 6 or 7 clusters: TR 38.901's ``c_theta`` starts at N = 8.
@@ -65,9 +69,13 @@ def draw_argv(rng, out_dir):
         "ray-count-scaling": rng.random() < 0.3,
         "emit-cir": rng.random() < 0.2,
     }
+    needs = {"deploy-radius": opts["layout"] == "disc",
+             "bs-downtilt-deg": opts["layout"] != "indoor",
+             "n-spec": near_field, "m-min": flags["ray-count-scaling"]}
     argv = ["run"]
     for key, value in opts.items():
-        argv += [f"--{key}", str(value)]
+        if needs.get(key, True):
+            argv += [f"--{key}", str(value)]
     argv += [f"--{key}" if on else f"--no-{key}" for key, on in flags.items()]
     return argv
 
