@@ -305,10 +305,10 @@ def _los_component(geom, bs, ue, lam0, near_field, v, t, f_rx, f_tx,
     return h[:, :, None] * unit_phase(((r_rx @ v) / lam0) * t)
 
 
-def apply_large_scale(g, ls):
-    """Scale the tap gains ``g`` in place by the total large-scale
-    attenuation of ``ls``; returns ``g``."""
-    g *= 10.0 ** (-ls.total / 20.0)
+def apply_large_scale(g, loss_db):
+    """Scale the tap gains ``g`` in place by the large-scale loss
+    ``loss_db`` (path loss, penetration and shadow fading); returns ``g``."""
+    g *= 10.0 ** (-loss_db / 20.0)
     return g
 
 
@@ -316,13 +316,13 @@ CIR_MAGIC = b"FR3CIR1\x00"
 _CIR_HEADER = struct.Struct("<8s4Id")      # magic, U, S, T, n_taps, fc_Hz
 
 
-def write_cir(path, synth, ls=None):
+def write_cir(path, synth, loss_db=None):
     """Write one link's CIR file at ``path`` while ``synth(sink=...)``, a
     ``synthesize`` call with every other argument bound, computes its
     taps, and return the ChannelRealization that synth returns.  Each tap
     is written as soon as the tap loop has added it into the realization's
-    sums: scaled in place by ``ls``'s large-scale attenuation when ``ls``
-    is given (apply_large_scale), rounded to f32 in one scratch buffer,
+    sums: scaled in place by the large-scale loss ``loss_db`` when it is
+    given (apply_large_scale), rounded to f32 in one scratch buffer,
     then appended.  The header goes in last, and the file is written
     under a ``.tmp-`` name and renamed to ``path`` once complete, so a
     link that fails leaves no file.
@@ -338,8 +338,8 @@ def write_cir(path, synth, ls=None):
     def sink(delay, g):
         nonlocal shape
         shape = g.shape
-        if ls is not None:
-            apply_large_scale(g, ls)
+        if loss_db is not None:
+            apply_large_scale(g, loss_db)
         f32 = SCRATCH.take("cir_f32", g.shape + (2,), "<f4")
         np.copyto(f32, g.view(float).reshape(f32.shape), casting="same_kind")
         f.write(struct.pack("<d", delay))

@@ -25,9 +25,8 @@ from .coefficients import (apply_large_scale, draw_absolute_excess,  # noqa: F40
 from .geometry import (Orientation, build_disc_layout, build_hex_layout,
                        build_indoor_layout, drop_ues, effective_ue_position,
                        link_geometry, wrap_azimuth)
-from .largescale import (C_LIGHT, LargeScaleResult,
-                         correlated_standard_normals, lsps_from_standardized,
-                         o2i_penetration, path_loss)
+from .largescale import (C_LIGHT, correlated_standard_normals,
+                         lsps_from_standardized, o2i_penetration, path_loss)
 from .nearfield import source_distances
 from .scenario import (LSP_ORDER_LOS, STATES, assign_states, data_root,
                        load_parameter_tables)
@@ -237,17 +236,17 @@ def capacity(h_matrix, snr_db):
     return float(logdet / np.log(2.0))
 
 
-def coupling_loss(h, ls_total_db=0.0):
+def coupling_loss(h, loss_db=0.0):
     """-10 log10 of the element-averaged received energy, in dB.
 
-    ``h`` is a (pre large-scale) ChannelRealization; ``ls_total_db`` adds
-    path loss, penetration, and shadow fading.  Antenna gains and SNS
+    ``h`` is a (pre large-scale) ChannelRealization; ``loss_db`` adds the
+    large-scale loss: path loss, penetration, and shadow fading.  Antenna gains and SNS
     attenuation are already inside the tap gains.
     """
     energy = float(np.mean(h.tap_energy))
     if energy <= 0.0:
         raise ValueError("zero-energy channel")
-    return ls_total_db - 10.0 * np.log10(energy)
+    return loss_db - 10.0 * np.log10(energy)
 
 
 def gini(powers):
@@ -311,7 +310,7 @@ class LinkTask:
     geom: object
     state: object
     lsp: object
-    ls: LargeScaleResult
+    pl_db: float   # path loss plus penetration; links.csv's pl_db
     v_vec: np.ndarray
     usage: str
     ray_count: int = None   # rays per cluster under ray_count_scaling
@@ -424,12 +423,13 @@ def process_link(ctx, task):
         synthesize, geom, cs, phases, bs, ue, lam0, v_vec=task.v_vec,
         t_samples=ctx.t_samples, near_field=nf, nf_angles=cfg.nf_angles,
         sns_alpha=alpha, sns_beta=beta, base_delay=base_delay)
-    # a CIR link streams its taps, with the large-scale scaling, to its file
+    # a CIR link streams its taps, scaled by the large-scale loss, to its file
+    loss_db = task.pl_db + lsp.sf_db
     h = (write_cir(os.path.join(ctx.cir_dir, f"link_{lid:06d}.cir"), synth,
-                   task.ls) if ctx.cir_dir else synth())
+                   loss_db) if ctx.cir_dir else synth())
 
     cap = capacity(h.tap_sum, cfg.snr_db)
-    cl = coupling_loss(h, task.ls.total)
+    cl = coupling_loss(h, loss_db)
 
     w_ray = np.repeat(cs.p / cs.m, cs.m)
     tap_d, tap_p = _tap_powers(cs, base_delay)
@@ -439,9 +439,7 @@ def process_link(ctx, task):
         link_id=lid, ue=task.ue_index, site=task.site_index,
         sector=task.sector_index, d2d_m=geom.d2d, d3d_m=geom.d3d,
         state=f"{state.los}/{state.location}",
-        pl_db=task.ls.pl_outdoor + task.ls.pl_tw + task.ls.pl_in
-        + task.ls.penetration_random,
-        sf_db=task.ls.sf,
+        pl_db=task.pl_db, sf_db=lsp.sf_db,
         coupling_loss_db=cl, capacity_bps_hz=cap,
         ds_s=_rms_delay_spread(tap_d, tap_p),
         asa_deg=asa, asd_deg=asd, zsa_deg=zsa, zsd_deg=zsd,
@@ -545,8 +543,8 @@ def _standardized_lsps(cfg, sc, sites, keys, floor, eff):
 
 def _link_tasks(cfg, reg, sc, layout, drop, arr):
     """The LinkTask of every dropped UE, served by BS arrays of PanelArray
-    ``arr``.  Serving, states, LSPs and the large-scale terms are each
-    computed once over all links, as columns with one row per UE, and a
+    ``arr``.  Serving, states, LSPs and the path loss with penetration are
+    each computed once over all links, as columns with one row per UE, and a
     task holds its link's rows.  Only the per-UE substreams (O2I random
     term, velocity, usage) are drawn UE by UE."""
     n = len(drop.positions)
@@ -568,10 +566,8 @@ def _link_tasks(cfg, reg, sc, layout, drop, arr):
         reg.materials, states.o2i_model[indoor], cfg.fc_ghz,
         states.d2d_in[indoor],
         [substream(cfg.seed, 0, i, rngmod.STAGE_O2I_RANDOM) for i in indoor])
-    ls = LargeScaleResult(
-        pl_outdoor=path_loss(sc, geom, states, cfg.fc_ghz,
-                             nlos_floor=cfg.nlos_floor),
-        pl_tw=pl_tw, pl_in=pl_in, sf=lsp.sf_db, penetration_random=pen_rand)
+    pl_db = path_loss(sc, geom, states, cfg.fc_ghz,
+                      nlos_floor=cfg.nlos_floor) + pl_tw + pl_in + pen_rand
 
     speed = np.where(states.location == "indoor",
                      sc.value("ue_speed_indoor_kmh"),
@@ -595,11 +591,11 @@ def _link_tasks(cfg, reg, sc, layout, drop, arr):
                 cfg.bandwidth_hz, d_h, d_v, ssp["c_ds"], ssp["c_asd"],
                 ssp["c_zsd"], lam0, m_min=cfg.m_min, m_max=cfg.m_max)[0]
     return [LinkTask(link_id=i, ue_index=i, site_index=si, sector_index=sec,
-                     ue_pos=eff[i], geom=g, state=st, lsp=lp, ls=l,
+                     ue_pos=eff[i], geom=g, state=st, lsp=lp, pl_db=pl,
                      v_vec=v_vec[i], usage=usage[i], ray_count=m_rays.get(k))
-            for i, (si, sec, g, st, lp, l, k) in enumerate(zip(
+            for i, (si, sec, g, st, lp, pl, k) in enumerate(zip(
                 sites.tolist(), sectors.tolist(), _rows(geom), _rows(states),
-                _rows(lsp), _rows(ls), keys.tolist()))]
+                _rows(lsp), pl_db.tolist(), keys.tolist()))]
 
 
 def run(cfg, registry=None):

@@ -163,20 +163,6 @@ def o2i_penetration(materials, model, fc_ghz, d2d_in, rng):
 
 
 @dataclass
-class LargeScaleResult:
-    """Large-scale terms in dB; each field holds one value per link."""
-    pl_outdoor: np.ndarray
-    pl_tw: np.ndarray = 0.0
-    pl_in: np.ndarray = 0.0
-    sf: np.ndarray = 0.0
-    penetration_random: np.ndarray = 0.0
-
-    @property
-    def total(self):
-        return self.pl_outdoor + self.pl_tw + self.pl_in + self.penetration_random + self.sf
-
-
-@dataclass
 class LspSet:
     """Large-scale parameters; each field holds one value per link."""
     ds: np.ndarray          # s

@@ -16,8 +16,7 @@ from fr3sim.antenna import PanelArray
 from fr3sim.coefficients import ray_count
 from fr3sim.geometry import (LinkGeometry, effective_ue_position,
                              unit_to_angles, wrap_azimuth)
-from fr3sim.largescale import (AS_CAP_AZIMUTH, AS_CAP_ZENITH, C_LIGHT,
-                               LargeScaleResult, LspSet,
+from fr3sim.largescale import (AS_CAP_AZIMUTH, AS_CAP_ZENITH, C_LIGHT, LspSet,
                                correlated_standard_normals, material_loss)
 from fr3sim.rng import substream
 from fr3sim.scenario import LOS, NLOS, O2I, PropagationState
@@ -267,8 +266,8 @@ def rays_per_cluster(cfg, sc, state):
 
 def link_setup(cfg, reg, sc, layout, drop):
     """Per link, the dict of what its task carries: indices, effective
-    position, geometry, state, LSPs, large-scale terms, velocity, usage and
-    ray count."""
+    position, geometry, state, LSPs, path loss with penetration, velocity,
+    usage and ray count."""
     served = [serve_one(layout, p) for p in drop.positions]
     links = [g for _, _, _, g in served]
     with warnings.catch_warnings():
@@ -301,8 +300,6 @@ def link_setup(cfg, reg, sc, layout, drop):
                 reg.materials, st.o2i_model, cfg.fc_ghz, st.d2d_in, o_rng)
         elif st.location == "car":
             pl_tw = sc.value("car_loss", default=0.0)
-        ls = LargeScaleResult(pl_outdoor=pl, pl_tw=pl_tw, pl_in=pl_in,
-                              sf=lsp.sf_db, penetration_random=pen_rand)
         v_rng = substream(cfg.seed, 0, i, rngmod.STAGE_VELOCITY)
         speed_key = "ue_speed_indoor_kmh" if st.location == "indoor" \
             else "ue_speed_outdoor_kmh"
@@ -313,7 +310,8 @@ def link_setup(cfg, reg, sc, layout, drop):
             usage = cfg.ue_usage or draw_usage(
                 substream(cfg.seed, 0, i, rngmod.STAGE_UE_SNS))
         out.append(dict(link_id=i, ue_index=i, site_index=si, sector_index=sec,
-                        ue_pos=eff, geom=g, state=st, lsp=lsp, ls=ls,
+                        ue_pos=eff, geom=g, state=st, lsp=lsp,
+                        pl_db=pl + pl_tw + pl_in + pen_rand,
                         v_vec=speed * np.array([np.cos(ang), np.sin(ang), 0.0]),
                         usage=usage, ray_count=rays_per_cluster(cfg, sc, st)))
     return out

@@ -14,7 +14,7 @@ from fr3sim.coefficients import (ChannelRealization, apply_large_scale,
                                  read_cir, synthesize, write_cir)
 from fr3sim.geometry import LinkGeometry, Orientation, vec3
 from fr3sim import coefficients, nearfield
-from fr3sim.largescale import C_LIGHT, LargeScaleResult
+from fr3sim.largescale import C_LIGHT
 from fr3sim.scenario import load_parameter_tables
 from fr3sim.smallscale import ClusterSet, subcluster_groups
 from test_synthesis_reference import (element_fields, link, synthesize_taps,
@@ -306,8 +306,7 @@ class TestTapReductions:
         args, kw, _ref = link(case, np.random.default_rng(1))
         synth = functools.partial(synthesize, *args, LAM, **kw)
         calls = {"metrics": synth,
-                 "cir": lambda: write_cir(tmp_path / "x.cir", synth,
-                                          LargeScaleResult(pl_outdoor=60.0))}
+                 "cir": lambda: write_cir(tmp_path / "x.cir", synth, 60.0)}
         peaks = {}
         for name, call in calls.items():
             monkeypatch.setattr(nearfield.SCRATCH, "buffers", {})
@@ -435,7 +434,7 @@ class TestApplyLargeScale:
         h = synthesize_taps(geom_for(), cs, ph, iso_element((0, 0, 10)),
                             iso_element((50, 0, 10)), LAM)
         before = h.gains.copy()
-        g = apply_large_scale(h.gains, LargeScaleResult(pl_outdoor=0.0))
+        g = apply_large_scale(h.gains, 0.0)
         assert np.array_equal(g, before)
 
     def test_20db(self):
@@ -445,7 +444,7 @@ class TestApplyLargeScale:
         h = synthesize_taps(geom_for(), cs, ph, iso_element((0, 0, 10)),
                             iso_element((50, 0, 10)), LAM)
         before = h.gains.copy()
-        g = apply_large_scale(h.gains, LargeScaleResult(pl_outdoor=20.0))
+        g = apply_large_scale(h.gains, 20.0)
         assert g is h.gains
         assert abs(g[0, 0, 0, 0]) == pytest.approx(
             0.1 * abs(before[0, 0, 0, 0]), rel=1e-12)
@@ -461,8 +460,7 @@ class TestApplyLargeScale:
                 iso_element((50, 0, 10)), LAM)
         want = synthesize_taps(*args)
         path = tmp_path / "x.cir"
-        h = write_cir(path, functools.partial(synthesize, *args),
-                      LargeScaleResult(pl_outdoor=20.0))
+        h = write_cir(path, functools.partial(synthesize, *args), 20.0)
         assert h.gains is None
         np.testing.assert_array_equal(h.tap_sum, want.tap_sum)
         np.testing.assert_array_equal(h.tap_energy, want.tap_energy)

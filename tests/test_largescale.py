@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fr3sim.geometry import LinkGeometry
-from fr3sim.largescale import (C_LIGHT, LargeScaleResult, _pl1_rma,
-                               breakpoint_distance,
+from fr3sim.largescale import (C_LIGHT, _pl1_rma, breakpoint_distance,
                                correlated_standard_normals,
                                lsps_from_standardized, material_loss,
                                ValidityWarning, matrix_sqrt_psd,
@@ -150,11 +149,6 @@ class TestO2I:
         l_ply = 1.03 + 0.17 * 10
         expect = 5 - 10 * np.log10(0.3 * 10 ** (-l_glass / 10) + 0.7 * 10 ** (-l_ply / 10))
         assert tw == pytest.approx(expect, rel=1e-12)
-
-    def test_additivity(self):
-        ls = LargeScaleResult(pl_outdoor=100.0, pl_tw=12.0, pl_in=5.0,
-                              sf=-3.0, penetration_random=2.5)
-        assert ls.total == pytest.approx(100 + 12 + 5 - 3 + 2.5, rel=1e-15)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
