@@ -247,20 +247,15 @@ def mount_bs_array(array, site_position, sector_orientation, wavelength):
                         index, array.element, PlanarGrid(y, z, rot[:, 1:]))
 
 
-def mount_ue_device(device, ue_position, dual_polarized=True,
-                    device_orientation=Orientation(0, 0, 0)):
+def mount_ue_device(device, ue_position, dual_polarized=True):
     """Place all candidate antennas of a UE device (dual-polarized pairs by
-    default, slant-major) around the UE position.  The candidates are the
-    sites, and each element is its own field group.  Device orientation
-    defaults to the identity (GCS == device frame)."""
-    d, rot = device_orientation, device_orientation.rotation()
-    cands = ue_candidate_locations(device)
+    default, slant-major) around the UE position, with the device frame
+    along the GCS.  The candidates are the sites, and each element is its
+    own field group."""
+    offs, oris = zip(*ue_candidate_locations(device))
     slants = (0.0, 90.0) if dual_polarized else (0.0,)
-    oris = [Orientation(o.alpha + d.alpha, o.beta + d.beta, o.gamma + d.gamma)
-            for _off, o in cands]
-    k = np.arange(len(slants) * len(cands))
-    return MountedArray(np.asarray(ue_position, dtype=float),
-                        np.array([rot @ off for off, _ori in cands]),
-                        k % len(cands), np.repeat(slants, len(cands)), k,
-                        *mounting_frames(oris * len(slants)),
+    k = np.arange(len(slants) * len(offs))
+    return MountedArray(np.asarray(ue_position, dtype=float), np.array(offs),
+                        k % len(offs), np.repeat(slants, len(offs)), k,
+                        *mounting_frames(list(oris) * len(slants)),
                         ElementPattern.isotropic())

@@ -353,8 +353,7 @@ class TestArrayFields:
 
     @pytest.mark.parametrize("kind", ["handheld", "CPE"])
     def test_ue_devices(self, kind):
-        ue = mount_ue_device(UEDevice(kind), vec3(40, 10, 1.5),
-                             device_orientation=Orientation(20.0, 5.0, -3.0))
+        ue = mount_ue_device(UEDevice(kind), vec3(40, 10, 1.5))
         self.check(ue, self.ZEN, self.AZ)
 
     def test_per_element_angles(self):
@@ -365,8 +364,7 @@ class TestArrayFields:
         self.check(bs, zen, az)
 
     def test_per_group_rows(self):
-        ue = mount_ue_device(UEDevice("handheld"), vec3(40, 10, 1.5),
-                             device_orientation=Orientation(20.0, 5.0, -3.0))
+        ue = mount_ue_device(UEDevice("handheld"), vec3(40, 10, 1.5))
         f_t, f_p = field_pattern(ue, self.ZEN, self.AZ)
         assert f_t.shape == (len(ue.slants), self.ZEN.size) == (16, 37)
         want = per_element_fields(ue, self.ZEN, self.AZ)

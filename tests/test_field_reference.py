@@ -22,12 +22,9 @@ LAM = C_LIGHT / 7e9
 SMA_SECTORS = build_hex_layout(1299.0).sectors
 
 
-def _device_orientations(kind, device=Orientation(0.0, 0.0, 0.0)):
-    """Each candidate antenna's Orientation, on a device of ``kind`` turned
-    by ``device``."""
-    return [Orientation(o.alpha + device.alpha, o.beta + device.beta,
-                        o.gamma + device.gamma)
-            for _off, o in ue_candidate_locations(UEDevice(kind))]
+def _device_orientations(kind):
+    """Each candidate antenna's Orientation on a device of ``kind``."""
+    return [o for _off, o in ue_candidate_locations(UEDevice(kind))]
 
 
 def _mounts():
@@ -51,10 +48,11 @@ def _mounts():
     out["cpe-single-pol"] = (mount_ue_device(UEDevice("CPE"), np.zeros(3),
                                              dual_polarized=False),
                              _device_orientations("CPE"))
-    turn = Orientation(20.0, 5.0, -3.0)
-    out["handheld-rotated"] = (mount_ue_device(
-        UEDevice("handheld"), np.zeros(3), device_orientation=turn),
-        _device_orientations("handheld", turn) * 2)
+    # a frame turned about all three axes
+    rolled = Orientation(20.0, 5.0, -3.0)
+    out["8x8x2-rolled"] = (mount_bs_array(PanelArray(m=8, n=8, p=2),
+                                          np.zeros(3), rolled, LAM),
+                           [rolled] * 2)
     return out
 
 
