@@ -193,6 +193,11 @@ def requirement(f):
 def _validate(cfg):
     for f in fields(RunConfig):
         val, allowed = getattr(cfg, f.name), f.metadata
+        # a float field takes an int too; only a bool field takes a bool
+        if (not isinstance(val, (int, float) if f.type is float else f.type)
+                or isinstance(val, bool) != (f.type is bool)):
+            raise ConfigError(f"{f.name} = {val!r} is not "
+                              f"a valid {f.type.__name__}")
         if f.type is float and not math.isfinite(val):
             raise ConfigError(f"{f.name} = {val!r} is not finite")
         if "choices" in allowed and val not in allowed["choices"]:

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import configparser
+import csv
 import functools
 import hashlib
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from fr3sim import cli, harness
 from fr3sim.cli import _build_parser, main as cli_main
-from fr3sim.coefficients import ChannelRealization
+from fr3sim.coefficients import ChannelRealization, read_cir
 from fr3sim.geometry import (Orientation, SiteLayout, build_disc_layout,
                              build_hex_layout, build_indoor_layout,
                              effective_ue_position, vec3)
@@ -380,6 +381,38 @@ class TestRun:
             run(tiny_cfg(tmp_path / f"cir-{emit}", emit_cir=emit, **kw))
         assert ((tmp_path / "cir-True" / "links.csv").read_bytes()
                 == (tmp_path / "cir-False" / "links.csv").read_bytes())
+
+    @pytest.mark.parametrize("kw, locations", [
+        (dict(scenario="SMa", n_ues=8), {"indoor", "car"}),
+        (dict(scenario="UMi", layout="disc", deploy_radius=60.0, n_ues=6),
+         {"outdoor"})], ids=["sma-indoor-car", "umi-outdoor"])
+    def test_cir_files_carry_the_links_csv_loss(self, tmp_path, monkeypatch,
+                                                kw, locations):
+        # each CIR file is scaled by the loss links.csv reports: its
+        # element-averaged energy at t = 0 gives the link's coupling loss,
+        # and that is pl_db + sf_db less the small-scale energy of the
+        # synthesized channel
+        small = []
+
+        def recording(h, loss_db=0.0):
+            small.append(-10.0 * np.log10(np.mean(h.tap_energy)))
+            return coupling_loss(h, loss_db)
+
+        monkeypatch.setattr(harness, "coupling_loss", recording)
+        run(RunConfig(seed=3, bs_rows=4, bs_cols=2, emit_cir=True, t_count=2,
+                      out_dir=str(tmp_path), **kw))
+        with open(tmp_path / "links.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert locations <= {r["state"].split("/")[1] for r in rows}
+        assert len(small) == len(rows)
+        for r, ss_db in zip(rows, small):
+            g = read_cir(tmp_path / "cir" / f"link_{int(r['link_id']):06d}.cir").gains
+            cir_db = -10.0 * np.log10(np.mean(np.sum(np.abs(g[..., 0]) ** 2,
+                                                     axis=0)))
+            assert cir_db == pytest.approx(float(r["coupling_loss_db"]),
+                                           abs=1e-5)
+            assert cir_db == pytest.approx(
+                float(r["pl_db"]) + float(r["sf_db"]) + ss_db, abs=1e-5)
 
     def test_no_stale_cir_files(self, tmp_path):
         # a 2-UE run after a 4-UE one, then a run without CIR output, in
@@ -779,6 +812,19 @@ class TestConfigAndCli:
             run(cfg)
         assert (out / "manifest.txt").read_text() == "previous run\n"
         assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+
+    @pytest.mark.parametrize("key, val", [("n_ues", "3"), ("fc_ghz", None),
+                                          ("workers", 2.0),
+                                          ("near_field", "yes"),
+                                          ("seed", True)])
+    def test_run_checks_the_types_of_a_built_config(self, tmp_path, key,
+                                                    val):
+        # a RunConfig built in code gets the type checks load_config gives
+        out = tmp_path / "o"
+        cfg = RunConfig(**{"n_ues": 2, "out_dir": str(out), key: val})
+        with pytest.raises(ConfigError, match=f"{key} = .* is not a valid"):
+            run(cfg)
+        assert not out.exists()
 
     def test_scenario_layout_combinations(self, tmp_path, capsys):
         # layout = indoor needs a table with the indoor hall's width, and
