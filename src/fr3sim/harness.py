@@ -245,8 +245,8 @@ def coupling_loss(h, loss_db=0.0):
     """-10 log10 of the element-averaged received energy, in dB.
 
     ``h`` is a (pre large-scale) ChannelRealization; ``loss_db`` adds the
-    large-scale loss: path loss, penetration, and shadow fading.  Antenna gains and SNS
-    attenuation are already inside the tap gains.
+    large-scale loss: path loss, penetration, and shadow fading.  Antenna
+    gains and SNS attenuation are already inside the tap gains.
     """
     energy = float(np.mean(h.tap_energy))
     if energy <= 0.0:

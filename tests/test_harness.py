@@ -390,12 +390,12 @@ class TestRun:
                                                 kw, locations):
         # each CIR file is scaled by the loss links.csv reports: its
         # element-averaged energy at t = 0 gives the link's coupling loss,
-        # and that is pl_db + sf_db less the small-scale energy of the
-        # synthesized channel
-        small = []
+        # and that is pl_db + sf_db plus the small-scale loss, -10 log10 of
+        # the energy of the synthesized channel
+        small_db = []
 
         def recording(h, loss_db=0.0):
-            small.append(-10.0 * np.log10(np.mean(h.tap_energy)))
+            small_db.append(-10.0 * np.log10(np.mean(h.tap_energy)))
             return coupling_loss(h, loss_db)
 
         monkeypatch.setattr(harness, "coupling_loss", recording)
@@ -404,9 +404,10 @@ class TestRun:
         with open(tmp_path / "links.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert locations <= {r["state"].split("/")[1] for r in rows}
-        assert len(small) == len(rows)
-        for r, ss_db in zip(rows, small):
-            g = read_cir(tmp_path / "cir" / f"link_{int(r['link_id']):06d}.cir").gains
+        assert len(small_db) == len(rows)
+        for r, ss_db in zip(rows, small_db):
+            name = f"link_{int(r['link_id']):06d}.cir"
+            g = read_cir(tmp_path / "cir" / name).gains
             cir_db = -10.0 * np.log10(np.mean(np.sum(np.abs(g[..., 0]) ** 2,
                                                      axis=0)))
             assert cir_db == pytest.approx(float(r["coupling_loss_db"]),
